@@ -14,10 +14,12 @@ from .cascade import (
     CascadeStage,
     DistributionEstimate,
     MeasurementRecord,
+    derive_seeds,
     estimate_photon_distribution,
     first_on_distribution,
     run_cascade_trial,
     tuned_cascade,
+    uniforms,
 )
 from .cavity import (
     CavityParams,
@@ -70,8 +72,8 @@ from .tomography import (
 __all__ = [
     "__version__",
     "CascadeConfig", "CascadeStage", "DistributionEstimate", "MeasurementRecord",
-    "estimate_photon_distribution", "first_on_distribution", "run_cascade_trial",
-    "tuned_cascade",
+    "derive_seeds", "estimate_photon_distribution", "first_on_distribution",
+    "run_cascade_trial", "tuned_cascade", "uniforms",
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",

@@ -3,18 +3,21 @@
 A chain of cavities tuned to n_0, n_1, n_2, ... probes the signal one Fock
 component at a time; the stage index of the first detector click samples
 (up to a small off-resonant leak) the photon distribution of the input
-state.  Trials are reproducible: the RNG stream of trial i is derived from
-(rng_seed, i), so any execution order — serial, shuffled, or threaded —
-yields identical records.
+state.
+
+Randomness is counter-based (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): the uniform that decides stage k of trial i is a
+pure function u(seed, i, k), so no generator state is carried between
+trials and any subset or order of trials gives the same records.
 
 In terminate-on-first-ON mode every trial walks the same deterministic
 all-OFF chain until its first click, so the per-stage click probabilities
-are precomputed once and each trial only consumes uniforms.  This is not an
-approximation: the records match a stage-by-stage state walk bit for bit
-(see tests).
+q_k are computed once and trials are sampled in chunks: trial i clicks first
+at the smallest k with u(seed, i, k) < q_k.  Chunks only bound memory.  This
+is not an approximation: the records match a stage-by-stage state walk bit
+for bit (see tests).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,54 @@ UPDATE_RULES = ("exact", "good_cavity")
 
 # Completeness |p_on + p_off - trace| beyond this aborts the trial.
 TRACE_DRIFT_TOL = 1e-6
+
+# Trials sampled per block; bounds the (trials, stages) uniform array.
+CHUNK_TRIALS = 2 ** 14
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA'14): Weyl increment and finalizer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z):
+    """SplitMix64 finalizer of a uint64 array (arithmetic wraps modulo 2**64).
+
+    Arrays only: numpy uint64 scalars can warn on the intended overflow.
+    """
+    z = z ^ (z >> np.uint64(30))
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def derive_seeds(seed, indices):
+    """64-bit seed of substream i of `seed`, for each i in `indices`.
+
+    Substream i is output i + 1 of a SplitMix64 stream seeded by mix(seed),
+    so derived seeds are pure functions of (seed, i).  Trials and tomography
+    phases draw their randomness from derived seeds.
+    """
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and idx.min() < 0:
+        raise ValueError("substream indices must be >= 0")
+    base = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN)
+    return _mix(base + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
+
+
+def uniforms(seed, trials, n_stages):
+    """Uniforms u[i, k] in [0, 1) for trial trials[i] at stage k.
+
+    u[i, k] is a pure function of (seed, trials[i], k).  Stage k takes
+    output k + 1 of a SplitMix64 stream seeded by the trial's derived seed;
+    the top 53 bits of each output give the double.
+    """
+    keys = derive_seeds(seed, trials)
+    steps = (np.arange(n_stages, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
+    z = _mix(keys[..., None] + steps)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -132,25 +183,34 @@ def _stage_update(state, stage, rule):
     return p_on, on, p_off, off
 
 
-def run_cascade_trial(rho, cfg, rng):
-    """One Monte Carlo walk through the cascade; draws one uniform per stage.
+def _checked_update(state, k, stage, rule):
+    """_stage_update, raising NumericalError unless p_on + p_off stays at 1."""
+    p_on, state_on, p_off, state_off = _stage_update(state, stage, rule)
+    drift = abs((p_on + p_off) - 1.0)
+    # written so that NaN fails: a non-finite p_on or p_off makes drift non-finite
+    if not drift <= TRACE_DRIFT_TOL:
+        raise fock.NumericalError(
+            f"cascade aborted at stage {k} (target n={stage.target_n}): "
+            f"probability completeness drifted by {drift:.3e} > {TRACE_DRIFT_TOL:g}")
+    return p_on, state_on, p_off, state_off
 
-    The conditional state after each outcome feeds the next stage.  Raises
-    NumericalError if probability completeness drifts past 1e-6 at any stage
-    or the drawn outcome has no conditional state.
+
+def run_cascade_trial(rho, cfg, trial):
+    """One Monte Carlo walk, for trial index `trial`; one uniform per stage.
+
+    Stage k clicks when u(cfg.rng_seed, trial, k) < p_on, the same uniform
+    the estimator gives that trial.  The conditional state after each
+    outcome feeds the next stage.  Raises NumericalError if probability
+    completeness drifts past 1e-6 (or turns non-finite) at any stage or the
+    drawn outcome has no conditional state.
     """
+    u = uniforms(cfg.rng_seed, [trial], len(cfg.stages))[0]
     state = np.asarray(rho, dtype=complex)
-    expected_trace = 1.0
     outcomes = []
     first_on = None
     for k, stage in enumerate(cfg.stages):
-        p_on, state_on, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
-        drift = abs((p_on + p_off) - expected_trace)
-        if drift > TRACE_DRIFT_TOL:
-            raise fock.NumericalError(
-                f"cascade aborted at stage {k} (target n={stage.target_n}): "
-                f"probability completeness drifted by {drift:.3e} > {TRACE_DRIFT_TOL:g}")
-        clicked = rng.random() < p_on
+        p_on, state_on, p_off, state_off = _checked_update(state, k, stage, cfg.update_rule)
+        clicked = u[k] < p_on
         outcomes.append(1 if clicked else 0)
         next_state = state_on if clicked else state_off
         if clicked and first_on is None:
@@ -167,14 +227,9 @@ def run_cascade_trial(rho, cfg, rng):
 def _off_chain_probabilities(rho, cfg):
     """Per-stage ON probability along the all-OFF path (exact chain, no sampling)."""
     state = np.asarray(rho, dtype=complex)
-    expected_trace = 1.0
     q = np.empty(len(cfg.stages))
     for k, stage in enumerate(cfg.stages):
-        p_on, _, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
-        drift = abs((p_on + p_off) - expected_trace)
-        if drift > TRACE_DRIFT_TOL:
-            raise fock.NumericalError(
-                f"cascade chain drifted by {drift:.3e} at stage {k}")
+        p_on, _, _, state_off = _checked_update(state, k, stage, cfg.update_rule)
         q[k] = p_on
         if state_off is None and k + 1 < len(cfg.stages):
             raise fock.NumericalError(
@@ -189,22 +244,27 @@ def first_on_distribution(rho, cfg):
     P(first_on = k) = q_k prod_{j<k} (1 - q_j) with q_k the exact per-stage
     click probabilities chained along the all-OFF path.
     """
-    q = _off_chain_probabilities(rho, cfg)
+    return _first_on_from_chain(_off_chain_probabilities(rho, cfg))
+
+
+def _first_on_from_chain(q):
+    """(first-ON probabilities, all-OFF residual) from the chained q_k."""
     survival = np.cumprod(np.concatenate(([1.0], 1.0 - q)))
     return q * survival[:-1], float(survival[-1])
 
 
-def _count_chunk(q, seed, lo, hi):
-    """First-ON counts for trials lo..hi-1; pure function of its arguments."""
-    counts = np.zeros(len(q) + 1, dtype=np.int64)  # last slot = all OFF
-    for i in range(lo, hi):
-        rng = np.random.default_rng((seed, i))
-        for k, qk in enumerate(q):
-            if rng.random() < qk:
-                counts[k] += 1
-                break
-        else:
-            counts[len(q)] += 1
+def _count_first_on(q, seed, samples, chunk=CHUNK_TRIALS):
+    """First-ON counts of trials 0..samples-1; the last slot counts no click.
+
+    Trial i clicks first at the smallest k with u(seed, i, k) < q_k.  Trials
+    are sampled `chunk` at a time, which bounds memory and nothing else.
+    """
+    n = len(q)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, samples, chunk):
+        hit = uniforms(seed, np.arange(lo, min(lo + chunk, samples)), n) < q
+        first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+        counts += np.bincount(first, minlength=n + 1)
     return counts
 
 
@@ -229,12 +289,12 @@ class DistributionEstimate(fock.PhotonDistribution):
     preparations: int = 0
 
 
-def estimate_photon_distribution(spec, n_top, cfg, max_workers=None):
+def estimate_photon_distribution(spec, n_top, cfg):
     """Estimate p_n for n = 0..n_top by Monte Carlo over the cascade.
 
     `spec` may be a StateSpec or a prepared density matrix.  The stages must
-    be tuned to 0..n_top in order.  Aggregation is a sum of per-chunk
-    counts, so results are independent of worker count and execution order.
+    be tuned to 0..n_top in order.  The all-OFF chain is walked once; trial
+    i draws u(cfg.rng_seed, i, k), so the counts depend on nothing else.
     """
     targets = tuple(s.target_n for s in cfg.stages)
     if targets != tuple(range(n_top + 1)):
@@ -250,17 +310,10 @@ def estimate_photon_distribution(spec, n_top, cfg, max_workers=None):
         theory = fock.photon_distribution(rho).values[:n_top + 1]
 
     q = _off_chain_probabilities(rho, cfg)
-    expected, residual = first_on_distribution(rho, cfg)
+    expected, residual = _first_on_from_chain(q)
 
     S = cfg.samples
-    if max_workers is None or max_workers <= 1:
-        counts = _count_chunk(q, cfg.rng_seed, 0, S)
-    else:
-        step = -(-S // max_workers)
-        ranges = [(lo, min(lo + step, S)) for lo in range(0, S, step)]
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = pool.map(lambda r: _count_chunk(q, cfg.rng_seed, *r), ranges)
-            counts = sum(parts)
+    counts = _count_first_on(q, cfg.rng_seed, S)
 
     p_hat = counts[:n_top + 1] / S
     ci = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / S), 1.0 / S)

@@ -87,14 +87,15 @@ def transmission_profile(params, n_max):
 def resonant_components(params, n_max):
     """Integers n in [0, n_max] within 1/2 of a resonance n* + 2 pi j / chi_t.
 
-    Only j >= 0 combs are scanned (photon numbers are nonnegative).  A
-    detuned cavity (non-integer n*) may yield an empty list.
+    The scan starts at the smallest j whose center is >= -1/2, which is
+    negative when n* lies a period or more above 0, and stops past n_max.
+    A detuned cavity (non-integer n*) may yield an empty list.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     period = 2.0 * math.pi / params.chi_t
     found = []
-    j = 0
+    j = math.ceil((-0.5 - params.n_star) / period)
     while True:
         center = params.n_star + j * period
         if center > n_max + 0.5:

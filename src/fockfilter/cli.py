@@ -476,12 +476,16 @@ def _run_measure_pn(params):
 
 
 def _read_measured(path, plan):
-    """P[j, n] from a phi,n,p table; phases must match the plan's grid."""
+    """P[j, n] from a phi,n,p table; phases must match the plan's grid.
+
+    Every (phase, n) cell must appear exactly once.
+    """
     header, rows = tables.read_csv(path)
     if header != ["phi", "n", "p"]:
         raise ValueError(f"{path} must have header phi,n,p, got {','.join(header)}")
     P = np.full((len(plan.phases), plan.n_rows), np.nan)
     grid = np.asarray(plan.phases)
+    seen = set()
     for row in rows:
         phi, n, p = float(row[0]), int(row[1]), float(row[2])
         j = int(np.argmin(np.abs(grid - phi)))
@@ -489,6 +493,9 @@ def _read_measured(path, plan):
             raise ValueError(f"phase {phi} is not on the plan's grid")
         if not (0 <= n < plan.n_rows):
             raise ValueError(f"row index n = {n} outside 0..{plan.n_rows - 1}")
+        if (j, n) in seen:
+            raise ValueError(f"{path} repeats the row phi = {phi}, n = {n}")
+        seen.add((j, n))
         P[j, n] = p
     if np.isnan(P).any():
         raise ValueError(f"{path} does not cover all (phase, n) cells")

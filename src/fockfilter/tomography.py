@@ -25,7 +25,7 @@ import numpy as np
 from . import fock
 from .cavity import CavityParams
 from .filtering import ProbeDetector
-from .cascade import tuned_cascade, estimate_photon_distribution
+from .cascade import derive_seeds, estimate_photon_distribution, tuned_cascade
 
 CONDITION_FLAG_LIMIT = 1e12
 TRACE_BAND = (0.9, 1.1)
@@ -36,8 +36,8 @@ class MonteCarloBackend:
     """Measure displaced distributions with a cascade instead of exactly.
 
     cavity supplies the per-stage (tau, chi_t) prototype — stage k is tuned
-    to n = k; its psi field is ignored.  Per-phase cascades get seeds
-    derived from (rng_seed, phase index).
+    to n = k; its psi field is ignored.  The cascade of phase j is seeded
+    with derive_seeds(rng_seed, [j]), the mix that also seeds its trials.
     """
 
     cavity: CavityParams
@@ -142,7 +142,7 @@ def measure_distributions(nu, plan):
     for j, phi in enumerate(plan.phases):
         gamma = plan.gamma_abs * complex(math.cos(phi), math.sin(phi))
         if isinstance(backend, MonteCarloBackend):
-            seed_j = int(np.random.SeedSequence((backend.rng_seed, j)).generate_state(1, np.uint64)[0])
+            seed_j = int(derive_seeds(backend.rng_seed, [j])[0])
             phase_backend = MonteCarloBackend(
                 cavity=backend.cavity, probe=backend.probe,
                 samples=backend.samples, rng_seed=seed_j,

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fockfilter import cascade, fock
 from fockfilter.cascade import (CascadeConfig, CascadeStage, estimate_photon_distribution,
-                                first_on_distribution, run_cascade_trial, tuned_cascade)
+                                first_on_distribution, run_cascade_trial, tuned_cascade,
+                                uniforms)
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import ProbeDetector
 
@@ -32,7 +34,7 @@ def test_single_stage_on_target_always_clicks():
                              probe=probe),),
         samples=10, rng_seed=0)
     for i in range(10):
-        rec = run_cascade_trial(rho, cfg, np.random.default_rng((0, i)))
+        rec = run_cascade_trial(rho, cfg, i)
         assert rec.outcomes == (1,)
         assert rec.first_on == 0
 
@@ -47,7 +49,7 @@ def test_vacuum_fires_the_first_stage():
 def test_trial_records_off_prefix():
     rho = fock.make_state(fock.StateSpec.number(3), cutoff=8)
     cfg = fig3_cascade()
-    rec = run_cascade_trial(rho, cfg, np.random.default_rng(42))
+    rec = run_cascade_trial(rho, cfg, 42)
     # stages 0..2 are off-resonant for |3>, so the click lands at stage 3
     assert rec.first_on == 3
     assert rec.outcomes == (0, 0, 0, 1)
@@ -58,7 +60,7 @@ def test_full_walk_when_termination_disabled():
     base = fig3_cascade(n_top=5)
     cfg = CascadeConfig(stages=base.stages, samples=1, rng_seed=0,
                         terminate_on_first_on=False)
-    rec = run_cascade_trial(rho, cfg, np.random.default_rng(0))
+    rec = run_cascade_trial(rho, cfg, 0)
     assert len(rec.outcomes) == 6
     assert rec.first_on == 2
 
@@ -94,23 +96,45 @@ def test_estimator_reproducible_and_seed_sensitive():
 def test_estimator_matches_trial_level_walk():
     # the chained fast path must reproduce individual trial draws exactly
     spec = fock.StateSpec.coherent(np.sqrt(2.0))
-    cfg = fig3_cascade(samples=200, seed=11)
-    est = estimate_photon_distribution(spec, 8, cfg)
     rho = fock.make_state(spec)
-    counts = np.zeros(10, dtype=int)
-    for i in range(200):
-        rec = run_cascade_trial(rho, cfg, np.random.default_rng((11, i)))
-        counts[rec.first_on if rec.first_on is not None else 9] += 1
-    assert np.array_equal(est.counts, counts[:9])
-    assert est.all_off == pytest.approx(counts[9] / 200)
+    for rule in cascade.UPDATE_RULES:
+        cfg = fig3_cascade(samples=200, seed=11, rule=rule)
+        est = estimate_photon_distribution(spec, 8, cfg)
+        counts = np.zeros(10, dtype=int)
+        for i in range(200):
+            rec = run_cascade_trial(rho, cfg, i)
+            counts[rec.first_on if rec.first_on is not None else 9] += 1
+        assert np.array_equal(est.counts, counts[:9]), rule
+        assert est.all_off == pytest.approx(counts[9] / 200)
 
 
-def test_estimator_independent_of_worker_count():
+def test_estimator_independent_of_chunk_size():
     spec = fock.StateSpec.squeezed_vacuum(1.0)
-    serial = estimate_photon_distribution(spec, 8, fig3_cascade(samples=3000))
-    parallel = estimate_photon_distribution(spec, 8, fig3_cascade(samples=3000),
-                                            max_workers=4)
-    assert np.array_equal(serial.counts, parallel.counts)
+    cfg = fig3_cascade(samples=3000)
+    est = estimate_photon_distribution(spec, 8, cfg)
+    q = cascade._off_chain_probabilities(fock.make_state(spec), cfg)
+    for chunk in (1, 7, cascade.CHUNK_TRIALS):
+        counts = cascade._count_first_on(q, cfg.rng_seed, cfg.samples, chunk)
+        assert np.array_equal(counts[:9], est.counts), chunk
+        assert counts[9] / cfg.samples == est.all_off
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n_stages=st.integers(1, 12),
+       picks=st.lists(st.integers(0, 63), max_size=40), data=st.data())
+def test_uniforms_depend_only_on_seed_trial_stage(seed, n_stages, picks, data):
+    full = uniforms(seed, np.arange(64), n_stages)
+    assert np.all((full >= 0.0) & (full < 1.0))
+    order = data.draw(st.permutations(picks))
+    assert np.array_equal(uniforms(seed, order, n_stages).reshape(-1, n_stages),
+                          full[order])
+    # the uniform of stage k does not depend on how many stages are drawn
+    assert np.array_equal(uniforms(seed, np.arange(64), n_stages + 3)[:, :n_stages], full)
+
+
+def test_uniforms_reject_negative_trials():
+    with pytest.raises(ValueError):
+        uniforms(0, [3, -1], 4)
 
 
 def test_confidence_floor():
@@ -159,7 +183,19 @@ def test_estimator_requires_contiguous_targets():
 def test_trace_drift_aborts_trial():
     rho = 0.5 * fock.make_state(fock.StateSpec.thermal(1.0))
     with pytest.raises(fock.NumericalError):
-        run_cascade_trial(rho, fig3_cascade(), np.random.default_rng(0))
+        run_cascade_trial(rho, fig3_cascade(), 0)
+
+
+@pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
+def test_non_finite_state_aborts_walk_and_estimate(rule):
+    # NaN fails every comparison, so a `drift > tol` guard would let it pass
+    rho = np.array(fock.make_state(fock.StateSpec.thermal(1.0)))
+    rho[2, 2] = np.nan
+    cfg = fig3_cascade(samples=100, rule=rule)
+    with pytest.raises(fock.NumericalError):
+        run_cascade_trial(rho, cfg, 0)
+    with pytest.raises(fock.NumericalError):
+        estimate_photon_distribution(rho, 8, cfg)
 
 
 def test_estimate_accepts_prepared_matrix():

@@ -128,3 +128,10 @@ def test_resonant_components_detuned_is_empty():
     # psi/chi_t = 4.5 sits exactly between integers: nothing within half a photon
     params = cavity.CavityParams(tau=1e-3, psi=0.045, chi_t=0.01)
     assert cavity.resonant_components(params, 30) == []
+
+
+def test_resonant_components_below_n_star():
+    # n* = 1 + 2 pi / chi_t: the comb tooth one period down sits on n = 1
+    params = cavity.CavityParams(tau=1e-3, psi=2 * math.pi + 0.1, chi_t=0.1)
+    assert cavity.resonant_components(params, 70) == [1, 64]
+    assert int(np.argmax(cavity.transmission_profile(params, 70))) == 1

@@ -144,6 +144,21 @@ def test_tomography_reads_external_measurements(tmp_path):
         == (second / "reconstruction.csv").read_bytes()
 
 
+def test_duplicate_measured_rows_exit_2(tmp_path):
+    _, first = run(tmp_path / "a", "tomography", "--preset", "tomo-coherent")
+    manifest = json.loads((first / "manifest.json").read_text())
+    header, rows = tables.read_csv(first / "measured.csv")
+    # every cell present, and (phi, n) of the first row given a second time
+    rows.append([rows[0][0], rows[0][1], "0.5"])
+    measured = tmp_path / "measured.csv"
+    measured.write_text(tables.table_text(header, rows))
+    manifest["config"]["measurements"] = str(measured)
+    cfg = tmp_path / "replay.json"
+    cfg.write_text(json.dumps(manifest["config"]))
+    code, _ = run(tmp_path / "b", "tomography", "--config", str(cfg))
+    assert code == 2
+
+
 @pytest.mark.parametrize("argv", [
     ("profile", "--preset", "nope"),
     ("profile",),                                   # no configuration at all
