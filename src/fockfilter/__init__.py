@@ -35,6 +35,7 @@ from .filtering import (
     SuperpositionReport,
     filter_pass,
     filter_pass_asymptotic,
+    filter_pass_diagonal,
     superposition_synthesis_check,
 )
 from .fock import (
@@ -77,7 +78,7 @@ __all__ = [
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",
-    "filter_pass_asymptotic", "superposition_synthesis_check",
+    "filter_pass_asymptotic", "filter_pass_diagonal", "superposition_synthesis_check",
     "CutoffError", "NumericalError", "PhotonDistribution", "StateSpec",
     "analytic_distribution", "choose_cutoff", "displace", "displacement_margin",
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",

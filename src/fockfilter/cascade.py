@@ -16,6 +16,13 @@ q_k are computed once and trials are sampled in chunks: trial i clicks first
 at the smallest k with u(seed, i, k) < q_k.  Chunks only bound memory.  This
 is not an approximation: the records match a stage-by-stage state walk bit
 for bit (see tests).
+
+Each filter is a photon-number nondemolition measurement: an outcome scales
+element (n, m) of the state by its own factor, and its probability sums the
+diagonal alone.  So the q_k depend only on diag(rho), and the all-OFF chain
+carries the diagonal vector through the stages, O(N) per stage, under both
+update rules.  The trial walk keeps full density matrices and serves as the
+independent reference.
 """
 
 from dataclasses import dataclass
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams
-from .filtering import ProbeDetector, filter_pass, MIN_OUTCOME_PROB
+from .filtering import ProbeDetector, filter_pass, filter_pass_diagonal, MIN_OUTCOME_PROB
 from . import fock
 
 UPDATE_RULES = ("exact", "good_cavity")
@@ -163,36 +170,46 @@ def _stage_update(state, stage, rule):
         return res.p_on, res.state_on, res.p_off, res.state_off
     # good-cavity projections: a click collapses onto |n_k><n_k|, silence
     # removes the n_k component and drops coherences
-    nk = stage.target_n
-    dim = state.shape[0]
-    trace = np.trace(state).real
-    p_on = float(state[nk, nk].real) if nk < dim else 0.0
-    p_off = trace - p_on
+    p_on, p_off, off = _good_cavity_diagonal(state.diagonal(), stage.target_n)
     if p_on >= MIN_OUTCOME_PROB:
-        on = np.zeros((dim, dim), dtype=complex)
-        on[nk, nk] = 1.0
+        on = np.zeros(state.shape, dtype=complex)
+        on[stage.target_n, stage.target_n] = 1.0
     else:
         on = None
-    if p_off >= MIN_OUTCOME_PROB:
-        diag = state.diagonal().real.copy()
-        if nk < dim:
-            diag[nk] = 0.0
-        off = np.diag(diag / p_off).astype(complex)
-    else:
-        off = None
-    return p_on, on, p_off, off
+    return p_on, on, p_off, None if off is None else np.diag(off)
 
 
-def _checked_update(state, k, stage, rule):
-    """_stage_update, raising NumericalError unless p_on + p_off stays at 1."""
-    p_on, state_on, p_off, state_off = _stage_update(state, stage, rule)
+def _good_cavity_diagonal(d, nk):
+    """(p_on, p_off, OFF diagonal or None) of the good-cavity rule on diagonal d."""
+    trace = d.sum().real
+    p_on = float(d[nk].real) if nk < d.size else 0.0
+    p_off = trace - p_on
+    if p_off < MIN_OUTCOME_PROB:
+        return p_on, p_off, None
+    off = d.real.copy()
+    if nk < d.size:
+        off[nk] = 0.0
+    return p_on, p_off, (off / p_off).astype(complex)
+
+
+def _diagonal_update(d, stage, rule):
+    """(p_on, p_off, OFF diagonal or None) for one stage on the diagonal d.
+
+    The same numbers as _stage_update on any state with diagonal d.
+    """
+    if rule == "exact":
+        return filter_pass_diagonal(d, stage.cavity, stage.probe)
+    return _good_cavity_diagonal(d, stage.target_n)
+
+
+def _check_completeness(p_on, p_off, k, stage):
+    """Raise NumericalError unless p_on + p_off stays at 1."""
     drift = abs((p_on + p_off) - 1.0)
     # written so that NaN fails: a non-finite p_on or p_off makes drift non-finite
     if not drift <= TRACE_DRIFT_TOL:
         raise fock.NumericalError(
             f"cascade aborted at stage {k} (target n={stage.target_n}): "
             f"probability completeness drifted by {drift:.3e} > {TRACE_DRIFT_TOL:g}")
-    return p_on, state_on, p_off, state_off
 
 
 def run_cascade_trial(rho, cfg, trial):
@@ -209,7 +226,8 @@ def run_cascade_trial(rho, cfg, trial):
     outcomes = []
     first_on = None
     for k, stage in enumerate(cfg.stages):
-        p_on, state_on, p_off, state_off = _checked_update(state, k, stage, cfg.update_rule)
+        p_on, state_on, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
+        _check_completeness(p_on, p_off, k, stage)
         clicked = u[k] < p_on
         outcomes.append(1 if clicked else 0)
         next_state = state_on if clicked else state_off
@@ -225,16 +243,20 @@ def run_cascade_trial(rho, cfg, trial):
 
 
 def _off_chain_probabilities(rho, cfg):
-    """Per-stage ON probability along the all-OFF path (exact chain, no sampling)."""
-    state = np.asarray(rho, dtype=complex)
+    """Per-stage ON probability along the all-OFF path (exact chain, no sampling).
+
+    Walks diag(rho) only (see the module docstring): the same q as a walk of
+    full states, with no N x N array along the way.
+    """
+    d = np.asarray(rho, dtype=complex).diagonal()
     q = np.empty(len(cfg.stages))
     for k, stage in enumerate(cfg.stages):
-        p_on, _, _, state_off = _checked_update(state, k, stage, cfg.update_rule)
+        p_on, p_off, d = _diagonal_update(d, stage, cfg.update_rule)
+        _check_completeness(p_on, p_off, k, stage)
         q[k] = p_on
-        if state_off is None and k + 1 < len(cfg.stages):
+        if d is None and k + 1 < len(cfg.stages):
             raise fock.NumericalError(
                 f"all-OFF path dies at stage {k}: OFF probability < {MIN_OUTCOME_PROB:g}")
-        state = state_off
     return q
 
 

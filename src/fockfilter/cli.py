@@ -478,7 +478,7 @@ def _run_measure_pn(params):
 def _read_measured(path, plan):
     """P[j, n] from a phi,n,p table; phases must match the plan's grid.
 
-    Every (phase, n) cell must appear exactly once.
+    Every (phase, n) cell must appear exactly once, with a finite p.
     """
     header, rows = tables.read_csv(path)
     if header != ["phi", "n", "p"]:
@@ -489,12 +489,15 @@ def _read_measured(path, plan):
     for row in rows:
         phi, n, p = float(row[0]), int(row[1]), float(row[2])
         j = int(np.argmin(np.abs(grid - phi)))
-        if abs(grid[j] - phi) > 1e-9:
+        # written so that a NaN phase fails
+        if not abs(grid[j] - phi) <= 1e-9:
             raise ValueError(f"phase {phi} is not on the plan's grid")
         if not (0 <= n < plan.n_rows):
             raise ValueError(f"row index n = {n} outside 0..{plan.n_rows - 1}")
         if (j, n) in seen:
             raise ValueError(f"{path} repeats the row phi = {phi}, n = {n}")
+        if not math.isfinite(p):
+            raise ValueError(f"{path} has non-finite p = {p} at phi = {phi}, n = {n}")
         seen.add((j, n))
         P[j, n] = p
     if np.isnan(P).any():

@@ -262,6 +262,10 @@ def displacement_matrix(gamma, dim):
     lag = eval_genlaguerre(lo, span, ag2)
     arg = np.where(n >= k, gamma, -np.conj(gamma)) ** span
     D = pref * lag * arg
+    if not np.isfinite(D).all():
+        raise NumericalError(
+            f"displacement matrix for |gamma|={abs(gamma):.4g} at dim {dim} is not "
+            "finite: the closed form overflows at this size")
     D.setflags(write=False)
     return D
 
@@ -301,10 +305,14 @@ def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
     big = np.zeros((work, work), dtype=complex)
     big[:dim, :dim] = rho
     out = D @ big @ D.conj().T
+    if not np.isfinite(out).all():
+        raise NumericalError(
+            f"displacement by |gamma|={abs(gamma):.4g} gave non-finite elements; "
+            "the input state is not finite")
     # a unitary displacement preserves the trace, so any deficit relative to
     # the input trace is probability pushed past the working cutoff
     lost = np.trace(rho).real - np.trace(out).real
-    if lost > max_lost:
+    if not lost <= max_lost:
         raise CutoffError(
             f"displacement by |gamma|={abs(gamma):.4g} leaks {lost:.3e} > {max_lost:g} "
             f"past working cutoff {work - 1}; enlarge margin (requires N >~ {2 * work})",

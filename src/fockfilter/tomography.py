@@ -211,6 +211,11 @@ def reconstruct(plan, measured):
     if measured.shape[1] < plan.n_rows:
         raise ValueError(
             f"measured provides {measured.shape[1]} photon columns, plan needs {plan.n_rows}")
+    bad = np.argwhere(~np.isfinite(measured))
+    if bad.size:
+        j, n = bad[0]
+        raise ValueError(f"measured[{j}, {n}] = {measured[j, n]} is not finite "
+                         f"(phase {plan.phases[j]:.6g}, n = {n})")
     M = plan.max_fock
     rows = plan.n_rows
     D = np.asarray(fock.displacement_matrix(plan.gamma_abs, max(rows, M + 1)))

@@ -198,6 +198,27 @@ def test_non_finite_state_aborts_walk_and_estimate(rule):
         estimate_photon_distribution(rho, 8, cfg)
 
 
+def full_matrix_chain(rho, cfg):
+    """q_k from walking full conditional states along the all-OFF path."""
+    state, q = np.asarray(rho, dtype=complex), []
+    for stage in cfg.stages:
+        p_on, _, _, state = cascade._stage_update(state, stage, cfg.update_rule)
+        q.append(p_on)
+    return np.array(q)
+
+
+@pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
+def test_off_chain_sees_only_the_diagonal(random_state, rule):
+    # photon-number nondemolition: coherences never reach the click probabilities
+    cfg = fig3_cascade(rule=rule)
+    for rho in (random_state(12, seed=3),
+                fock.make_state(fock.StateSpec.coherent(np.sqrt(3.0)))):
+        q = cascade._off_chain_probabilities(rho, cfg)
+        assert np.array_equal(q, cascade._off_chain_probabilities(
+            np.diag(np.diagonal(rho)), cfg))
+        assert np.array_equal(q, full_matrix_chain(rho, cfg))
+
+
 def test_estimate_accepts_prepared_matrix():
     spec = fock.StateSpec.coherent(1.0)
     rho = fock.make_state(spec)

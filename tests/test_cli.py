@@ -159,6 +159,41 @@ def test_duplicate_measured_rows_exit_2(tmp_path):
     assert code == 2
 
 
+def tomography_config(tmp_path, **changes):
+    """(config path, output dir) of a tomo-coherent run; `changes` edit the config."""
+    _, first = run(tmp_path / "first", "tomography", "--preset", "tomo-coherent")
+    config = json.loads((first / "manifest.json").read_text())["config"]
+    config.update(changes)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path, first
+
+
+@pytest.mark.parametrize("cell,bad,named", [(2, "nan", "n = 5"), (2, "inf", "n = 5"),
+                                            (0, "nan", "phase nan")])
+def test_non_finite_measured_value_exits_2(tmp_path, capsys, cell, bad, named):
+    # a NaN p must not read as a missing cell, an inf p must not reach the
+    # eigensolver, and a NaN phase must not match phase row 0
+    measured = tmp_path / "measured.csv"
+    cfg, first = tomography_config(tmp_path, measurements=str(measured))
+    header, rows = tables.read_csv(first / "measured.csv")
+    assert rows[5][1] == "5"
+    rows[5][cell] = bad
+    measured.write_text(tables.table_text(header, rows))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_displacement_overflow_exits_3(tmp_path):
+    cfg, _ = tomography_config(tmp_path, gamma_abs=12)
+    code, _ = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 3
+
+
 @pytest.mark.parametrize("argv", [
     ("profile", "--preset", "nope"),
     ("profile",),                                   # no configuration at all

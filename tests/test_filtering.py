@@ -10,11 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fockfilter import cavity, filtering, fock
 from fockfilter.cavity import CavityParams
-from fockfilter.filtering import ProbeDetector, filter_pass, filter_pass_asymptotic
+from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
+                                  filter_pass_diagonal)
 
 
 def scalar_channel(rho, cav, probe):
@@ -139,6 +141,48 @@ def test_exponents_never_overflow():
     g, g_off = filtering._element_exponents(cav, probe, 40)
     assert np.max(g.real) <= 1e-10
     assert np.max(g_off.real) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1),
+       tau=st.floats(1e-5, 0.999), psi=st.floats(-7.0, 7.0), chi_t=st.floats(1e-3, 3.2),
+       alpha_abs=st.floats(0.0, 99.99), alpha_arg=st.floats(-math.pi, math.pi),
+       eta=st.floats(1e-3, 1.0))
+def test_diagonal_pass_equals_full_pass(random_state, dim, seed, tau, psi, chi_t,
+                                        alpha_abs, alpha_arg, eta):
+    # nondemolition: probabilities and the OFF diagonal need diag(rho) only,
+    # and the O(N) pass reproduces the full one bit for bit
+    rho = random_state(dim, seed=seed)
+    cav = CavityParams(tau=tau, psi=psi, chi_t=chi_t)
+    probe = ProbeDetector(alpha=alpha_abs * np.exp(1j * alpha_arg), eta=eta)
+    full = filter_pass(rho, cav, probe)
+    p_on, p_off, d_off = filter_pass_diagonal(np.diagonal(rho), cav, probe)
+    assert p_on == full.p_on
+    assert p_off == full.p_off
+    if full.state_off is None:
+        assert d_off is None
+    else:
+        assert np.array_equal(d_off, np.diagonal(full.state_off))
+
+
+def test_diagonal_pass_rejects_a_matrix(random_state):
+    with pytest.raises(ValueError):
+        filter_pass_diagonal(random_state(4), CavityParams.tuned(2, 0.01, 0.1),
+                             ProbeDetector(alpha=10.0, eta=0.5))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_raises(random_state, bad):
+    rho = random_state(5, seed=1)
+    rho[2, 2] = bad
+    cav = CavityParams.tuned(2, 0.01, 0.1)
+    probe = ProbeDetector(alpha=10.0, eta=0.5)
+    with pytest.raises(fock.NumericalError):
+        filter_pass(rho, cav, probe)
+    with pytest.raises(fock.NumericalError):
+        filter_pass_diagonal(np.diagonal(rho), cav, probe)
 
 
 def test_click_probability_grows_with_detector_efficiency(coherent_input):

@@ -205,6 +205,23 @@ def test_displace_flags_lost_mass():
         fock.displace(rho, 4.0, margin=2)
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_displace_overflow_raises_instead_of_returning_nan():
+    # gamma**span overflows at the working cutoff of |gamma| = 12, and NaN
+    # fails every comparison, so the leak guard alone would let NaN through
+    vac = fock.make_state(fock.StateSpec.number(0), cutoff=0)
+    with pytest.raises(fock.NumericalError):
+        fock.displace(vac, 12)
+
+
+def test_displace_rejects_non_finite_state():
+    rho = np.array(fock.make_state(fock.StateSpec.coherent(0.5)))
+    rho[1, 1] = np.nan
+    with pytest.raises(fock.NumericalError):
+        fock.displace(rho, 0.5)
+
+
 def test_displacement_margin_covers_shifted_state():
     assert fock.displacement_margin(2.0) >= 2 * 4 + 10
 

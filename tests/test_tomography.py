@@ -190,6 +190,16 @@ def test_reconstruct_shape_validation():
         reconstruct(plan, np.ones((len(plan.phases), plan.n_rows - 1)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_reconstruct_rejects_non_finite_measurements(bad):
+    plan = plan_for(3)
+    measured = np.array(measure_distributions(fock.make_state(
+        fock.StateSpec.coherent(0.8), cutoff=3, tail=None), plan))
+    measured[2, 4] = bad
+    with pytest.raises(ValueError, match=r"measured\[2, 4\]"):
+        reconstruct(plan, measured)
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         TomographyPlan(gamma_abs=0.0, phases=default_phase_grid(3), max_fock=3, n_rows=8)
