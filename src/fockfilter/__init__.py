@@ -63,7 +63,6 @@ from .tomography import (
     default_gamma_abs,
     default_phase_grid,
     displaced_distribution,
-    displacement_kernel,
     measure_distributions,
     phase_fourier,
     project_psd,
@@ -85,6 +84,5 @@ __all__ = [
     "purity", "state_metrics", "trace_distance", "validate_density_matrix",
     "MonteCarloBackend", "ReconstructionResult", "TomographyPlan",
     "default_gamma_abs", "default_phase_grid", "displaced_distribution",
-    "displacement_kernel", "measure_distributions", "phase_fourier", "project_psd",
-    "reconstruct",
+    "measure_distributions", "phase_fourier", "project_psd", "reconstruct",
 ]

@@ -26,7 +26,7 @@ from .cavity import CavityParams, resonant_components, transmission_profile
 from .filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from .fock import NumericalError, StateSpec
 from .tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                         default_phase_grid, measure_distributions, reconstruct)
+                         measure_distributions, reconstruct)
 
 EXPERIMENTS = ("profile", "synthesize", "superposition", "measure-pn", "tomography")
 
@@ -509,8 +509,8 @@ def _run_tomography(params):
     spec = _build_state(params["state"])
     M = params["max_fock"]
     truth = fock.make_state(spec, cutoff=M, tail=None)
-    phases = default_phase_grid(M) if params["n_phases"] == 2 * M + 6 else tuple(
-        2.0 * math.pi * j / params["n_phases"] for j in range(params["n_phases"]))
+    n_phi = params["n_phases"]
+    phases = tuple(2.0 * math.pi * j / n_phi for j in range(n_phi))
     if params["backend"] == "exact":
         backend = "exact"
     else:

@@ -179,7 +179,11 @@ def filter_pass_asymptotic(rho, cav, probe, n_star):
     bracket[:, n_star] = 0.0
     bracket[n_star, n_star] = rho[n_star, n_star].real
     tr = np.trace(bracket).real
-    if tr < MIN_OUTCOME_PROB:
+    if not (math.isfinite(p_on_approx) and math.isfinite(tr)):
+        raise fock.NumericalError(
+            f"good-cavity pass gave non-finite p_on = {p_on_approx}, ON trace = {tr}; "
+            "the input state is not finite")
+    if not tr >= MIN_OUTCOME_PROB:
         return p_on_approx, None
     state = bracket / tr
     state.setflags(write=False)

@@ -229,17 +229,39 @@ def photon_distribution(rho):
     Validates that the diagonal is real (imag residue <= 1e-12) and clamps
     negative entries above -1e-12 to 0; anything worse raises.
     """
-    diag = np.diagonal(rho)
-    if diag.size and np.max(np.abs(diag.imag)) > 1e-12:
-        raise ValueError("density-matrix diagonal has imaginary residue > 1e-12")
+    return PhotonDistribution(values=_checked_probabilities(np.diagonal(rho)))
+
+
+def _checked_probabilities(diag):
+    """Real, clamped, read-only probabilities from density-matrix diagonals.
+
+    `diag` is one diagonal or a stack of them, one per row.  Each must be
+    real to 1e-12, have no entry below -1e-12 (entries above it are clamped
+    to 0) and sum to at most 1 + 1e-10; otherwise ValueError says so, naming
+    the worst row of a stack.
+    """
+    diag = np.asarray(diag)
     p = diag.real.copy()
-    if p.size and p.min() < -1e-12:
-        raise ValueError(f"diagonal entry {p.min():.3e} below -1e-12; not a state")
+
+    def row(per_row):
+        return f" in row {int(np.argmax(per_row))}" if diag.ndim == 2 else ""
+
+    if diag.size:
+        imag = np.abs(diag.imag).max(axis=-1)
+        if np.max(imag) > 1e-12:
+            raise ValueError(f"density-matrix diagonal{row(imag)} has imaginary "
+                             "residue > 1e-12")
+        low = p.min(axis=-1)
+        if np.min(low) < -1e-12:
+            raise ValueError(f"diagonal entry {np.min(low):.3e}{row(-low)} below -1e-12; "
+                             "not a state")
     p[p < 0.0] = 0.0
-    if p.sum() > 1.0 + 1e-10:
-        raise ValueError(f"probabilities sum to {p.sum():.12f} > 1 + 1e-10")
+    total = p.sum(axis=-1)
+    if np.max(total) > 1.0 + 1e-10:
+        raise ValueError(f"probabilities{row(total)} sum to {np.max(total):.12f} "
+                         "> 1 + 1e-10")
     p.setflags(write=False)
-    return PhotonDistribution(values=p)
+    return p
 
 
 def displacement_matrix(gamma, dim):
@@ -248,41 +270,53 @@ def displacement_matrix(gamma, dim):
     Closed form with associated Laguerre polynomials:
       n >= k:  sqrt(k!/n!) gamma^{n-k} e^{-|g|^2/2} L_k^{(n-k)}(|g|^2)
       n <  k:  sqrt(n!/k!) (-g*)^{k-n} e^{-|g|^2/2} L_n^{(k-n)}(|g|^2)
-    The prefactor is computed from log-gammas.
+    With gamma = |g| e^{i theta} both read e^{i (n-k) theta} times the real
+    element of D(|g|), whose n < k half carries the sign (-1)^{k-n}.  The
+    magnitude sqrt(lo!/(lo+span)!) |g|^span e^{-|g|^2/2} is evaluated in log
+    space and the phase separately, so no power of gamma is ever formed and
+    nothing overflows before the Laguerre polynomial does.  A real gamma >= 0
+    gives a real matrix.
     """
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     gamma = complex(gamma)
-    ag2 = abs(gamma) ** 2
+    g_abs = abs(gamma)
+    ag2 = g_abs ** 2
     n, k = np.indices((dim, dim))
     lo = np.minimum(n, k)
     span = np.abs(n - k)
-    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + span + 1)) - ag2 / 2)
-    lag = eval_genlaguerre(lo, span, ag2)
-    arg = np.where(n >= k, gamma, -np.conj(gamma)) ** span
-    D = pref * lag * arg
+    # |g|^span in log space; at g = 0 only span = 0 survives (0^0 = 1)
+    power = (span * math.log(g_abs) if g_abs > 0.0
+             else np.where(span > 0, -np.inf, 0.0))
+    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + span + 1)) + power - ag2 / 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        D = pref * eval_genlaguerre(lo, span, ag2)
+    D[(n < k) & (span % 2 == 1)] *= -1.0
+    theta = math.atan2(gamma.imag, gamma.real)
+    if theta != 0.0:
+        D = D * np.exp(1j * theta * (n - k))
     if not np.isfinite(D).all():
         raise NumericalError(
-            f"displacement matrix for |gamma|={abs(gamma):.4g} at dim {dim} is not "
-            "finite: the closed form overflows at this size")
+            f"displacement matrix for |gamma|={g_abs:.4g} at dim {dim} is not "
+            "finite: the Laguerre polynomials overflow at this size")
     D.setflags(write=False)
     return D
-
-
-def _displacement_element(n, k, gamma):
-    """Single matrix element <n|D(gamma)|k> (same closed form, scalar)."""
-    gamma = complex(gamma)
-    ag2 = abs(gamma) ** 2
-    lo, span = (k, n - k) if n >= k else (n, k - n)
-    pref = math.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + span + 1)) - ag2 / 2)
-    arg = gamma if n >= k else -np.conj(gamma)
-    return pref * float(eval_genlaguerre(lo, span, ag2)) * arg ** span
 
 
 def displacement_margin(gamma):
     """Extra Fock levels needed when an operator involves displacement."""
     return math.ceil(2 * abs(gamma) ** 2) + 10
+
+
+def _check_leak(lost, gamma, work, max_lost):
+    """CutoffError unless each probability `lost` past the working cutoff is <= max_lost."""
+    worst = np.max(lost)
+    if not worst <= max_lost:
+        raise CutoffError(
+            f"displacement by |gamma|={abs(gamma):.4g} leaks {worst:.3e} > {max_lost:g} "
+            f"past working cutoff {work - 1}; enlarge margin (requires N >~ {2 * work})",
+            required=2 * work)
 
 
 def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
@@ -311,12 +345,7 @@ def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
             "the input state is not finite")
     # a unitary displacement preserves the trace, so any deficit relative to
     # the input trace is probability pushed past the working cutoff
-    lost = np.trace(rho).real - np.trace(out).real
-    if not lost <= max_lost:
-        raise CutoffError(
-            f"displacement by |gamma|={abs(gamma):.4g} leaks {lost:.3e} > {max_lost:g} "
-            f"past working cutoff {work - 1}; enlarge margin (requires N >~ {2 * work})",
-            required=2 * work)
+    _check_leak(np.trace(rho).real - np.trace(out).real, gamma, work, max_lost)
     if n_out is not None:
         out = out[:n_out, :n_out]
     out = np.ascontiguousarray(out)

@@ -12,9 +12,16 @@ linear system in the unknowns nu_{m+s,m}, solved by least squares (SVD via
 np.linalg.lstsq; normal equations would square the condition number).
 Negative s follows from Hermitian symmetry.
 
-Distributions are obtained either exactly (diagonal of D nu D^+ at an
-enlarged working cutoff) or by routing the displaced state through the
-cascaded-filter Monte Carlo measurement.
+The forward model runs the same equation the other way.  D(|gamma| e^{i phi})
+= R(phi) D(|gamma|) R(phi)^+ with R(phi) = diag(e^{i n phi}), so one real
+matrix D(|gamma|) per plan serves every phase: with the diagonal kernel
+K_s[n, m] = D[n, m+s] conj(D[n, m]) and B_s = K_s @ diag_s(nu),
+
+    P[j, n] = sum_s e^{-i s phi_j} B_s[n],   B_{-s} = conj(B_s) for Hermitian nu,
+
+at an enlarged working cutoff.  The exact backend reads P directly; the
+Monte Carlo backend hands each phase's displaced diagonal to the
+cascaded-filter measurement, which reads nothing else of the state.
 """
 
 import math
@@ -98,59 +105,84 @@ def default_gamma_abs(mean_photons):
     return math.sqrt(mean_photons + 1.0)
 
 
-def displacement_kernel(k, m, n, gamma):
-    """A_kmn(gamma) = <n|D(gamma)|k> <m|D^+(gamma)|n>.
+def _diagonal_kernel(D, s, n_rows, dim):
+    """K_s[n, m] = D[n, m+s] conj(D[n, m]) for n < n_rows and m < dim - s.
 
-    Maps nu_km to its contribution to the displaced distribution at row n.
-    Phase dependence is exactly e^{i(m-k) arg gamma} times the |gamma| value.
+    With D = D(|gamma|) this is A_{m+s,m,n}(|gamma|): the weight of nu_{m+s,m}
+    in row n of the displaced distribution at phase 0.
     """
-    return (fock._displacement_element(n, k, gamma)
-            * np.conj(fock._displacement_element(n, m, gamma)))
+    return D[:n_rows, s:dim] * np.conj(D[:n_rows, :dim - s])
+
+
+def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
+    """diag(D(g_j) nu D(g_j)^+) with g_j = gamma_abs e^{i phases[j]}, one row per phase.
+
+    Rows run over the whole working cutoff dim + margin + max(0, n_rows - dim),
+    built from one displacement matrix.  Each row passes the guards of
+    fock.displace and fock.photon_distribution: finite, at most 1e-6
+    leaked past the working cutoff, real, nonnegative (tiny negatives
+    clamped) and summing to at most 1.
+    """
+    nu = np.asarray(nu, dtype=complex)
+    dim = nu.shape[0]
+    # the working space must cover both the displacement margin and the rows
+    work = dim + fock.displacement_margin(gamma_abs) + max(0, n_rows - dim)
+    D = fock.displacement_matrix(gamma_abs, work)
+    B = np.empty((2 * dim - 1, work), dtype=complex)  # B[dim - 1 + s] = B_s
+    for s in range(dim):
+        kernel = _diagonal_kernel(D, s, work, dim)
+        B[dim - 1 + s] = kernel @ np.diagonal(nu, -s)
+        # read the upper diagonals too, so that a non-Hermitian nu shows as an
+        # imaginary residue instead of being symmetrised away
+        B[dim - 1 - s] = np.conj(kernel) @ np.diagonal(nu, s)
+    P = np.exp(-1j * np.outer(phases, np.arange(1 - dim, dim))) @ B
+    bad = np.flatnonzero(~np.isfinite(P).all(axis=1))
+    if bad.size:
+        raise fock.NumericalError(
+            f"displacement by |gamma|={gamma_abs:.4g} at phase {phases[bad[0]]:.6g} gave "
+            "non-finite probabilities; the input state is not finite")
+    # the displacement is unitary, so a deficit relative to the input trace
+    # is probability pushed past the working cutoff
+    fock._check_leak(np.trace(nu).real - P.real.sum(axis=1), gamma_abs, work, 1e-6)
+    return fock._checked_probabilities(P)
+
+
+def _cascade_estimate(p, n_rows, backend, seed):
+    """Monte Carlo estimate of rows 0..n_rows-1 of the displaced diagonal p."""
+    cfg = tuned_cascade(
+        n_top=n_rows - 1, tau=backend.cavity.tau, chi_t=backend.cavity.chi_t,
+        alpha=backend.probe.alpha, eta=backend.probe.eta,
+        samples=backend.samples, rng_seed=seed, update_rule=backend.update_rule)
+    return estimate_photon_distribution(np.diag(p), n_rows - 1, cfg)
 
 
 def displaced_distribution(nu, gamma, n_rows, backend="exact"):
     """Photon distribution of D(gamma) nu D^+(gamma) on rows 0..n_rows-1.
 
-    The exact backend diagonalizes nothing: it builds the displaced matrix
-    at the fock-core working margin and reads its diagonal.  A
-    MonteCarloBackend instead feeds the displaced state to a cascade of
-    n_rows filters and returns that estimate (values, ci, ...).
+    The one-phase case of measure_distributions.  The exact backend returns
+    the displaced diagonal; a MonteCarloBackend instead feeds it to a
+    cascade of n_rows filters seeded with backend.rng_seed and returns that
+    estimate (values, ci, ...).
     """
-    nu = np.asarray(nu, dtype=complex)
-    # the working space must cover both the displacement margin and the rows
-    margin = fock.displacement_margin(gamma) + max(0, n_rows - nu.shape[0])
-    if backend == "exact":
-        shifted = fock.displace(nu, gamma, n_out=None, margin=margin)
-        p = fock.photon_distribution(shifted).values[:n_rows].copy()
-        p.setflags(write=False)
-        return fock.PhotonDistribution(values=p)
-    if not isinstance(backend, MonteCarloBackend):
+    if not (backend == "exact" or isinstance(backend, MonteCarloBackend)):
         raise ValueError('backend must be "exact" or a MonteCarloBackend')
-    shifted = fock.displace(nu, gamma, n_out=None, margin=margin)
-    cfg = tuned_cascade(
-        n_top=n_rows - 1, tau=backend.cavity.tau, chi_t=backend.cavity.chi_t,
-        alpha=backend.probe.alpha, eta=backend.probe.eta,
-        samples=backend.samples, rng_seed=backend.rng_seed,
-        update_rule=backend.update_rule)
-    return estimate_photon_distribution(shifted, n_rows - 1, cfg)
+    gamma = complex(gamma)
+    p = _displaced_probabilities(nu, abs(gamma), [math.atan2(gamma.imag, gamma.real)],
+                                 n_rows)[0]
+    if backend == "exact":
+        return fock.PhotonDistribution(values=p[:n_rows])
+    return _cascade_estimate(p, n_rows, backend, backend.rng_seed)
 
 
 def measure_distributions(nu, plan):
     """Distribution matrix P[j, n] over the plan's phase grid (rows = phases)."""
+    P = _displaced_probabilities(nu, plan.gamma_abs, plan.phases, plan.n_rows)
     backend = plan.backend
-    rows = []
-    for j, phi in enumerate(plan.phases):
-        gamma = plan.gamma_abs * complex(math.cos(phi), math.sin(phi))
-        if isinstance(backend, MonteCarloBackend):
-            seed_j = int(derive_seeds(backend.rng_seed, [j])[0])
-            phase_backend = MonteCarloBackend(
-                cavity=backend.cavity, probe=backend.probe,
-                samples=backend.samples, rng_seed=seed_j,
-                update_rule=backend.update_rule)
-            rows.append(displaced_distribution(nu, gamma, plan.n_rows, phase_backend).values)
-        else:
-            rows.append(displaced_distribution(nu, gamma, plan.n_rows).values)
-    return np.vstack(rows)
+    if backend == "exact":
+        return P[:, :plan.n_rows].copy()
+    seeds = derive_seeds(backend.rng_seed, range(len(plan.phases)))
+    return np.vstack([_cascade_estimate(p, plan.n_rows, backend, int(seed)).values
+                      for p, seed in zip(P, seeds)])
 
 
 def _check_uniform_grid(phases):
@@ -224,7 +256,7 @@ def reconstruct(plan, measured):
     residuals, conditions, flags = [], [], []
     for s in range(M + 1):
         target = phase_fourier(measured[:, :rows], s)
-        kernel = D[:rows, s:M + 1] * np.conj(D[:rows, :M + 1 - s])
+        kernel = _diagonal_kernel(D, s, rows, M + 1)
         solution, _, _, singvals = np.linalg.lstsq(kernel, target, rcond=None)
         resid = float(np.linalg.norm(kernel @ solution - target))
         cond = float(singvals[0] / singvals[-1]) if singvals[-1] > 0 else math.inf

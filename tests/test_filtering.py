@@ -251,6 +251,14 @@ def test_asymptotic_state_is_valid(coherent_input):
     fock.validate_density_matrix(state)
 
 
+def test_asymptotic_pass_rejects_non_finite_state(coherent_input):
+    # NaN fails every comparison, so a `tr < floor` guard would let it through
+    rho = np.array(coherent_input)
+    rho[3, 3] = np.nan
+    with pytest.raises(fock.NumericalError):
+        filter_pass_asymptotic(rho, fig2_cavity(2e-5), FIG2_PROBE, 4)
+
+
 # ---------------------------------------------------------------------------
 # periodic superpositions
 

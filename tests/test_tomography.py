@@ -1,19 +1,21 @@
 """Displaced photon statistics, phase harmonics, least-squares reconstruction."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import poisson
 
 from fockfilter import fock, tomography
+from fockfilter.cascade import derive_seeds
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import ProbeDetector
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
                                    default_phase_grid, displaced_distribution,
-                                   displacement_kernel, measure_distributions,
-                                   phase_fourier, reconstruct)
+                                   measure_distributions, phase_fourier, reconstruct)
 
 
 def plan_for(max_fock, gamma_abs=1.0, n_rows=None, backend="exact"):
@@ -21,6 +23,11 @@ def plan_for(max_fock, gamma_abs=1.0, n_rows=None, backend="exact"):
                           max_fock=max_fock,
                           n_rows=2 * max_fock + 2 if n_rows is None else n_rows,
                           backend=backend)
+
+
+def kernel(D, k, m, n):
+    """A_kmn(gamma) = <n|D(gamma)|k> <m|D^+(gamma)|n> from elements of D = D(gamma)."""
+    return D[n, k] * np.conj(D[n, m])
 
 
 def test_default_grid_and_gamma():
@@ -51,28 +58,76 @@ def test_displaced_distribution_covers_rows_beyond_input_dim():
     assert p.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1),
+       gamma_abs=st.floats(0.1, 4.0, exclude_min=True),
+       extra_phases=st.integers(0, 6), extra_rows=st.integers(0, 12))
+def test_forward_model_equals_per_phase_displacement(random_state, dim, seed, gamma_abs,
+                                                     extra_phases, extra_rows):
+    # one displacement matrix and its diagonal sums against a full
+    # D nu D^+ product for every phase, at the same working cutoff
+    nu = random_state(dim, seed=seed)
+    n_phi = 2 * dim - 1 + extra_phases
+    plan = TomographyPlan(gamma_abs=gamma_abs,
+                          phases=[2 * math.pi * j / n_phi for j in range(n_phi)],
+                          max_fock=dim - 1, n_rows=dim + extra_rows)
+    margin = fock.displacement_margin(gamma_abs) + max(0, plan.n_rows - dim)
+    try:
+        expect = [fock.photon_distribution(fock.displace(
+            nu, gamma_abs * cmath.exp(1j * phi), n_out=None, margin=margin)).values
+            for phi in plan.phases]
+    except fock.CutoffError:
+        # the default margin is too small for this state: both paths must say so
+        with pytest.raises(fock.CutoffError):
+            measure_distributions(nu, plan)
+        return
+    P = measure_distributions(nu, plan)
+    for j, row in enumerate(expect):
+        assert_allclose(P[j], row[:plan.n_rows], rtol=0, atol=1e-13)
+
+
+def test_forward_model_rejects_non_finite_state():
+    nu = np.array(fock.make_state(fock.StateSpec.coherent(0.8), cutoff=3, tail=None))
+    nu[1, 2] = np.nan
+    with pytest.raises(fock.NumericalError):
+        measure_distributions(nu, plan_for(3))
+
+
+@pytest.mark.parametrize("backend", ["exact", "monte_carlo"])
+def test_forward_model_flags_a_starved_margin(monkeypatch, backend):
+    monkeypatch.setattr(fock, "displacement_margin", lambda gamma: 1)
+    nu = fock.make_state(fock.StateSpec.number(3), cutoff=3)
+    plan = plan_for(3, gamma_abs=2.0, n_rows=4,
+                    backend=mc_backend(100) if backend == "monte_carlo" else "exact")
+    with pytest.raises(fock.CutoffError) as err:
+        measure_distributions(nu, plan)
+    assert err.value.required == 10
+
+
 def test_kernel_reduces_to_identity_at_zero_displacement():
+    D = fock.displacement_matrix(1e-300, 4)
     for k in range(4):
         for m in range(4):
             for n in range(4):
-                val = displacement_kernel(k, m, n, 1e-300)
+                val = kernel(D, k, m, n)
                 expect = 1.0 if (k == n and m == n) else 0.0
                 assert abs(val - expect) < 1e-12
 
 
 def test_kernel_row_sum_is_channel_completeness():
     # sum_n A_kmn = <m|D^+ D|k> = delta_km
-    gamma = 0.9 - 0.4j
+    D = fock.displacement_matrix(0.9 - 0.4j, 60)
     for k in range(5):
         for m in range(5):
-            total = sum(displacement_kernel(k, m, n, gamma) for n in range(60))
+            total = sum(kernel(D, k, m, n) for n in range(60))
             assert abs(total - (1.0 if k == m else 0.0)) < 1e-10
 
 
 def test_kernel_phase_law():
     # rotating gamma multiplies A_kmn by e^{i(m-k) arg}
-    base = displacement_kernel(1, 3, 2, 0.8)
-    rotated = displacement_kernel(1, 3, 2, 0.8 * np.exp(0.35j))
+    base = kernel(fock.displacement_matrix(0.8, 4), 1, 3, 2)
+    rotated = kernel(fock.displacement_matrix(0.8 * np.exp(0.35j), 4), 1, 3, 2)
     assert rotated == pytest.approx(base * np.exp(1j * (3 - 1) * 0.35), rel=1e-10)
 
 
@@ -96,13 +151,13 @@ def test_phase_fourier_extracts_exact_harmonics():
     rho = fock.make_state(fock.StateSpec.coherent(beta), cutoff=5, tail=None)
     plan = plan_for(5, gamma_abs=0.9)
     P = measure_distributions(rho, plan)
+    D = fock.displacement_matrix(plan.gamma_abs, plan.n_rows)
     for s in (1, 2):
         got = phase_fourier(P, s)
         expect = np.zeros(plan.n_rows, dtype=complex)
         for n in range(plan.n_rows):
             for m in range(6 - s):
-                expect[n] += displacement_kernel(m + s, m, n, plan.gamma_abs) \
-                    * rho[m + s, m]
+                expect[n] += kernel(D, m + s, m, n) * rho[m + s, m]
         assert_allclose(got, expect, atol=1e-10)
 
 
@@ -254,6 +309,17 @@ def test_mc_is_reproducible():
     assert np.array_equal(a, b)
     c = measure_distributions(rho, plan_for(3, backend=mc_backend(600, seed=5)))
     assert not np.array_equal(a, c)
+
+
+def test_mc_phase_j_is_seeded_with_its_derived_seed():
+    rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=2, tail=None)
+    plan = plan_for(2, backend=mc_backend(300, seed=7))
+    P = measure_distributions(rho, plan)
+    for j in (0, 3):
+        seed_j = int(derive_seeds(7, [j])[0])
+        one = displaced_distribution(rho, cmath.exp(1j * plan.phases[j]), plan.n_rows,
+                                     backend=mc_backend(300, seed=seed_j))
+        assert np.array_equal(P[j], one.values)
 
 
 def test_backend_validation():
