@@ -240,9 +240,6 @@ def _canonical_measure_pn(raw):
     for req in ("state", "tau", "chi_t"):
         if req not in raw:
             raise ValueError(f"measure-pn needs {req}")
-    rule = raw.get("update_rule", "exact")
-    if rule not in ("exact", "good_cavity"):
-        raise ValueError(f'update_rule must be "exact" or "good_cavity", got {rule!r}')
     return {
         "state": _canonical_state(raw["state"]),
         "tau": _number(raw["tau"], "tau"),
@@ -251,7 +248,7 @@ def _canonical_measure_pn(raw):
         "eta": _number(raw.get("eta", 0.4), "eta"),
         "n_top": _number(raw.get("n_top", 8), "n_top", integer=True),
         "samples": _number(raw.get("samples", 2000), "samples", integer=True),
-        "update_rule": rule,
+        "update_rule": raw.get("update_rule", "exact"),
         "seed": _number(raw.get("seed", 0), "seed", integer=True),
     }
 
@@ -353,12 +350,15 @@ def resolve_config(experiment, preset=None, config_path=None, seed=None,
 # experiment runners: canonical params -> result dict {summary, tables}
 
 
+def _indexed_rows(*columns):
+    """(n, a[n], b[n], ...) rows of Python floats, n = 0 .. len(first column) - 1."""
+    floats = [np.asarray(c, dtype=float).tolist() for c in columns]
+    return list(zip(range(len(floats[0])), *floats))
+
+
 def _distribution_table(values, ci, theory):
-    rows = []
-    for n, p in enumerate(values):
-        c = 0.0 if ci is None else float(ci[n])
-        rows.append((n, float(p), c, float(theory[n])))
-    return {"header": ["n", "p", "ci", "theory"], "rows": rows}
+    ci = np.zeros(len(values)) if ci is None else ci
+    return {"header": ["n", "p", "ci", "theory"], "rows": _indexed_rows(values, ci, theory)}
 
 
 def _state_table(rho):
@@ -380,7 +380,7 @@ def _run_profile(params):
         },
         "tables": {
             "profile": {"header": ["n", "transmission"],
-                        "rows": [(n, float(p)) for n, p in enumerate(prof)]},
+                        "rows": _indexed_rows(prof)},
         },
     }
 
@@ -451,13 +451,11 @@ def _run_measure_pn(params):
         samples=params["samples"], rng_seed=params["seed"],
         update_rule=params["update_rule"])
     est = estimate_photon_distribution(spec, params["n_top"], cfg)
-    rows = []
-    for n, p in enumerate(est.values):
-        rows.append((n, float(p), float(est.ci[n]), float(est.expected[n])))
+    histogram = _distribution_table(est.values, est.ci, est.expected)
     # the no-click bucket keeps the histogram normalized; reported as n = -1
     off_ci = max(math.sqrt(est.all_off * (1.0 - est.all_off) / est.samples),
                  1.0 / est.samples)
-    rows.append((-1, est.all_off, off_ci, est.all_off_expected))
+    histogram["rows"].append((-1, est.all_off, off_ci, est.all_off_expected))
     return {
         "summary": {
             "samples": est.samples,
@@ -467,41 +465,63 @@ def _run_measure_pn(params):
             "seed": params["seed"],
         },
         "tables": {
-            "histogram": {"header": ["n", "p", "ci", "theory"], "rows": rows},
-            "input_distribution": {
-                "header": ["n", "p"],
-                "rows": [(n, float(p)) for n, p in enumerate(est.theory)]},
+            "histogram": histogram,
+            "input_distribution": {"header": ["n", "p"], "rows": _indexed_rows(est.theory)},
         },
     }
+
+
+def _measured_columns(rows):
+    """phi, n and p of phi,n,p rows, parsed by float(), int() and float()."""
+    phi, n, p = zip(*rows) if rows else ((), (), ())
+    return list(map(float, phi)), list(map(int, n)), list(map(float, p))
 
 
 def _read_measured(path, plan):
     """P[j, n] from a phi,n,p table; phases must match the plan's grid.
 
-    Every (phase, n) cell must appear exactly once, with a finite p.
+    Every (phase, n) cell must appear exactly once, with a finite p.  A
+    rejection names the first offending row in file order.
     """
     header, rows = tables.read_csv(path)
     if header != ["phi", "n", "p"]:
         raise ValueError(f"{path} must have header phi,n,p, got {','.join(header)}")
-    P = np.full((len(plan.phases), plan.n_rows), np.nan)
+    parse_error = None
+    try:
+        phi, n, p = _measured_columns(rows)
+    except ValueError:
+        # the rows before the first one that does not parse are checked first
+        for end, row in enumerate(rows):
+            try:
+                _measured_columns([row])
+            except ValueError as exc:
+                parse_error = exc
+                break
+        phi, n, p = _measured_columns(rows[:end])
     grid = np.asarray(plan.phases)
-    seen = set()
-    for row in rows:
-        phi, n, p = float(row[0]), int(row[1]), float(row[2])
-        j = int(np.argmin(np.abs(grid - phi)))
-        # written so that a NaN phase fails
-        if not abs(grid[j] - phi) <= 1e-9:
-            raise ValueError(f"phase {phi} is not on the plan's grid")
-        if not (0 <= n < plan.n_rows):
-            raise ValueError(f"row index n = {n} outside 0..{plan.n_rows - 1}")
-        if (j, n) in seen:
-            raise ValueError(f"{path} repeats the row phi = {phi}, n = {n}")
-        if not math.isfinite(p):
-            raise ValueError(f"{path} has non-finite p = {p} at phi = {phi}, n = {n}")
-        seen.add((j, n))
-        P[j, n] = p
-    if np.isnan(P).any():
+    phi_a, n_a, p_a = np.array(phi), np.array(n), np.array(p)
+    j = np.argmin(np.abs(grid - phi_a[:, None]), axis=1)
+    in_range = (n_a >= 0) & (n_a < plan.n_rows)
+    key = j * plan.n_rows + np.where(in_range, n_a, 0).astype(np.intp)
+    first = np.zeros(len(key), dtype=bool)
+    first[np.unique(key, return_index=True)[1]] = True
+    # checked in this order within a row; written so that a NaN phase fails
+    failed = np.array([~(np.abs(grid[j] - phi_a) <= 1e-9), ~in_range, ~first,
+                       ~np.isfinite(p_a)])
+    bad = failed.any(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        messages = (f"phase {phi[i]} is not on the plan's grid",
+                    f"row index n = {n[i]} outside 0..{plan.n_rows - 1}",
+                    f"{path} repeats the row phi = {phi[i]}, n = {n[i]}",
+                    f"{path} has non-finite p = {p[i]} at phi = {phi[i]}, n = {n[i]}")
+        raise ValueError(messages[int(np.argmax(failed[:, i]))])
+    if parse_error is not None:
+        raise parse_error
+    if len(key) != len(plan.phases) * plan.n_rows:
         raise ValueError(f"{path} does not cover all (phase, n) cells")
+    P = np.empty((len(plan.phases), plan.n_rows))
+    P[j, n_a] = p_a
     return P
 
 
@@ -526,12 +546,9 @@ def _run_tomography(params):
     else:
         P = measure_distributions(truth, plan)
     rec = reconstruct(plan, P)
-    measured_rows = []
-    for j, phi in enumerate(plan.phases):
-        for n in range(plan.n_rows):
-            measured_rows.append((float(phi), n, float(P[j, n])))
-    resid_rows = [(s, float(rec.residual_norms[s]), float(rec.condition_numbers[s]))
-                  for s in range(len(rec.residual_norms))]
+    measured_rows = list(zip(np.repeat(plan.phases, plan.n_rows).tolist(),
+                             list(range(plan.n_rows)) * len(plan.phases),
+                             np.asarray(P, dtype=float).ravel().tolist()))
     return {
         "summary": {
             "gamma_abs": params["gamma_abs"],
@@ -545,7 +562,8 @@ def _run_tomography(params):
         "tables": {
             "measured": {"header": ["phi", "n", "p"], "rows": measured_rows},
             "reconstruction": _state_table(rec.nu_hat),
-            "residuals": {"header": ["s", "residual", "condition"], "rows": resid_rows},
+            "residuals": {"header": ["s", "residual", "condition"],
+                          "rows": _indexed_rows(rec.residual_norms, rec.condition_numbers)},
         },
     }
 

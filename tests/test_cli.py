@@ -251,3 +251,93 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("profile", "synthesize", "superposition", "measure-pn", "tomography"):
         assert name in proc.stdout
+
+
+def test_manifest_with_control_character_is_valid_json_and_replays(tmp_path):
+    # a tab in a path string must be escaped, or the manifest is no JSON
+    _, source = run(tmp_path / "a\tb", "tomography", "--preset", "tomo-coherent")
+    cfg, _ = tomography_config(tmp_path, measurements=str(source / "measured.csv"))
+    code, first = run(tmp_path / "first-replay", "tomography", "--config", str(cfg))
+    assert code == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["config"]["measurements"] == str(source / "measured.csv")
+    code, second = run(tmp_path / "second-replay", "tomography",
+                       "--config", str(first / "manifest.json"))
+    assert code == 0
+    assert read_all(first) == read_all(second)
+
+
+def measured_rows(tmp_path):
+    """(config path, measured.csv path, header, rows) of a tomo-coherent replay."""
+    measured = tmp_path / "measured.csv"
+    cfg, first = tomography_config(tmp_path, measurements=str(measured))
+    header, rows = tables.read_csv(first / "measured.csv")
+    return cfg, measured, header, rows
+
+
+@pytest.mark.parametrize("cells,named", [(["0", "1"], "line 7 has 2 cells"),
+                                         (["0", "5", "0.1", "9"], "line 7 has 4 cells")])
+def test_measured_row_with_wrong_cell_count_exits_2(tmp_path, capsys, cells, named):
+    cfg, measured, header, rows = measured_rows(tmp_path)
+    rows[5] = cells
+    measured.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    capsys.readouterr()
+    code, out = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edits,named", [
+    ({7: (0, "0.1")}, "phase 0.1 is not on the plan's grid"),
+    ({7: (1, "12")}, "row index n = 12 outside 0..11"),
+    ({7: (1, "-1")}, "row index n = -1 outside 0..11"),
+    ({7: (1, "99999999999999999999")}, "row index n = 99999999999999999999 outside"),
+    ({7: (1, "1.5")}, "invalid literal for int() with base 10: '1.5'"),
+    ({7: (0, "x")}, "could not convert string to float: 'x'"),
+    ({7: (1, "3")}, "repeats the row phi = 0.0, n = 3"),
+    ({7: (2, "-inf")}, "non-finite p = -inf at phi = 0.0, n = 7"),
+    # the first offending row in file order wins, whatever its fault
+    ({3: (0, "0.1"), 9: (1, "1.5")}, "phase 0.1 is not on the plan's grid"),
+    ({3: (1, "1.5"), 9: (0, "0.1")}, "invalid literal for int()"),
+    ({3: (2, "nan"), 9: (1, "3")}, "non-finite p = nan at phi = 0.0, n = 3"),
+    ({3: (1, "99"), 9: (2, "z")}, "row index n = 99 outside"),
+])
+def test_measured_table_rejections_name_the_first_offending_row(tmp_path, capsys,
+                                                                 edits, named):
+    cfg, measured, header, rows = measured_rows(tmp_path)
+    for i, (cell, value) in edits.items():
+        rows[i][cell] = value
+    measured.write_text(tables.table_text(header, rows))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_measured_table_missing_a_cell_exits_2(tmp_path, capsys):
+    cfg, measured, header, rows = measured_rows(tmp_path)
+    measured.write_text(tables.table_text(header, rows[:-1]))
+    capsys.readouterr()
+    code, _ = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 2
+    assert "does not cover all (phase, n) cells" in capsys.readouterr().err
+
+
+def test_measured_rows_in_any_order_reconstruct_the_same_state(tmp_path):
+    cfg, measured, header, rows = measured_rows(tmp_path)
+    measured.write_text(tables.table_text(header, rows[::-1]))
+    code, out = run(tmp_path, "tomography", "--config", str(cfg))
+    assert code == 0
+    assert (out / "reconstruction.csv").read_bytes() \
+        == (tmp_path / "first" / "out" / "reconstruction.csv").read_bytes()
+
+
+def test_unknown_update_rule_exits_2_without_files(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"update_rule": "bogus"}))
+    capsys.readouterr()
+    code, out = run(tmp_path, "measure-pn", "--preset", "fig3-coherent", "--config", str(cfg))
+    assert code == 2
+    assert "update_rule" in capsys.readouterr().err
+    assert not out.exists()
