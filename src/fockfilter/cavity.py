@@ -39,6 +39,8 @@ class CavityParams:
             raise ValueError(f"chi_t must be finite and > 0, got {self.chi_t}")
         if not math.isfinite(self.psi):
             raise ValueError("psi must be finite")
+        if not math.isfinite(self.psi / self.chi_t):
+            raise ValueError(f"n* = psi / chi_t = {self.psi} / {self.chi_t} is not finite")
 
     @property
     def n_star(self):
@@ -87,21 +89,23 @@ def transmission_profile(params, n_max):
 def resonant_components(params, n_max):
     """Integers n in [0, n_max] within 1/2 of a resonance n* + 2 pi j / chi_t.
 
-    The scan starts at the smallest j whose center is >= -1/2, which is
-    negative when n* lies a period or more above 0, and stops past n_max.
-    A detuned cavity (non-integer n*) may yield an empty list.
+    The scan runs from the smallest j whose center is >= -1/2, which is
+    negative when n* lies a period or more above 0, to the last j whose
+    center is <= n_max + 1/2, both found before the scan, so it ends even
+    when a period is below one ulp of n*.  A detuned cavity (non-integer n*)
+    may yield an empty list.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     period = 2.0 * math.pi / params.chi_t
+    first = math.ceil((-0.5 - params.n_star) / period)
+    last = math.floor((n_max + 0.5 - params.n_star) / period)
     found = []
-    j = math.ceil((-0.5 - params.n_star) / period)
-    while True:
+    # one j past the last, in case rounding put a center <= n_max + 1/2 there;
+    # the range check drops any center beyond it
+    for j in range(first, last + 2):
         center = params.n_star + j * period
-        if center > n_max + 0.5:
-            break
         n = round(center)
         if 0 <= n <= n_max and abs(n - center) < 0.5:
             found.append(int(n))
-        j += 1
     return found

@@ -26,77 +26,9 @@ from .cavity import CavityParams, resonant_components, transmission_profile
 from .filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from .fock import NumericalError, StateSpec
 from .tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                         measure_distributions, reconstruct)
+                         measure_distributions, reconstruct, uniform_phase_grid)
 
-EXPERIMENTS = ("profile", "synthesize", "superposition", "measure-pn", "tomography")
-
-# Presets give the bundled reference scenarios a short name.  Values are in
-# canonical config form already (amplitudes as [re, im] pairs).
-PRESETS = {
-    "profile": {
-        "fig2": {
-            "cavity": {"tau": 2e-4, "psi": 0.04, "chi_t": 0.01},
-            "n_max": 30,
-        },
-    },
-    "synthesize": {
-        "fig2": {
-            "state": {"kind": "coherent", "amplitude": [2.0, 0.0]},
-            "taus": [0.02, 0.002, 2e-4],
-            "psi": 0.04,
-            "chi_t": 0.01,
-            "alpha": [20.0, 0.0],
-            "eta": 0.8,
-            "cutoff": 30,
-        },
-    },
-    "superposition": {
-        "two-resonance": {
-            "state": {"kind": "coherent", "amplitude": [math.sqrt(2.0), 0.0]},
-            "cavity": {"tau": 1e-4, "psi": math.pi / 2, "chi_t": math.pi / 2},
-            "alpha": [20.0, 0.0],
-            "eta": 0.8,
-            "cutoff": None,
-        },
-    },
-    "measure-pn": {
-        "fig3-squeezed": {
-            "state": {"kind": "squeezed_vacuum", "mean_n": 1.0},
-            "tau": 1e-3, "chi_t": 0.1,
-            "alpha": [20.0, 0.0], "eta": 0.4,
-            "n_top": 8, "samples": 2000, "update_rule": "exact", "seed": 0,
-        },
-        "fig3-coherent": {
-            "state": {"kind": "coherent", "amplitude": [math.sqrt(2.0), 0.0]},
-            "tau": 1e-3, "chi_t": 0.1,
-            "alpha": [20.0, 0.0], "eta": 0.4,
-            "n_top": 8, "samples": 2000, "update_rule": "exact", "seed": 0,
-        },
-        "fig3-thermal": {
-            "state": {"kind": "thermal", "mean_n": 1.0},
-            "tau": 1e-3, "chi_t": 0.1,
-            "alpha": [20.0, 0.0], "eta": 0.4,
-            "n_top": 8, "samples": 2000, "update_rule": "exact", "seed": 0,
-        },
-    },
-    "tomography": {
-        "tomo-coherent": {
-            "state": {"kind": "coherent", "amplitude": [1.0, 0.0]},
-            "max_fock": 5,
-            "gamma_abs": 1.0,
-            "n_phases": 16,
-            "n_rows": 12,
-            "backend": "exact",
-            "samples": 20000,
-            "cavity": {"tau": 1e-4, "chi_t": 0.1},
-            "alpha": [20.0, 0.0], "eta": 0.8,
-            "seed": 0,
-            "measurements": None,
-        },
-    },
-}
-
-_SEEDED = ("measure-pn", "tomography")
+REQUIRED = object()  # the default of a field that has none and must be given
 
 
 @dataclass(frozen=True)
@@ -114,199 +46,167 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# canonicalization: raw dict -> validated dict with all defaults filled in
+# canonicalization: raw dict -> every field of the experiment, in table order
+#
+# A parser maps a JSON value and the field's dotted name to the canonical value.
+# It checks the JSON type only; the library constructors check ranges.
 
 
-def _complex_pair(value, field):
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return [float(value), 0.0]
-    if (isinstance(value, (list, tuple)) and len(value) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
-        return [float(value[0]), float(value[1])]
-    raise ValueError(f"{field} must be a number or a [re, im] pair, got {value!r}")
-
-
-def _number(value, field, integer=False):
+def _real(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{field} must be a number, got {value!r}")
-    if integer:
-        if isinstance(value, float) and value != int(value):
-            raise ValueError(f"{field} must be an integer, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{field} is an integer beyond the float range") from None
+
+
+def _integer(value, field):
+    """An int; a float only when integral, and an int never passes through float."""
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    return float(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
 
 
-def _check_keys(block, allowed, where):
-    extra = sorted(set(block) - set(allowed))
-    if extra:
-        raise ValueError(f"unknown {where} keys: {', '.join(extra)}")
+def _pair(value, field):
+    """A complex number as [re, im]; a real number stands for [re, 0.0]."""
+    if isinstance(value, list) and len(value) == 2:
+        return [_real(value[0], field), _real(value[1], field)]
+    return [_real(value, field), 0.0]
 
 
-def _canonical_state(block):
-    if not isinstance(block, dict) or "kind" not in block:
-        raise ValueError('state must be an object with a "kind" field')
-    kind = block["kind"]
-    if kind == "number":
-        _check_keys(block, ("kind", "n"), "state")
-        return {"kind": "number", "n": _number(block.get("n", 0), "state.n", integer=True)}
-    if kind == "coherent":
-        _check_keys(block, ("kind", "amplitude"), "state")
-        return {"kind": "coherent",
-                "amplitude": _complex_pair(block.get("amplitude", 0.0), "state.amplitude")}
-    if kind in ("thermal", "squeezed_vacuum"):
-        _check_keys(block, ("kind", "mean_n"), "state")
-        return {"kind": kind, "mean_n": _number(block.get("mean_n", 0.0), "state.mean_n")}
-    raise ValueError(f"unknown state kind {kind!r}")
+def _string(value, field):
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
 
 
-def _canonical_cavity(block, keys=("tau", "psi", "chi_t")):
-    if not isinstance(block, dict):
-        raise ValueError("cavity must be an object")
-    _check_keys(block, keys, "cavity")
+def _choice(*options):
+    def parse(value, field):
+        if value not in options:
+            raise ValueError(f"{field} must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _reals(value, field):
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{field} must be a non-empty list of numbers, got {value!r}")
+    return [_real(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def _block(fields):
+    return lambda value, field: _canonical(fields, value, field)
+
+
+def _canonical(fields, raw, where=""):
+    """The fields of block `raw`, resolved in table order; `where` is its dotted name.
+
+    fields maps each name to (parser, default).  An absent or null field
+    takes its default: REQUIRED, a JSON value that is parsed like a given
+    one, or a function of the fields resolved before it.  A null default
+    stays null.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object, got {raw!r}")
+    prefix = where + "." if where else ""
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ValueError(f"unknown field {', '.join(prefix + k for k in unknown)}")
     out = {}
-    for k in keys:
-        if k not in block:
-            raise ValueError(f"cavity.{k} is required")
-        out[k] = _number(block[k], f"cavity.{k}")
+    for name, (parse, default) in fields.items():
+        value = raw.get(name)
+        if value is None:
+            if default is REQUIRED:
+                raise ValueError(f"{prefix}{name} is required")
+            value = default(out) if callable(default) else default
+        out[name] = None if value is None else parse(value, prefix + name)
     return out
 
 
+_MEAN_N = {"mean_n": (_real, 0.0)}
+_STATE_KINDS = {"number": {"n": (_integer, 0)}, "coherent": {"amplitude": (_pair, 0.0)},
+                "thermal": _MEAN_N, "squeezed_vacuum": _MEAN_N}
+
+
+def _state(value, field):
+    """A state block: its "kind", then the fields of that kind."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{field} must be a JSON object, got {value!r}")
+    kind = _choice(*_STATE_KINDS)(value.get("kind"), f"{field}.kind")
+    rest = {k: v for k, v in value.items() if k != "kind"}
+    return {"kind": kind, **_canonical(_STATE_KINDS[kind], rest, field)}
+
+
 def _build_state(canon):
-    if canon["kind"] == "number":
-        return StateSpec.number(canon["n"])
     if canon["kind"] == "coherent":
         return StateSpec.coherent(complex(*canon["amplitude"]))
-    if canon["kind"] == "thermal":
-        return StateSpec.thermal(canon["mean_n"])
-    return StateSpec.squeezed_vacuum(canon["mean_n"])
+    return StateSpec(**canon)
 
 
 def _build_probe(params):
     return ProbeDetector(alpha=complex(*params["alpha"]), eta=params["eta"])
 
 
-def _canonical_profile(raw):
-    _check_keys(raw, ("cavity", "n_max"), "profile")
-    if "cavity" not in raw:
-        raise ValueError("profile needs a cavity block")
-    return {
-        "cavity": _canonical_cavity(raw["cavity"]),
-        "n_max": _number(raw.get("n_max", 30), "n_max", integer=True),
-    }
+# fields shared by several experiments
+_STATE = {"state": (_state, REQUIRED)}
+_CAVITY = {"cavity": (_block({"tau": (_real, REQUIRED), "psi": (_real, REQUIRED),
+                              "chi_t": (_real, REQUIRED)}), REQUIRED)}
+_PROBE = {"alpha": (_pair, 20.0), "eta": (_real, 0.8)}
+_CUTOFF = {"cutoff": (_integer, None)}
+_SEED = {"seed": (_integer, 0)}
 
+# One table per experiment: field -> (parser, default).  Table order is the
+# order of the fields in manifest.json.
+FIELDS = {
+    "profile": {**_CAVITY, "n_max": (_integer, 30)},
+    "synthesize": {**_STATE, "taus": (_reals, REQUIRED), "psi": (_real, 0.0),
+                   "chi_t": (_real, REQUIRED), **_PROBE, **_CUTOFF},
+    "superposition": {**_STATE, **_CAVITY, **_PROBE, **_CUTOFF},
+    "measure-pn": {**_STATE, "tau": (_real, REQUIRED), "chi_t": (_real, REQUIRED),
+                   **_PROBE, "eta": (_real, 0.4), "n_top": (_integer, 8),
+                   "samples": (_integer, 2000), "update_rule": (_string, "exact"), **_SEED},
+    "tomography": {
+        **_STATE, "max_fock": (_integer, 5),
+        "gamma_abs": (_real, lambda c: default_gamma_abs(_build_state(c["state"]).mean_photons)),
+        "n_phases": (_integer, lambda c: 2 * c["max_fock"] + 6),
+        "n_rows": (_integer, lambda c: 2 * c["max_fock"] + 2),
+        "backend": (_choice("exact", "monte_carlo"), "exact"), "samples": (_integer, 20000),
+        "cavity": (_block({"tau": (_real, 1e-4), "chi_t": (_real, 0.1)}), {}),
+        **_PROBE, **_SEED, "measurements": (_string, None)},
+}
 
-def _canonical_synthesize(raw):
-    _check_keys(raw, ("state", "taus", "tau", "psi", "chi_t", "alpha", "eta", "cutoff"),
-                "synthesize")
-    if "state" not in raw:
-        raise ValueError("synthesize needs a state block")
-    if ("taus" in raw) == ("tau" in raw):
-        raise ValueError('synthesize needs exactly one of "tau" or "taus"')
-    taus = raw["taus"] if "taus" in raw else [raw["tau"]]
-    if not isinstance(taus, (list, tuple)) or not taus:
-        raise ValueError("taus must be a non-empty list")
-    out = {
-        "state": _canonical_state(raw["state"]),
-        "taus": [_number(t, "taus[]") for t in taus],
-        "psi": _number(raw.get("psi", 0.0), "psi"),
-        "chi_t": _number(raw["chi_t"], "chi_t") if "chi_t" in raw else None,
-        "alpha": _complex_pair(raw.get("alpha", 20.0), "alpha"),
-        "eta": _number(raw.get("eta", 0.8), "eta"),
-        "cutoff": None if raw.get("cutoff") is None
-        else _number(raw["cutoff"], "cutoff", integer=True),
-    }
-    if out["chi_t"] is None:
-        raise ValueError("chi_t is required")
-    return out
+EXPERIMENTS = tuple(FIELDS)
 
-
-def _canonical_superposition(raw):
-    _check_keys(raw, ("state", "cavity", "alpha", "eta", "cutoff"), "superposition")
-    if "state" not in raw or "cavity" not in raw:
-        raise ValueError("superposition needs state and cavity blocks")
-    return {
-        "state": _canonical_state(raw["state"]),
-        "cavity": _canonical_cavity(raw["cavity"]),
-        "alpha": _complex_pair(raw.get("alpha", 20.0), "alpha"),
-        "eta": _number(raw.get("eta", 0.8), "eta"),
-        "cutoff": None if raw.get("cutoff") is None
-        else _number(raw["cutoff"], "cutoff", integer=True),
-    }
-
-
-def _canonical_measure_pn(raw):
-    _check_keys(raw, ("state", "tau", "chi_t", "alpha", "eta", "n_top",
-                      "samples", "update_rule", "seed"), "measure-pn")
-    for req in ("state", "tau", "chi_t"):
-        if req not in raw:
-            raise ValueError(f"measure-pn needs {req}")
-    return {
-        "state": _canonical_state(raw["state"]),
-        "tau": _number(raw["tau"], "tau"),
-        "chi_t": _number(raw["chi_t"], "chi_t"),
-        "alpha": _complex_pair(raw.get("alpha", 20.0), "alpha"),
-        "eta": _number(raw.get("eta", 0.4), "eta"),
-        "n_top": _number(raw.get("n_top", 8), "n_top", integer=True),
-        "samples": _number(raw.get("samples", 2000), "samples", integer=True),
-        "update_rule": raw.get("update_rule", "exact"),
-        "seed": _number(raw.get("seed", 0), "seed", integer=True),
-    }
-
-
-def _canonical_tomography(raw):
-    _check_keys(raw, ("state", "max_fock", "gamma_abs", "n_phases", "n_rows", "backend",
-                      "samples", "cavity", "alpha", "eta", "seed", "measurements"),
-                "tomography")
-    if "state" not in raw:
-        raise ValueError("tomography needs a state block")
-    state = _canonical_state(raw["state"])
-    max_fock = _number(raw.get("max_fock", 5), "max_fock", integer=True)
-    backend = raw.get("backend", "exact")
-    if backend not in ("exact", "monte_carlo"):
-        raise ValueError(f'backend must be "exact" or "monte_carlo", got {backend!r}')
-    gamma_abs = raw.get("gamma_abs")
-    if gamma_abs is None:
-        gamma_abs = default_gamma_abs(_build_state(state).mean_photons)
-    n_phases = raw.get("n_phases")
-    if n_phases is None:
-        n_phases = 2 * max_fock + 6
-    n_rows = raw.get("n_rows")
-    if n_rows is None:
-        n_rows = 2 * max_fock + 2
-    measurements = raw.get("measurements")
-    if measurements is not None and not isinstance(measurements, str):
-        raise ValueError("measurements must be a file path string")
-    out = {
-        "state": state,
-        "max_fock": max_fock,
-        "gamma_abs": _number(gamma_abs, "gamma_abs"),
-        "n_phases": _number(n_phases, "n_phases", integer=True),
-        "n_rows": _number(n_rows, "n_rows", integer=True),
-        "backend": backend,
-        "samples": _number(raw.get("samples", 20000), "samples", integer=True),
-        "cavity": _canonical_cavity(raw.get("cavity", {"tau": 1e-4, "chi_t": 0.1}),
-                                    keys=("tau", "chi_t")),
-        "alpha": _complex_pair(raw.get("alpha", 20.0), "alpha"),
-        "eta": _number(raw.get("eta", 0.8), "eta"),
-        "seed": _number(raw.get("seed", 0), "seed", integer=True),
-        "measurements": measurements,
-    }
-    return out
-
-
-_CANONICAL = {
-    "profile": _canonical_profile,
-    "synthesize": _canonical_synthesize,
-    "superposition": _canonical_superposition,
-    "measure-pn": _canonical_measure_pn,
-    "tomography": _canonical_tomography,
+# Presets give the bundled reference scenarios a short name.  Each lists only
+# the fields whose values differ from the defaults in FIELDS.
+PRESETS = {
+    "profile": {"fig2": {"cavity": {"tau": 2e-4, "psi": 0.04, "chi_t": 0.01}}},
+    "synthesize": {"fig2": {"state": {"kind": "coherent", "amplitude": [2.0, 0.0]},
+                            "taus": [0.02, 0.002, 2e-4], "psi": 0.04, "chi_t": 0.01,
+                            "cutoff": 30}},
+    "superposition": {"two-resonance": {
+        "state": {"kind": "coherent", "amplitude": [math.sqrt(2.0), 0.0]},
+        "cavity": {"tau": 1e-4, "psi": math.pi / 2, "chi_t": math.pi / 2}}},
+    "measure-pn": {
+        "fig3-squeezed": {"state": {"kind": "squeezed_vacuum", "mean_n": 1.0},
+                          "tau": 1e-3, "chi_t": 0.1},
+        "fig3-coherent": {"state": {"kind": "coherent", "amplitude": [math.sqrt(2.0), 0.0]},
+                          "tau": 1e-3, "chi_t": 0.1},
+        "fig3-thermal": {"state": {"kind": "thermal", "mean_n": 1.0},
+                         "tau": 1e-3, "chi_t": 0.1},
+    },
+    "tomography": {"tomo-coherent": {"state": {"kind": "coherent", "amplitude": [1.0, 0.0]},
+                                     "gamma_abs": 1.0}},
 }
 
 
 def resolve_config(experiment, preset=None, config_path=None, seed=None,
                    out_dir=".", fmt="table"):
     """Merge preset and config file, apply --seed, canonicalize."""
-    if experiment not in EXPERIMENTS:
+    if experiment not in FIELDS:
         raise ValueError(f"unknown experiment {experiment!r}")
     raw = {}
     if preset is not None:
@@ -314,35 +214,35 @@ def resolve_config(experiment, preset=None, config_path=None, seed=None,
         if preset not in table:
             known = ", ".join(sorted(table)) or "(none)"
             raise ValueError(f"unknown preset {preset!r} for {experiment}; known: {known}")
-        raw.update(json.loads(json.dumps(table[preset])))
+        raw.update(table[preset])
     if config_path is not None:
         with open(config_path, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{config_path} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ValueError(f"{config_path} must contain a JSON object")
-        if loaded.get("artifact") == "fockfilter" and "config" in loaded:
+        if (isinstance(loaded, dict) and loaded.get("artifact") == "fockfilter"
+                and "config" in loaded):
             # a manifest from an earlier run; its experiment must match
             if loaded.get("experiment") != experiment:
                 raise ValueError(
                     f"manifest {config_path} describes experiment "
                     f"{loaded.get('experiment')!r}, not {experiment!r}")
             loaded = loaded["config"]
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{config_path} must contain a JSON object")
         raw.update(loaded)
     if not raw:
         raise ValueError("no configuration: give --preset and/or --config")
     if seed is not None:
-        if experiment not in _SEEDED:
+        if "seed" not in FIELDS[experiment]:
             raise ValueError(f"experiment {experiment} does not take a seed")
         if not (0 <= seed < 2 ** 64):
             raise ValueError("seed must be a 64-bit unsigned integer")
         raw["seed"] = seed
     if fmt not in ("table", "structured"):
         raise ValueError(f'format must be "table" or "structured", got {fmt!r}')
-    params = _CANONICAL[experiment](raw)
-    return ExperimentConfig(experiment=experiment, params=params,
+    return ExperimentConfig(experiment=experiment, params=_canonical(FIELDS[experiment], raw),
                             out_dir=out_dir, fmt=fmt)
 
 
@@ -397,21 +297,24 @@ def _run_synthesize(params):
     spec, rho = _prepare(params)
     probe = _build_probe(params)
     theory = np.real(np.diagonal(rho))
-    n_star = params["psi"] / params["chi_t"]
-    target = int(round(n_star))
-    summary = {"target_n": target, "n_settings": len(params["taus"])}
+    cavities = [CavityParams(tau=tau, psi=params["psi"], chi_t=params["chi_t"])
+                for tau in params["taus"]]
+    target = round(cavities[0].n_star)
+    summary = {"target_n": target, "n_settings": len(cavities)}
     result_tables = {}
     summary_rows = []
-    for i, tau in enumerate(params["taus"]):
-        cav = CavityParams(tau=tau, psi=params["psi"], chi_t=params["chi_t"])
+    for i, cav in enumerate(cavities):
         res = filter_pass(rho, cav, probe)
         if res.state_on is None:
-            raise NumericalError(f"filter at tau = {tau:g} never fires on this input")
+            raise NumericalError(f"filter at tau = {cav.tau:g} never fires on this input")
         diag = np.real(np.diagonal(res.state_on))
-        weight = float(diag[target]) if target < diag.size else 0.0
-        others = np.delete(diag, target) if target < diag.size else diag
-        dominance = weight / float(np.max(others)) if others.size else math.inf
-        summary_rows.append((float(tau), res.p_on, weight, dominance,
+        # a target outside 0..cutoff holds no weight
+        on_grid = 0 <= target < diag.size
+        weight = float(diag[target]) if on_grid else 0.0
+        others = np.delete(diag, target) if on_grid else diag
+        largest = float(np.max(others)) if others.size else 0.0
+        dominance = weight / largest if largest > 0.0 else math.inf
+        summary_rows.append((cav.tau, res.p_on, weight, dominance,
                              fock.purity(res.state_on)))
         result_tables[f"distribution_{i}"] = _distribution_table(diag, None, theory)
         result_tables[f"state_{i}"] = _state_table(res.state_on)
@@ -529,15 +432,12 @@ def _run_tomography(params):
     spec = _build_state(params["state"])
     M = params["max_fock"]
     truth = fock.make_state(spec, cutoff=M, tail=None)
-    n_phi = params["n_phases"]
-    phases = tuple(2.0 * math.pi * j / n_phi for j in range(n_phi))
+    phases = uniform_phase_grid(params["n_phases"])
     if params["backend"] == "exact":
         backend = "exact"
     else:
         backend = MonteCarloBackend(
-            cavity=CavityParams(tau=params["cavity"]["tau"], psi=0.0,
-                                chi_t=params["cavity"]["chi_t"]),
-            probe=_build_probe(params),
+            cavity=CavityParams(psi=0.0, **params["cavity"]), probe=_build_probe(params),
             samples=params["samples"], rng_seed=params["seed"])
     plan = TomographyPlan(gamma_abs=params["gamma_abs"], phases=phases,
                           max_fock=M, n_rows=params["n_rows"], backend=backend)

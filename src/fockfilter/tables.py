@@ -88,7 +88,8 @@ def json_text(obj, indent=0):
     """Deterministic JSON: dict insertion order kept, floats via %.17g.
 
     A list of numbers is written on one line; a list of such lists (a
-    table's rows) one row per line, through one row template.
+    table's rows) one row per line, through one row template.  A non-finite
+    float is written as the string "inf", "-inf" or "nan".
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -101,14 +102,20 @@ def json_text(obj, indent=0):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        # %d and %.17g print the letter n only in "inf" and "nan", so one search
+        # of the formatted text finds the rows that need quoted cells
         template = _row_template([obj], ", ", numbers_only=True)
         if template is not None:
-            return "[" + template % tuple(obj) + "]"
+            text = template % tuple(obj)
+            if "n" in text:
+                text = ", ".join(map(_json_scalar, obj))
+            return "[" + text + "]"
         if set(map(type, obj)) <= {list, tuple}:
             template = _row_template(obj, ", ", numbers_only=True)
             if template is not None:
-                lines = map(f"{inner}[{template}]".__mod__, map(tuple, obj))
-                return "[\n" + ",\n".join(lines) + "\n" + pad + "]"
+                text = ",\n".join(map(f"{inner}[{template}]".__mod__, map(tuple, obj)))
+                if "n" not in text:
+                    return "[\n" + text + "\n" + pad + "]"
         items = ",\n".join(f"{inner}{json_text(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     return _json_scalar(obj)
@@ -120,7 +127,10 @@ def _json_scalar(v):
     if v is None:
         return "null"
     if isinstance(v, float):
-        return FLOAT % v
+        # JSON has no literal for inf or nan: they are the strings "inf",
+        # "-inf" and "nan", the text of the CSV cell, which float() reads back
+        text = FLOAT % v
+        return f'"{text}"' if "n" in text else text
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):

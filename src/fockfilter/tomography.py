@@ -54,10 +54,14 @@ class MonteCarloBackend:
     update_rule: str = "exact"
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not (0 <= self.rng_seed < 2 ** 64):
-            raise ValueError("rng_seed must be a 64-bit unsigned integer")
+        self._cascade(0, self.rng_seed)  # CascadeConfig checks the fields
+
+    def _cascade(self, n_top, rng_seed):
+        """Cascade of stages 0..n_top with this backend's fields and rng_seed."""
+        return tuned_cascade(
+            n_top=n_top, tau=self.cavity.tau, chi_t=self.cavity.chi_t,
+            alpha=self.probe.alpha, eta=self.probe.eta, samples=self.samples,
+            rng_seed=rng_seed, update_rule=self.update_rule)
 
 
 @dataclass(frozen=True)
@@ -94,10 +98,14 @@ class TomographyPlan:
             raise ValueError('backend must be "exact" or a MonteCarloBackend')
 
 
+def uniform_phase_grid(n_phi):
+    """The n_phi phases phi_j = 2 pi j / n_phi, j = 0 .. n_phi - 1, as an array."""
+    return 2.0 * math.pi * np.arange(n_phi) / n_phi
+
+
 def default_phase_grid(max_fock):
     """Uniform phase grid with margin: N_phi = 2 max_fock + 6 points in [0, 2 pi)."""
-    n_phi = 2 * max_fock + 6
-    return tuple(2.0 * math.pi * j / n_phi for j in range(n_phi))
+    return tuple(uniform_phase_grid(2 * max_fock + 6).tolist())
 
 
 def default_gamma_abs(mean_photons):
@@ -149,11 +157,8 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
 
 def _cascade_estimate(p, n_rows, backend, seed):
     """Monte Carlo estimate of rows 0..n_rows-1 of the displaced diagonal p."""
-    cfg = tuned_cascade(
-        n_top=n_rows - 1, tau=backend.cavity.tau, chi_t=backend.cavity.chi_t,
-        alpha=backend.probe.alpha, eta=backend.probe.eta,
-        samples=backend.samples, rng_seed=seed, update_rule=backend.update_rule)
-    return estimate_photon_distribution(np.diag(p), n_rows - 1, cfg)
+    return estimate_photon_distribution(np.diag(p), n_rows - 1,
+                                        backend._cascade(n_rows - 1, seed))
 
 
 def displaced_distribution(nu, gamma, n_rows, backend="exact"):
@@ -186,9 +191,7 @@ def measure_distributions(nu, plan):
 
 
 def _check_uniform_grid(phases):
-    n_phi = len(phases)
-    ideal = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    if np.max(np.abs(np.asarray(phases) - ideal)) > 1e-9:
+    if np.max(np.abs(np.asarray(phases) - uniform_phase_grid(len(phases)))) > 1e-9:
         raise ValueError("phase grid is not the uniform grid 2*pi*j/N_phi; "
                          "the DFT separation of diagonals does not apply")
 
@@ -207,8 +210,7 @@ def phase_fourier(P_matrix, s, phases=None):
         if len(phases) != n_phi:
             raise ValueError(f"{len(phases)} phases for {n_phi} rows")
         _check_uniform_grid(phases)
-    grid = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    return (np.exp(1j * s * grid) @ P_matrix) / n_phi
+    return (np.exp(1j * s * uniform_phase_grid(n_phi)) @ P_matrix) / n_phi
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Cavity reflection/transmission amplitudes and the per-Fock lineshape."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -67,6 +68,9 @@ def test_params_validation():
         cavity.CavityParams(tau=0.5, psi=0.0, chi_t=0.0)
     with pytest.raises(ValueError):
         cavity.CavityParams(tau=0.5, psi=math.nan, chi_t=0.1)
+    # psi and chi_t finite, but n* = psi / chi_t overflows
+    with pytest.raises(ValueError, match="n\\*"):
+        cavity.CavityParams(tau=0.5, psi=1e308, chi_t=1e-10)
 
 
 def test_profile_peaks_at_target_and_matches_amplitudes():
@@ -135,3 +139,16 @@ def test_resonant_components_below_n_star():
     params = cavity.CavityParams(tau=1e-3, psi=2 * math.pi + 0.1, chi_t=0.1)
     assert cavity.resonant_components(params, 70) == [1, 64]
     assert int(np.argmax(cavity.transmission_profile(params, 70))) == 1
+
+
+def test_resonant_components_ends_when_a_period_is_below_an_ulp_of_n_star():
+    # n* = 1e40 and a period of 6.3e10: n* + j * period never moves from n*,
+    # so a scan that stops only past n_max would never stop
+    params = cavity.CavityParams(tau=1e-2, psi=1e30, chi_t=1e-10)
+    found = []
+    scan = threading.Thread(target=lambda: found.append(cavity.resonant_components(params, 30)),
+                            daemon=True)
+    scan.start()
+    scan.join(timeout=10.0)
+    assert not scan.is_alive()
+    assert len(found) == 1

@@ -1,6 +1,8 @@
 """Command-line interface: presets, file formats, determinism, exit codes."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -226,6 +228,9 @@ def test_invalid_values_exit_2(tmp_path):
     cfg.write_text("{not json")
     code, _ = run(tmp_path, "profile", "--config", str(cfg))
     assert code == 2
+    cfg.write_text(json.dumps({"artifact": "fockfilter", "experiment": "profile", "config": 5}))
+    code, _ = run(tmp_path, "profile", "--config", str(cfg))
+    assert code == 2
 
 
 def test_manifest_for_other_experiment_exits_2(tmp_path):
@@ -341,3 +346,221 @@ def test_unknown_update_rule_exits_2_without_files(tmp_path, capsys):
     assert code == 2
     assert "update_rule" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# configuration tables
+
+def write_config(tmp_path, config):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+COHERENT = {"kind": "coherent", "amplitude": [1.0, 0.0]}
+VALID = {
+    "profile": {"cavity": {"tau": 0.01, "psi": 0.1, "chi_t": 0.1}},
+    "synthesize": {"state": COHERENT, "taus": [0.01], "chi_t": 0.1},
+    "superposition": {"state": COHERENT,
+                      "cavity": {"tau": 1e-4, "psi": 0.0, "chi_t": math.pi / 2}},
+    "measure-pn": {"state": COHERENT, "tau": 1e-3, "chi_t": 0.1, "samples": 50},
+    "tomography": {"state": COHERENT, "max_fock": 2},
+}
+DROP = object()
+
+
+def edited(config, path, value):
+    """A deep copy of config with the field at dotted `path` set to value (or dropped)."""
+    config = json.loads(json.dumps(config))
+    *outer, name = path.split(".")
+    block = config
+    for key in outer:
+        block = block.setdefault(key, {})
+    if value is DROP:
+        block.pop(name, None)
+    else:
+        block[name] = value
+    return config
+
+
+# experiment: (a required field, a number field, an integer field)
+FIELD_KINDS = {
+    "profile": ("cavity.psi", "cavity.tau", "n_max"),
+    "synthesize": ("chi_t", "psi", "cutoff"),
+    "superposition": ("cavity", "eta", "cutoff"),
+    "measure-pn": ("tau", "eta", "seed"),
+    "tomography": ("state", "gamma_abs", "n_rows"),
+}
+
+
+def common_rejections():
+    """experiment, field, bad value, text the message must contain."""
+    for experiment, (required, number, integer) in FIELD_KINDS.items():
+        yield experiment, "bogus", 1, "bogus"
+        yield experiment, required, DROP, required
+        yield experiment, number, True, number
+        yield experiment, number, "x", number
+        yield experiment, integer, math.inf, integer
+        yield experiment, integer, 2.5, integer
+        if "state" in VALID[experiment]:
+            yield experiment, "state.kind", "cat", "state.kind"
+
+
+REJECTIONS = [
+    *common_rejections(),
+    ("profile", "cavity.spin", 1, "cavity.spin"),
+    ("profile", "cavity", None, "cavity"),
+    ("profile", "cavity.tau", 10 ** 400, "cavity.tau"),
+    ("synthesize", "taus", [], "taus"),
+    ("synthesize", "taus", [0.01, "x"], "taus[1]"),
+    ("superposition", "state", 3, "state"),
+    ("superposition", "state.kind", DROP, "state.kind"),
+    ("superposition", "alpha", [1.0, 2.0, 3.0], "alpha"),
+    ("superposition", "cutoff", -math.inf, "cutoff"),
+    ("measure-pn", "update_rule", False, "update_rule"),
+    ("measure-pn", "state.mean_n", 1.0, "state.mean_n"),   # not a field of coherent
+    ("tomography", "backend", "fast", "backend"),
+    ("tomography", "measurements", 3, "measurements"),
+    ("tomography", "cavity.psi", 0.0, "cavity.psi"),
+]
+
+
+@pytest.mark.parametrize("experiment,field,value,named", REJECTIONS, ids=[
+    f"{e}-{f}-{'absent' if v is DROP else json.dumps(v)[:12]}" for e, f, v, _ in REJECTIONS])
+def test_bad_field_exits_2_naming_it_without_files(tmp_path, capsys, experiment, field,
+                                                    value, named):
+    cfg = write_config(tmp_path, edited(VALID[experiment], field, value))
+    capsys.readouterr()
+    code, out = run(tmp_path, experiment, "--config", cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment", sorted(VALID))
+def test_valid_configs_of_the_rejection_table_run(tmp_path, experiment):
+    code, _ = run(tmp_path, experiment, "--config", write_config(tmp_path, VALID[experiment]))
+    assert code == 0
+
+
+NULLABLE = {
+    "profile": ["n_max"],
+    "synthesize": ["psi", "alpha", "eta", "cutoff", "state.amplitude"],
+    "superposition": ["alpha", "eta", "cutoff"],
+    "measure-pn": ["alpha", "eta", "n_top", "samples", "update_rule", "seed"],
+    "tomography": ["max_fock", "gamma_abs", "n_phases", "n_rows", "backend", "samples",
+                   "cavity", "alpha", "eta", "seed", "measurements", "state.amplitude"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(NULLABLE))
+def test_null_and_absent_fields_take_the_same_default(tmp_path, experiment):
+    absent, null = VALID[experiment], VALID[experiment]
+    for field in NULLABLE[experiment]:
+        absent = edited(absent, field, DROP)
+        null = edited(null, field, None)
+    first = cli.resolve_config(experiment, config_path=write_config(tmp_path / "a", absent))
+    second = cli.resolve_config(experiment, config_path=write_config(tmp_path / "b", null))
+    assert first.params == second.params
+    assert tables.json_text(first.params) == tables.json_text(second.params)
+
+
+# sha256 of each preset's manifest.json, as written before the presets were
+# reduced to the fields that differ from the defaults
+PRESET_MANIFESTS = {
+    ("profile", "fig2", "table"):
+        "8a0c4360fb3187ffb89f1e896ee331d1d56d93043facf40169a7af226458da72",
+    ("profile", "fig2", "structured"):
+        "fc32cebeb1bde824b7a63c5924ca3c97bd50bdcc8d6f0d9d8080b20bc70d3d72",
+    ("synthesize", "fig2", "table"):
+        "cd7c776a46fae97f6d27a8cabfcd918ae35b318a9dc69978d39fc6216c75c1a7",
+    ("synthesize", "fig2", "structured"):
+        "c7c13b219e043cc34091ff61622c77c1fe0e3ee53864418902d828a509e69089",
+    ("superposition", "two-resonance", "table"):
+        "824028d256a8d425148bae3971ba74a59684ec689b27cbfa4bf2ccc09eaa9a9d",
+    ("superposition", "two-resonance", "structured"):
+        "7883891cd92c94b42aa19cfe654949a822990830a5e676fe8bc00c9dba8598ff",
+    ("measure-pn", "fig3-squeezed", "table"):
+        "2f89812aed0d4712be641b89ae36e2ab3567a9ab9ad85c813ed3d26d76aa11b4",
+    ("measure-pn", "fig3-squeezed", "structured"):
+        "ef6fa0939ba40c7e420f1b2f22e0544f174f7758e94969c4ddd58b3d5fa111b4",
+    ("measure-pn", "fig3-coherent", "table"):
+        "a77cee65ec3e02fac598373c0a51d0a131129cad81d76674b0e2dd7d35fca548",
+    ("measure-pn", "fig3-coherent", "structured"):
+        "9d95342dbb4c88059d7509e94bf7cc341d3c743aa1d8c3dc1748105f2453984d",
+    ("measure-pn", "fig3-thermal", "table"):
+        "a1659ba9a479d01b5ce7604154add234d5ab05392af616ed37d91c81099644d5",
+    ("measure-pn", "fig3-thermal", "structured"):
+        "a9e4bcc12b43a78e3a8ce9504a23c3c71698c5ed98536af0ac9f232b5ea1045e",
+    ("tomography", "tomo-coherent", "table"):
+        "7aa2f64b69de16d87c6877b3e018c1c17ec040b2758a609bc7660e913e014574",
+    ("tomography", "tomo-coherent", "structured"):
+        "03aad069d53fe5d2e440d19437141faae9cd0081a0df2256610c484282d52098",
+}
+
+
+@pytest.mark.parametrize("experiment,preset,fmt", sorted(PRESET_MANIFESTS))
+def test_preset_manifest_bytes_are_pinned(tmp_path, experiment, preset, fmt):
+    code, out = run(tmp_path, experiment, "--preset", preset, "--format", fmt)
+    assert code == 0
+    digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+    assert digest == PRESET_MANIFESTS[experiment, preset, fmt]
+
+
+def test_every_preset_has_a_pinned_manifest():
+    assert {(e, p) for e, p, _ in PRESET_MANIFESTS} \
+        == {(e, p) for e, presets in cli.PRESETS.items() for p in presets}
+
+
+# ---------------------------------------------------------------------------
+# synthesize target bookkeeping
+
+def synthesize(tmp_path, capsys, state, psi, cutoff, fmt="table"):
+    cfg = write_config(tmp_path, {"state": state, "taus": [0.002], "psi": psi,
+                                  "chi_t": 0.01, "cutoff": cutoff})
+    capsys.readouterr()
+    code, out = run(tmp_path, "synthesize", "--config", cfg, "--format", fmt)
+    return code, out, dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+
+
+def test_synthesize_state_without_weight_off_target_has_infinite_dominance(tmp_path, capsys):
+    code, out, summary = synthesize(tmp_path, capsys, {"kind": "number", "n": 4}, 0.04, 6)
+    assert code == 0
+    assert summary["target_n"] == "4"
+    _, rows = tables.read_csv(out / "summary.csv")
+    assert float(rows[0][2]) == 1.0
+    assert rows[0][3] == "inf"
+
+
+def test_synthesize_target_below_zero_has_no_weight(tmp_path, capsys):
+    code, out, summary = synthesize(tmp_path, capsys, {"kind": "coherent", "amplitude": 2},
+                                    -0.04, 12)
+    assert code == 0
+    assert summary["target_n"] == "-4"
+    assert summary["target_weight_0"] == "0"
+    _, rows = tables.read_csv(out / "summary.csv")
+    assert float(rows[0][2]) == 0.0
+
+
+def test_non_finite_results_are_json_strings_read_like_the_csv_cell(tmp_path, capsys):
+    state = {"kind": "number", "n": 0}
+    code, out, _ = synthesize(tmp_path / "json", capsys, state, 0.0, 0, fmt="structured")
+    assert code == 0
+    doc = json.loads((out / "results.json").read_text())
+    row = doc["tables"]["summary"]["rows"][0]
+    assert row[3] == "inf"
+    code, csv_out, _ = synthesize(tmp_path / "csv", capsys, state, 0.0, 0)
+    assert code == 0
+    _, rows = tables.read_csv(csv_out / "summary.csv")
+    assert [float(cell) for cell in row] == [float(cell) for cell in rows[0]]
+
+
+def test_overflowing_n_star_exits_2(tmp_path, capsys):
+    for experiment, config in [
+            ("profile", {"cavity": {"tau": 0.01, "psi": 1e308, "chi_t": 1e-10}}),
+            ("synthesize", {"state": COHERENT, "taus": [0.01], "psi": 1e308, "chi_t": 1e-10})]:
+        capsys.readouterr()
+        code, _ = run(tmp_path, experiment, "--config", write_config(tmp_path, config))
+        assert code == 2
+        assert "n*" in capsys.readouterr().err

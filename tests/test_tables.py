@@ -2,7 +2,7 @@
 
 The reference functions below print one cell at a time, the way the writers
 did before they built one %-template per table; the writers must give the
-same bytes.
+same bytes.  In JSON, a non-finite float is the string "inf", "-inf" or "nan".
 """
 
 import json
@@ -59,7 +59,8 @@ def reference_json_scalar(v):
     if v is None:
         return "null"
     if isinstance(v, float):
-        return "%.17g" % v
+        # JSON has no literal for a non-finite float: it is written as a string
+        return "%.17g" % v if math.isfinite(v) else '"%.17g"' % v
     if isinstance(v, int):
         return str(v)
     if isinstance(v, str):

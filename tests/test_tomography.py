@@ -32,6 +32,8 @@ def kernel(D, k, m, n):
 
 def test_default_grid_and_gamma():
     grid = default_phase_grid(5)
+    # bit for bit the Python-float formula 2 pi j / N_phi
+    assert grid == tuple(2.0 * math.pi * j / 16 for j in range(16))
     assert len(grid) == 16
     assert grid[0] == 0.0
     assert_allclose(np.diff(grid), 2 * math.pi / 16)
@@ -327,5 +329,9 @@ def test_backend_validation():
         mc_backend(0)
     with pytest.raises(ValueError):
         mc_backend(100, seed=-3)
+    with pytest.raises(ValueError, match="update_rule"):
+        MonteCarloBackend(cavity=CavityParams(tau=1e-4, psi=0.0, chi_t=0.1),
+                          probe=ProbeDetector(alpha=20.0, eta=0.8), samples=10, rng_seed=0,
+                          update_rule="bogus")
     with pytest.raises(ValueError):
         displaced_distribution(np.eye(2, dtype=complex), 1.0, 4, backend="turbo")
