@@ -87,25 +87,30 @@ def transmission_profile(params, n_max):
 
 
 def resonant_components(params, n_max):
-    """Integers n in [0, n_max] within 1/2 of a resonance n* + 2 pi j / chi_t.
+    """Integers n in [0, n_max] within 1/2 of a resonance n* + 2 pi j / chi_t,
+    each once, in ascending order.
 
-    The scan runs from the smallest j whose center is >= -1/2, which is
-    negative when n* lies a period or more above 0, to the last j whose
-    center is <= n_max + 1/2, both found before the scan, so it ends even
-    when a period is below one ulp of n*.  A detuned cavity (non-integer n*)
-    may yield an empty list.
+    A period 2 pi / chi_t below one photon puts a resonance within 1/2 of
+    every n.  Otherwise the scan runs from the smallest j whose center is
+    >= -1/2, which is negative when n* lies a period or more above 0, to the
+    last j whose center is <= n_max + 1/2, both found before the scan, so it
+    ends even when a period is below one ulp of n*.  A detuned cavity
+    (non-integer n*) may yield an empty list.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     period = 2.0 * math.pi / params.chi_t
+    if period < 1.0:
+        return list(range(n_max + 1))
     first = math.ceil((-0.5 - params.n_star) / period)
     last = math.floor((n_max + 0.5 - params.n_star) / period)
     found = []
     # one j past the last, in case rounding put a center <= n_max + 1/2 there;
-    # the range check drops any center beyond it
+    # the range check drops any center beyond it.  Centers never decrease
+    # with j, but a period below one ulp of n* can round two to the same n.
     for j in range(first, last + 2):
         center = params.n_star + j * period
         n = round(center)
-        if 0 <= n <= n_max and abs(n - center) < 0.5:
+        if 0 <= n <= n_max and abs(n - center) < 0.5 and (not found or n > found[-1]):
             found.append(int(n))
     return found

@@ -49,7 +49,9 @@ class ExperimentConfig:
 # canonicalization: raw dict -> every field of the experiment, in table order
 #
 # A parser maps a JSON value and the field's dotted name to the canonical value.
-# It checks the JSON type only; the library constructors check ranges.
+# It checks the JSON type only; the library constructors check ranges.  The
+# seed is the exception: exact tomography writes it to the manifest without
+# handing it to a constructor, so _seed checks its range.
 
 
 def _real(value, field):
@@ -67,6 +69,14 @@ def _integer(value, field):
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def _seed(value, field):
+    """A 64-bit unsigned integer."""
+    value = _integer(value, field)
+    if not 0 <= value < 2 ** 64:
+        raise ValueError(f"{field} must be a 64-bit unsigned integer, got {value}")
     return value
 
 
@@ -156,7 +166,7 @@ _CAVITY = {"cavity": (_block({"tau": (_real, REQUIRED), "psi": (_real, REQUIRED)
                               "chi_t": (_real, REQUIRED)}), REQUIRED)}
 _PROBE = {"alpha": (_pair, 20.0), "eta": (_real, 0.8)}
 _CUTOFF = {"cutoff": (_integer, None)}
-_SEED = {"seed": (_integer, 0)}
+_SEED = {"seed": (_seed, 0)}
 
 # One table per experiment: field -> (parser, default).  Table order is the
 # order of the fields in manifest.json.
@@ -237,8 +247,6 @@ def resolve_config(experiment, preset=None, config_path=None, seed=None,
     if seed is not None:
         if "seed" not in FIELDS[experiment]:
             raise ValueError(f"experiment {experiment} does not take a seed")
-        if not (0 <= seed < 2 ** 64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
         raw["seed"] = seed
     if fmt not in ("table", "structured"):
         raise ValueError(f'format must be "table" or "structured", got {fmt!r}')

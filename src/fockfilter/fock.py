@@ -6,20 +6,36 @@ is a complex density matrix nu on the truncated basis {|0>, ..., |N>}:
 Hermitian, unit trace, positive semidefinite.  Matrices returned by the
 constructors are marked read-only; treat them as immutable values.
 
-Factorials and Laguerre prefactors are evaluated in log space so that
-cutoffs beyond n ~ 170 do not overflow double precision.
+Factorials are evaluated in log space so that cutoffs beyond n ~ 170 do not
+overflow double precision.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 DEFAULT_TAIL = 1e-10
 CUTOFF_CEILING = 4096
 
 STATE_KINDS = ("number", "coherent", "thermal", "squeezed_vacuum")
+
+
+def _lgammas(size):
+    """log(k!) for k = 0 .. size - 1, one math.lgamma call each."""
+    return np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
+
+
+# covers every cutoff choose_cutoff can return
+_LOG_FACTORIALS = _lgammas(CUTOFF_CEILING + 1)
+_LOG_FACTORIALS.setflags(write=False)
+
+
+def _log_factorials(n_max):
+    """log(k!) for k = 0 .. n_max."""
+    if n_max < _LOG_FACTORIALS.size:
+        return _LOG_FACTORIALS[:n_max + 1]
+    return _lgammas(n_max + 1)
 
 
 class NumericalError(RuntimeError):
@@ -115,7 +131,7 @@ def analytic_distribution(spec, n_max):
             p = np.zeros(n_max + 1)
             p[0] = 1.0
             return p
-        return np.exp(n * math.log(lam) - lam - gammaln(n + 1))
+        return np.exp(n * math.log(lam) - lam - _log_factorials(n_max))
     if spec.kind == "thermal":
         nb = spec.mean_n
         if nb == 0.0:
@@ -131,7 +147,8 @@ def analytic_distribution(spec, n_max):
         return p
     r = math.asinh(math.sqrt(spec.mean_n))
     m = np.arange(n_max // 2 + 1)
-    logp = (gammaln(2 * m + 1) - 2 * m * math.log(2.0) - 2 * gammaln(m + 1)
+    lf = _log_factorials(n_max)
+    logp = (lf[::2] - 2 * m * math.log(2.0) - 2 * lf[:m.size]
             + 2 * m * math.log(math.tanh(r)) - math.log(math.cosh(r)))
     p[2 * m] = np.exp(logp)
     return p
@@ -166,7 +183,7 @@ def _pure_amplitudes(spec, cutoff):
             c = np.zeros(cutoff + 1, dtype=complex)
             c[0] = 1.0
             return c
-        logmag = -abs(beta) ** 2 / 2 + n * math.log(abs(beta)) - gammaln(n + 1) / 2
+        logmag = -abs(beta) ** 2 / 2 + n * math.log(abs(beta)) - _log_factorials(cutoff) / 2
         return np.exp(logmag) * np.exp(1j * n * np.angle(beta))
     if spec.kind == "squeezed_vacuum":
         c = np.zeros(cutoff + 1, dtype=complex)
@@ -175,7 +192,8 @@ def _pure_amplitudes(spec, cutoff):
             return c
         r = math.asinh(math.sqrt(spec.mean_n))
         m = np.arange(cutoff // 2 + 1)
-        logmag = (0.5 * gammaln(2 * m + 1) - m * math.log(2.0) - gammaln(m + 1)
+        lf = _log_factorials(cutoff)
+        logmag = (0.5 * lf[::2] - m * math.log(2.0) - lf[:m.size]
                   + m * math.log(math.tanh(r)) - 0.5 * math.log(math.cosh(r)))
         c[2 * m] = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(logmag)
         return c
@@ -267,41 +285,101 @@ def _checked_probabilities(diag):
 def displacement_matrix(gamma, dim):
     """Matrix elements <n|D(gamma)|k> for n,k < dim, D = exp(g a+ - g* a).
 
-    Closed form with associated Laguerre polynomials:
-      n >= k:  sqrt(k!/n!) gamma^{n-k} e^{-|g|^2/2} L_k^{(n-k)}(|g|^2)
-      n <  k:  sqrt(n!/k!) (-g*)^{k-n} e^{-|g|^2/2} L_n^{(k-n)}(|g|^2)
-    With gamma = |g| e^{i theta} both read e^{i (n-k) theta} times the real
-    element of D(|g|), whose n < k half carries the sign (-1)^{k-n}.  The
-    magnitude sqrt(lo!/(lo+span)!) |g|^span e^{-|g|^2/2} is evaluated in log
-    space and the phase separately, so no power of gamma is ever formed and
-    nothing overflows before the Laguerre polynomial does.  A real gamma >= 0
-    gives a real matrix.
+    With gamma = |g| e^{i theta} and the normalised Laguerre functions
+    E[m, a] = sqrt(m!/(m+a)!) |g|^a e^{-|g|^2/2} L_m^{(a)}(|g|^2),
+      n >= k:  <n|D|k> = e^{i (n-k) theta} E[k, n-k]
+      n <  k:  <n|D|k> = e^{i (n-k) theta} (-1)^{k-n} E[n, k-n].
+    E comes from a three-term recurrence in m (see _laguerre_rows), O(dim^2)
+    in all, and a real gamma >= 0 gives a real matrix.  Raises
+    NumericalError when an element is not finite: past |g| ~ 52 a column
+    spans more than the float range.
     """
     dim = int(dim)
     if dim < 1:
         raise ValueError("dim must be >= 1")
     gamma = complex(gamma)
     g_abs = abs(gamma)
-    ag2 = g_abs ** 2
-    n, k = np.indices((dim, dim))
-    lo = np.minimum(n, k)
-    span = np.abs(n - k)
-    # |g|^span in log space; at g = 0 only span = 0 survives (0^0 = 1)
-    power = (span * math.log(g_abs) if g_abs > 0.0
-             else np.where(span > 0, -np.inf, 0.0))
-    pref = np.exp(0.5 * (gammaln(lo + 1) - gammaln(lo + span + 1)) + power - ag2 / 2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        D = pref * eval_genlaguerre(lo, span, ag2)
-    D[(n < k) & (span % 2 == 1)] *= -1.0
+    if g_abs == 0.0:
+        D = np.eye(dim)
+    else:
+        rows = _laguerre_rows(g_abs, dim)
+        # read flat as dim x dim, row m of the (dim, dim + 1) buffer puts
+        # E[m, a] at [m, m + a]: the upper triangle holds E by diagonals
+        upper = rows.reshape(-1)[:dim * dim].reshape(dim, dim)
+        D = upper.T.copy()
+        rows[:, 1::2] *= -1.0
+        n = np.arange(dim)
+        np.copyto(D, upper, where=np.less.outer(n, n))
     theta = math.atan2(gamma.imag, gamma.real)
     if theta != 0.0:
-        D = D * np.exp(1j * theta * (n - k))
+        phase = np.exp(1j * theta * np.arange(dim))
+        D = D * np.outer(phase, phase.conj())
     if not np.isfinite(D).all():
         raise NumericalError(
             f"displacement matrix for |gamma|={g_abs:.4g} at dim {dim} is not "
-            "finite: the Laguerre polynomials overflow at this size")
+            "finite: its columns span more than the float range")
     D.setflags(write=False)
     return D
+
+
+# A lifted column of the recurrence starts near e^-_FLOOR, a normal float
+# (normals reach down to e^-708).
+_FLOOR = 690.0
+
+
+def _laguerre_rows(g_abs, dim):
+    """A (dim, dim + 1) array whose row m holds E[m, a] for a = 0 .. dim - 1.
+
+    Row 0, E[0, a] = |g|^a e^{-|g|^2/2} / sqrt(a!), comes from log space; row
+    m + 1 from the Laguerre recurrence
+      E[m+1] = (2m+1+a-|g|^2) / s_m E[m] - s_{m-1} / s_m E[m-1],
+    s_m = sqrt((m+1)(m+1+a)).  It runs on F[m] = E[m] / c_m with
+    c_{m+1} = c_{m-1} s_{m-1} / s_m, so that each step is one multiply and
+    one subtract over a whole row: F[m+1] = alpha_m F[m] - F[m-1].  Only
+    entries with m + a < dim are matrix elements; the rest are computed
+    along the way and may overflow.
+
+    A column whose first entry is below e^-_FLOOR (column 0 once
+    |g|^2 > 2 _FLOOR) is carried times 2^k, k chosen to lift that entry to
+    about e^-_FLOOR, and scaled back exactly at the end.  Where the bound
+    |L_m^(a)(x)| <= C(m+a, m) e^{x/2} (Abramowitz & Stegun 22.14.13) keeps
+    the whole column below e^-_FLOOR it is left as it is: negligible.  A
+    column that still grows by more than the float range overflows, and
+    displacement_matrix reports it.
+    """
+    x = g_abs * g_abs
+    a = np.arange(dim)
+    lf = _log_factorials(dim - 1)
+    log_g = math.log(g_abs)
+    log_first = a * log_g - 0.5 * lf - 0.5 * x
+    bits = None
+    if log_first.min() < -_FLOOR:
+        log_top = a * log_g - lf + 0.5 * (lf[-1] - lf[::-1])
+        lift = np.where(log_top < -_FLOOR, 0.0, -_FLOOR - log_first)
+        bits = (np.maximum(lift, 0.0) / math.log(2.0)).astype(np.int64)
+        log_first += bits * math.log(2.0)
+    rows = np.zeros((dim + 1, dim + 1))  # rows[m + 1] holds E[m]; E[-1] = 0
+    E = rows[:, :dim]
+    E[1] = np.exp(log_first)
+    m1 = np.arange(1.0, dim)[:, None]  # m + 1 for m = 0 .. dim - 2
+    s = np.sqrt(m1 * (m1 + a))
+    c = np.ones((dim, dim))
+    np.divide(s[:-1], s[1:], out=c[2:])
+    np.cumprod(c[2::2], axis=0, out=c[2::2])
+    np.cumprod(c[3::2], axis=0, out=c[3::2])
+    alpha = (2.0 * m1 - (1.0 + x)) + a
+    alpha /= s
+    del s
+    alpha *= c[:-1]
+    alpha /= c[1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha_m, prev, cur, nxt in zip(alpha, E, E[1:], E[2:]):
+            np.multiply(alpha_m, cur, out=nxt)
+            nxt -= prev
+        E[1:] *= c
+        if bits is not None:
+            np.ldexp(E[1:], -bits, out=E[1:])
+    return rows[1:]
 
 
 def displacement_margin(gamma):

@@ -152,3 +152,11 @@ def test_resonant_components_ends_when_a_period_is_below_an_ulp_of_n_star():
     scan.join(timeout=10.0)
     assert not scan.is_alive()
     assert len(found) == 1
+    # neighbouring centers round to one float there: n = 0 must not repeat
+    assert found[0] == sorted(set(found[0]))
+
+
+def test_resonant_components_lists_each_n_once_below_a_photon_period():
+    # a period of 0.79 photons puts two centers within 1/2 of n = 2 and n = 5
+    params = cavity.CavityParams(tau=0.1, psi=0.0, chi_t=8.0)
+    assert cavity.resonant_components(params, 6) == list(range(7))

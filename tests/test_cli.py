@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 import warnings
@@ -104,6 +106,14 @@ def test_seed_flag_changes_counts(tmp_path):
     _, b = run(tmp_path / "b", "measure-pn", "--preset", "fig3-coherent",
                "--seed", "1")
     assert (a / "histogram.csv").read_bytes() != (b / "histogram.csv").read_bytes()
+
+
+@pytest.mark.parametrize("experiment,preset,resonances", [
+    ("profile", "fig2", "4"), ("superposition", "two-resonance", "1|5|9|13")])
+def test_preset_resonant_sets(tmp_path, experiment, preset, resonances):
+    run(tmp_path, experiment, "--preset", preset, "--format", "structured")
+    doc = json.loads((tmp_path / "out" / "results.json").read_text())
+    assert doc["summary"]["resonances"] == resonances
 
 
 def test_structured_format_writes_single_document(tmp_path):
@@ -209,6 +219,7 @@ def test_large_displacement_runs_and_flags_rank_deficiency(tmp_path, capsys):
     ("profile", "--preset", "nope"),
     ("profile",),                                   # no configuration at all
     ("synthesize", "--preset", "fig2", "--seed", "3"),  # unseeded experiment
+    ("tomography", "--preset", "tomo-coherent", "--seed", "-1"),
 ])
 def test_invalid_usage_exits_2(tmp_path, argv):
     code, _ = run(tmp_path, *argv)
@@ -256,6 +267,26 @@ def test_console_entry_point():
     assert proc.returncode == 0
     for name in ("profile", "synthesize", "superposition", "measure-pn", "tomography"):
         assert name in proc.stdout
+
+
+NO_SCIPY = """
+import sys
+from fockfilter import cli
+assert cli.main(["tomography", "--preset", "tomo-coherent", "--out", "tomo"]) == 0
+assert cli.main(["measure-pn", "--preset", "fig3-coherent", "--out", "pn"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_never_import_scipy(tmp_path):
+    # scipy is a test-only dependency: a run must not load it
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_manifest_with_control_character_is_valid_json_and_replays(tmp_path):
@@ -423,6 +454,9 @@ REJECTIONS = [
     ("tomography", "backend", "fast", "backend"),
     ("tomography", "measurements", 3, "measurements"),
     ("tomography", "cavity.psi", 0.0, "cavity.psi"),
+    ("tomography", "seed", -1, "seed"),          # exact tomography never builds a cascade
+    ("tomography", "seed", 2 ** 64, "seed"),
+    ("measure-pn", "seed", -1, "seed"),
 ]
 
 

@@ -1,17 +1,22 @@
 """State construction, cutoff selection, displacement and metric tests.
 
 Derived quantities are checked against independent oracles: matrix
-exponentials of ladder operators for displacement and squeezing, and
-scipy.stats tail masses for the cutoff rule.
+exponentials of ladder operators for displacement and squeezing, scipy's
+gammaln for log-factorials and scipy.stats tail masses for the cutoff rule.
 """
 
+import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
+from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockfilter import fock
@@ -103,6 +108,12 @@ def test_spec_validation():
         fock.StateSpec(kind="cat")
 
 
+def test_log_factorials_match_gammaln():
+    # 5000 reaches past the precomputed table
+    n = np.arange(5001)
+    assert_allclose(fock._log_factorials(5000), gammaln(n + 1), rtol=2e-15, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # cutoff choice
 
@@ -160,6 +171,84 @@ def test_make_state_is_read_only():
 
 # ---------------------------------------------------------------------------
 # displacement
+
+
+def expm_block(gamma, dim):
+    """The top-left dim x dim block of expm(g a+ - g* a) on an enlarged space.
+
+    The space reaches past the classical support (|g| + sqrt(dim))^2 of
+    the displaced |dim - 1>, so its truncation does not reach the block.
+    """
+    r = abs(gamma) + math.sqrt(dim)
+    a, ad = ladder(math.ceil(r * r + 4 * r) + 30)
+    return expm(gamma * ad - np.conj(gamma) * a)[:dim, :dim]
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(0.0, 12.0), theta=st.floats(-math.pi, math.pi),
+       dim=st.integers(1, 24))
+def test_displacement_matrix_matches_expm(r, theta, dim):
+    gamma = r * cmath.exp(1j * theta)
+    ours = fock.displacement_matrix(gamma, dim)
+    assert np.max(np.abs(ours - expm_block(gamma, dim))) <= 1e-13
+
+
+def test_displacement_matrix_matches_expm_at_gamma_12_dim_300():
+    ours = fock.displacement_matrix(12.0, 300)
+    assert ours.dtype == np.float64
+    assert np.max(np.abs(ours - expm_block(12.0, 300))) <= 5e-14
+
+
+@pytest.mark.parametrize("g", [23.0, 30.0, 37.0, 40.0])
+def test_displacement_columns_stay_unit_norm_at_large_gamma(g):
+    # dim holds the displaced |0>, |1>, |2>; from |gamma| = 37.2 their first
+    # elements are below e^-690 and are carried scaled
+    dim = math.ceil((g + 2) ** 2 + 6 * (g + 2))
+    d = fock.displacement_matrix(g, dim)
+    assert np.isfinite(d).all()
+    assert_allclose(np.linalg.norm(d[:, :3], axis=0), 1.0, rtol=0, atol=1e-12)
+
+
+def displaced_number_states(g, dim, k_max):
+    """Columns <n|D(g)|k>, n < dim, k <= k_max, of a real g with integer g^2.
+
+    From the closed form sqrt(lo!/(lo+span)!) g^span e^{-g^2/2}
+    L_lo^(span)(g^2), lo = min(n, k), span = |n - k|, with the sign
+    (-1)^span on n < k.  The Laguerre polynomial is summed in exact integer
+    arithmetic and the rest in log space; elements below the float range
+    come out as zero.
+    """
+    x = round(g * g)
+    out = np.zeros((dim, k_max + 1))
+    for k in range(k_max + 1):
+        for n in range(dim):
+            lo, span = min(n, k), abs(n - k)
+            lag = sum(Fraction((-1) ** i * math.comb(lo + span, lo - i) * x ** i,
+                               math.factorial(i)) for i in range(lo + 1))
+            if n < k and span % 2:
+                lag = -lag
+            if lag:
+                log_mag = (0.5 * (gammaln(lo + 1) - gammaln(lo + span + 1))
+                           + span * math.log(g) - 0.5 * x + math.log(abs(lag)))
+                out[n, k] = math.copysign(math.exp(log_mag), lag)
+    return out
+
+
+@pytest.mark.parametrize("g", [40.0, 50.0])
+def test_displacement_past_the_underflow_matches_the_closed_form(g):
+    # e^{-|g|^2/2} < 1e-300, so every column starts below the float range
+    # and grows: none may come out as zeros where its elements are representable
+    dim = 1500
+    ref = displaced_number_states(g, dim, 5)
+    ours = fock.displacement_matrix(g, dim)[:, :6]
+    assert np.count_nonzero(ref) > 0.5 * ref.size
+    assert np.all(np.abs(ours - ref) <= 1e-10 * np.abs(ref) + 1e-13 * np.abs(ref).max())
+
+
+def test_displacement_beyond_the_float_range_raises():
+    # |gamma| = 60: e^{-1800} to O(1) in one column does not fit a float
+    with pytest.raises(fock.NumericalError):
+        fock.displacement_matrix(60.0, 1000)
 
 
 def test_displacement_matrix_against_expm_oracle():
