@@ -86,6 +86,11 @@ def transmission_profile(params, n_max):
     return 1.0 / (1.0 + 4.0 * (1.0 - params.tau) / params.tau ** 2 * s2)
 
 
+# an ulp of n* from which the centers n* + 2 pi j / chi_t, each a few ulps
+# off, no longer resolve the half photon around each n (n* >= 2^48)
+CENTER_ULP_LIMIT = 2.0 ** -4
+
+
 def resonant_components(params, n_max):
     """Integers n in [0, n_max] within 1/2 of a resonance n* + 2 pi j / chi_t,
     each once, in ascending order.
@@ -93,15 +98,21 @@ def resonant_components(params, n_max):
     A period 2 pi / chi_t below one photon puts a resonance within 1/2 of
     every n.  Otherwise the scan runs from the smallest j whose center is
     >= -1/2, which is negative when n* lies a period or more above 0, to the
-    last j whose center is <= n_max + 1/2, both found before the scan, so it
-    ends even when a period is below one ulp of n*.  A detuned cavity
-    (non-integer n*) may yield an empty list.
+    last j whose center is <= n_max + 1/2, both found before the scan.  When
+    an ulp of n* is CENTER_ULP_LIMIT or more, the centers cannot be placed
+    to a photon, and the n are those the transmission profile shows: the n
+    whose transmission exceeds that of a photon half a photon off a center.
+    A detuned cavity (non-integer n*) may yield an empty list.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     period = 2.0 * math.pi / params.chi_t
     if period < 1.0:
         return list(range(n_max + 1))
+    if math.ulp(params.n_star) >= CENTER_ULP_LIMIT:
+        tau = params.tau
+        half = 1.0 / (1.0 + 4.0 * (1.0 - tau) / tau ** 2 * math.sin(params.chi_t / 4.0) ** 2)
+        return np.flatnonzero(transmission_profile(params, n_max) > half).tolist()
     first = math.ceil((-0.5 - params.n_star) / period)
     last = math.floor((n_max + 0.5 - params.n_star) / period)
     found = []

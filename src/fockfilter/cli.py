@@ -12,6 +12,7 @@ own output directory.  Exit codes: 0 success, 2 invalid configuration,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -258,15 +259,17 @@ def resolve_config(experiment, preset=None, config_path=None, seed=None,
 # experiment runners: canonical params -> result dict {summary, tables}
 
 
-def _indexed_rows(*columns):
-    """(n, a[n], b[n], ...) rows of Python floats, n = 0 .. len(first column) - 1."""
-    floats = [np.asarray(c, dtype=float).tolist() for c in columns]
-    return list(zip(range(len(floats[0])), *floats))
+def _indexed_rows(*columns, index=None):
+    """(n, a[n], b[n], ...) rows as float columns, n = 0 .. len(first column) - 1
+    unless `index` gives it."""
+    n = np.arange(len(columns[0])) if index is None else index
+    return tables.Columns(n, *(np.asarray(c, dtype=float) for c in columns))
 
 
-def _distribution_table(values, ci, theory):
+def _distribution_table(values, ci, theory, index=None):
     ci = np.zeros(len(values)) if ci is None else ci
-    return {"header": ["n", "p", "ci", "theory"], "rows": _indexed_rows(values, ci, theory)}
+    return {"header": ["n", "p", "ci", "theory"],
+            "rows": _indexed_rows(values, ci, theory, index=index)}
 
 
 def _state_table(rho):
@@ -362,11 +365,13 @@ def _run_measure_pn(params):
         samples=params["samples"], rng_seed=params["seed"],
         update_rule=params["update_rule"])
     est = estimate_photon_distribution(spec, params["n_top"], cfg)
-    histogram = _distribution_table(est.values, est.ci, est.expected)
     # the no-click bucket keeps the histogram normalized; reported as n = -1
     off_ci = max(math.sqrt(est.all_off * (1.0 - est.all_off) / est.samples),
                  1.0 / est.samples)
-    histogram["rows"].append((-1, est.all_off, off_ci, est.all_off_expected))
+    histogram = _distribution_table(
+        np.append(est.values, est.all_off), np.append(est.ci, off_ci),
+        np.append(est.expected, est.all_off_expected),
+        index=np.append(np.arange(len(est.values)), -1))
     return {
         "summary": {
             "samples": est.samples,
@@ -454,9 +459,9 @@ def _run_tomography(params):
     else:
         P = measure_distributions(truth, plan)
     rec = reconstruct(plan, P)
-    measured_rows = list(zip(np.repeat(plan.phases, plan.n_rows).tolist(),
-                             list(range(plan.n_rows)) * len(plan.phases),
-                             np.asarray(P, dtype=float).ravel().tolist()))
+    measured_rows = tables.Columns(np.repeat(plan.phases, plan.n_rows),
+                                   np.tile(np.arange(plan.n_rows), len(plan.phases)),
+                                   np.asarray(P, dtype=float).ravel())
     return {
         "summary": {
             "gamma_abs": params["gamma_abs"],
@@ -543,8 +548,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = resolve_config(args.experiment, preset=args.preset,
                              config_path=args.config, seed=args.seed,

@@ -7,19 +7,73 @@ stdlib encoder cannot be told how to print floats.
 
 Tables are formatted a whole table at a time.  The exact types of each
 column's cells give it one %-conversion (%d for int, %.17g for float, %s for
-str; numpy integer and float scalars print as their .item() would), and the
-joined conversions form one row template that `%` applies to every row in C.
-CSV joins the conversions with "," and the JSON row arrays with ", ", so both
+str; numpy integer and float scalars print as their .item() would).  CSV
+joins the cells of a row with "," and the JSON row arrays with ", ", so both
 formats print each cell exactly as `fmt_cell` prints it on its own, and the
 bytes are the same as those of a cell-by-cell writer.
+
+A table of fewer than ARRAY_ROWS rows goes through one row template, the
+joined conversions, which `%` applies to every row in C.  A larger table is
+printed from whole numpy columns by `_arraytext`, because one %.17g costs
+~1 µs (CPython's dtoa leaves its fast path above 14 digits):
+
+- A float64 cell gets its 17 digits from |x|·10^(16−e), e = floor(log10|x|),
+  formed as a double-double within ~1e-14 of exact.  %.17g itself prints
+  every cell whose scaled value lies within 1e-9 of a rounding midpoint
+  (1e5 times that error bound), every non-finite cell and every |x| outside
+  [1e-270, 1e270] other than ±0 (subnormals included).
+- An int column whose values fit int64 is printed from the same table of
+  4-digit chunks.
+- Any other column (str, ints beyond int64, numpy float32, int subclasses) is
+  printed cell by cell with its conversion.  A printed cell that holds a NUL,
+  the byte that pads the array path's fixed-width slots, sends the table back
+  to the row template.
+
+The output bytes are those of the row template; the tests compare the array
+path with %.17g and %d cell by cell.  `Columns` holds a table's rows as
+numpy columns, so the experiment runners hand whole arrays to the writers
+instead of row tuples.
 """
 
 import os
+from collections.abc import Sequence
 from json.encoder import encode_basestring
 
 import numpy as np
 
 FLOAT = "%.17g"  # shortest fixed precision that round-trips any double exactly
+# Tables with at least this many rows are printed a column at a time.  The
+# array path costs ~0.5 ms per block of rows whatever its size, so below
+# ~200-300 rows (2-4 columns, 1-3 of them float; measured on a 2-vCPU VM)
+# the row template is faster.
+ARRAY_ROWS = 300
+
+
+class Columns(Sequence):
+    """A table's rows held as equal-length int64 and float64 numpy columns.
+
+    Row i is the tuple of the columns' i-th values as Python ints and floats,
+    so the writers print a Columns exactly as they print the list of its rows.
+    """
+
+    def __init__(self, *columns):
+        arrays = [np.asarray(c) for c in columns]
+        if not arrays or len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 1:
+            raise ValueError("Columns needs one or more 1-D columns of one length")
+        kinds = {a.dtype.kind for a in arrays}
+        if not kinds <= {"i", "u", "f"}:
+            raise TypeError(f"Columns holds int and float columns, got dtype kinds {kinds}")
+        self.columns = [a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=False)
+                        for a in arrays]
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        return tuple(c[i].item() for c in self.columns)
+
+    def __iter__(self):
+        return zip(*(c.tolist() for c in self.columns))
 
 
 def _conversion(kind):
@@ -40,17 +94,20 @@ def fmt_cell(value):
     return _conversion(type(value)) % (value,)
 
 
-def _row_template(rows, sep, numbers_only=False):
-    """One %-template, cells joined by `sep`, that prints every row of `rows`.
+def _table(rows, numbers_only=False):
+    """[(conversion, column)] of `rows`: each column's cells and the one
+    %-conversion that prints them, from the exact types of the cells.
 
-    Each column's conversion comes from the exact types of its cells.  None
-    when the rows differ in length, when a column would need two conversions
-    (an int cell in a float column), or, with `numbers_only`, when a cell is
-    not a Python int or float.  A bool or unknown cell raises TypeError.
+    None when the rows differ in length, when a column would need two
+    conversions (an int cell in a float column), or, with `numbers_only`, when
+    a cell is not a Python int or float.  A bool or unknown cell raises
+    TypeError.
     """
+    if isinstance(rows, Columns):
+        return [("%d" if c.dtype.kind == "i" else FLOAT, c) for c in rows.columns]
     if len(set(map(len, rows))) > 1:
         return None
-    conversions = []
+    table = []
     for column in zip(*rows):
         kinds = set(map(type, column))
         if numbers_only and not all(issubclass(k, (int, float)) and not issubclass(k, bool)
@@ -59,37 +116,44 @@ def _row_template(rows, sep, numbers_only=False):
         found = set(map(_conversion, kinds))
         if len(found) > 1:
             return None
-        conversions += found
-    return sep.join(conversions)
+        table.append((found.pop(), column))
+    return table
 
 
 def table_text(header, rows):
     """Comma-separated table with newline-terminated rows.
 
     Rows must have equal lengths, and the cells of a column one kind: int,
-    float or str.
+    float or str.  `rows` is a sequence of rows or a `Columns`.
     """
-    template = _row_template(rows, ",")
-    if template is None:
+    table = _table(rows)
+    if table is None:
         raise TypeError("table rows differ in length or mix cell kinds within a column")
-    return "\n".join([",".join(header), *map(template.__mod__, map(tuple, rows))]) + "\n"
+    head = ",".join(header) + "\n"
+    if len(rows) >= ARRAY_ROWS and table:
+        text = _array_text(table, "", ",", "\n")
+        if text is not None:
+            return head + text
+    template = ",".join(conversion for conversion, _ in table)
+    return head + "".join(map(f"{template}\n".__mod__, map(tuple, rows)))
 
 
 def density_matrix_rows(rho):
-    """Row-major (n, m, re, im) quadruples of a density matrix."""
+    """Row-major (n, m, re, im) rows of a density matrix, as `Columns`."""
     rho = np.asarray(rho, dtype=complex)
     dim_n, dim_m = rho.shape
     flat = rho.ravel()
-    return list(zip(np.arange(dim_n).repeat(dim_m).tolist(), list(range(dim_m)) * dim_n,
-                    flat.real.tolist(), flat.imag.tolist()))
+    return Columns(np.arange(dim_n).repeat(dim_m), np.tile(np.arange(dim_m), dim_n),
+                   flat.real, flat.imag)
 
 
 def json_text(obj, indent=0):
     """Deterministic JSON: dict insertion order kept, floats via %.17g.
 
     A list of numbers is written on one line; a list of such lists (a
-    table's rows) one row per line, through one row template.  A non-finite
-    float is written as the string "inf", "-inf" or "nan".
+    table's rows, or a `Columns`) one row per line, through one row template
+    or, from ARRAY_ROWS rows, the array path.  A non-finite float is written
+    as the string "inf", "-inf" or "nan".
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -99,26 +163,40 @@ def json_text(obj, indent=0):
         items = ",\n".join(
             f'{inner}{_json_str(k)}: {json_text(v, indent + 1)}' for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, Columns)):
         if not obj:
             return "[]"
-        # %d and %.17g print the letter n only in "inf" and "nan", so one search
-        # of the formatted text finds the rows that need quoted cells
-        template = _row_template([obj], ", ", numbers_only=True)
-        if template is not None:
-            text = template % tuple(obj)
-            if "n" in text:
-                text = ", ".join(map(_json_scalar, obj))
-            return "[" + text + "]"
-        if set(map(type, obj)) <= {list, tuple}:
-            template = _row_template(obj, ", ", numbers_only=True)
-            if template is not None:
-                text = ",\n".join(map(f"{inner}[{template}]".__mod__, map(tuple, obj)))
-                if "n" not in text:
-                    return "[\n" + text + "\n" + pad + "]"
+        if not isinstance(obj, Columns):
+            table = _table([obj], numbers_only=True)
+            if table is not None:
+                text = ", ".join(conversion for conversion, _ in table) % tuple(obj)
+                # %d and %.17g print the letter n only in "inf" and "nan"
+                if "n" in text:
+                    text = ", ".join(map(_json_scalar, obj))
+                return "[" + text + "]"
+        if isinstance(obj, Columns) or set(map(type, obj)) <= {list, tuple}:
+            text = _json_rows(obj, inner)
+            if text is not None:
+                return "[\n" + text + "\n" + pad + "]"
         items = ",\n".join(f"{inner}{json_text(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     return _json_scalar(obj)
+
+
+def _json_rows(rows, inner):
+    """The rows of a table as JSON arrays, one per line; None when a row
+    needs the cell-by-cell writer (a cell that is not a number or, below
+    ARRAY_ROWS, a non-finite float)."""
+    table = _table(rows, numbers_only=True)
+    if table is None:
+        return None
+    if len(rows) >= ARRAY_ROWS and table:
+        text = _array_text(table, inner + "[", ", ", "],\n", json=True)
+        if text is not None:
+            return text[:-2]
+    template = ", ".join(conversion for conversion, _ in table)
+    text = ",\n".join(map(f"{inner}[{template}]".__mod__, map(tuple, rows)))
+    return None if "n" in text else text
 
 
 def _json_scalar(v):
@@ -144,6 +222,15 @@ def _json_str(s):
     """A JSON string literal escaped as json.dumps(s, ensure_ascii=False) escapes
     it: backslash, quote and every control character below U+0020."""
     return encode_basestring(s)
+
+
+def _array_text(table, head, sep, tail, json=False):
+    """Each row of `table` as head, its cells joined by sep, and tail, all
+    rows concatenated, by the array path; None when it cannot print them."""
+    # imported on first use: without cached bytecode, compiling the array
+    # path costs ~7 ms at every start, and small tables never need it
+    from ._arraytext import array_text
+    return array_text(table, head, sep, tail, json)
 
 
 def write_text(path, text):

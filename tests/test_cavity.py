@@ -160,3 +160,39 @@ def test_resonant_components_lists_each_n_once_below_a_photon_period():
     # a period of 0.79 photons puts two centers within 1/2 of n = 2 and n = 5
     params = cavity.CavityParams(tau=0.1, psi=0.0, chi_t=8.0)
     assert cavity.resonant_components(params, 6) == list(range(7))
+
+
+def _shown_by_profile(params, n_max):
+    """The n whose transmission exceeds that half a photon off a center."""
+    tau = params.tau
+    half = 1.0 / (1.0 + 4.0 * (1.0 - tau) / tau ** 2 * math.sin(params.chi_t / 4.0) ** 2)
+    return np.flatnonzero(cavity.transmission_profile(params, n_max) > half).tolist()
+
+
+def test_unresolvable_centers_give_what_the_profile_shows():
+    # n* = 1e40: an ulp of n* is 1e24 photons, so no center n* + j * period can
+    # be placed to a photon; every n sees the phase psi, where the peak
+    # transmission is 2.5e-5, so nothing is resonant
+    params = cavity.CavityParams(tau=1e-2, psi=1e30, chi_t=1e-10)
+    assert cavity.transmission_profile(params, 30).max() < 3e-5
+    assert cavity.resonant_components(params, 30) == []
+
+
+@pytest.mark.parametrize("psi, expected", [
+    (1e30, []),                               # transmission 2.8e-3 at every n
+    (1.000000000000007e30, list(range(13))),  # transmission 0.55 at every n
+])
+def test_unresolvable_centers_follow_the_phase_of_psi(psi, expected):
+    params = cavity.CavityParams(tau=0.1, psi=psi, chi_t=2.0)
+    assert math.ulp(params.n_star) >= cavity.CENTER_ULP_LIMIT
+    assert cavity.resonant_components(params, 12) == expected == _shown_by_profile(params, 12)
+
+
+def test_center_scan_agrees_with_the_profile_where_centers_resolve():
+    g = np.random.default_rng(7)
+    for _ in range(2000):
+        chi_t = float(g.uniform(0.01, 6.0))
+        n_star = float(g.integers(0, 40)) + float(g.uniform(-0.3, 0.3))
+        params = cavity.CavityParams(tau=float(g.uniform(1e-4, 0.5)), psi=chi_t * n_star,
+                                     chi_t=chi_t)
+        assert cavity.resonant_components(params, 40) == _shown_by_profile(params, 40)

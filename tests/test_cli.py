@@ -261,6 +261,24 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
 
 
+def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        assert cli.main(["profile", "--preset", "fig2", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["profile", "--preset", "fig2", "--out", str(tmp_path / "b"),
+                         "--format", "structured"]) == 0
+        with pytest.raises(SystemExit):
+            cli.main(["profile", "--format", "xml"])
+        assert cli.main(["profile", "--preset", "fig2", "--out", str(tmp_path / "c")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert read_all(tmp_path / "a") == read_all(tmp_path / "c")
+
+
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "fockfilter.cli", "--help"],
                           capture_output=True, text=True)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockfilter import tables
+from fockfilter import _arraytext, tables
 
 
 def reference_cell(value):
@@ -168,7 +168,7 @@ def test_empty_table():
 def test_density_matrix_rows_equal_the_double_loop(make):
     rho = make(np.random.default_rng(3))
     rows = tables.density_matrix_rows(rho)
-    assert repr(rows) == repr(reference_density_matrix_rows(rho))
+    assert repr(list(rows)) == repr(reference_density_matrix_rows(rho))
     header = ["n", "m", "re", "im"]
     assert tables.table_text(header, rows) == reference_table_text(header, rows)
 
@@ -190,3 +190,162 @@ def test_read_csv_names_the_line_of_a_ragged_row(tmp_path):
         tables.read_csv(path)
     path.write_text("a,b\n\n1,2\n")
     assert tables.read_csv(path) == (["a", "b"], [["1", "2"]])
+
+
+# ---------------------------------------------------------------------------
+# the array path: tables of ARRAY_ROWS rows or more are printed from numpy
+# columns, and every cell must still be what %.17g or %d prints
+
+def array_printed(values):
+    """Each value of a float64 or int64 array as the array path prints it."""
+    values = np.asarray(values)
+    rows = np.resize(values, max(len(values), tables.ARRAY_ROWS))
+    text = tables.table_text(["x"], tables.Columns(rows))
+    return text.split("\n")[1:len(values) + 1]
+
+
+def reference_printed(values, conversion="%.17g"):
+    return [conversion % v for v in np.asarray(values).tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=60))
+def test_array_path_prints_every_float_as_percent_17g(values):
+    assert array_printed(np.array(values)) == reference_printed(values)
+
+
+def test_array_path_on_random_bit_patterns():
+    bits = np.random.default_rng(2024).integers(0, 2 ** 64, size=120_000, dtype=np.uint64)
+    values = bits.view(np.float64)
+    assert array_printed(values) == reference_printed(values)
+
+
+def test_array_path_next_to_powers_of_ten():
+    # log10 is one off next to a power of ten, and 17 nines round up to 10^k
+    p = 10.0 ** np.arange(-307, 309)
+    values = np.concatenate([p, -p] + [np.nextafter(p, q) for q in (0.0, np.inf)]
+                            + [p * (1 - k * 2.0 ** -53) for k in range(2, 6)]
+                            + [p * (1 + k * 2.0 ** -52) for k in range(2, 6)])
+    assert array_printed(values) == reference_printed(values)
+
+
+def test_array_path_rounds_seventeen_nines_up_to_a_power_of_ten():
+    # float(10^k) lies below 10^k for these k, and its 17 digits are nines
+    # that round up: %.17g prints "1e+k"
+    below = [float(10 ** k) for k in range(23, 300) if int(float(10 ** k)) < 10 ** k]
+    rounded_up = [v for v in below if "%.17g" % v == "1e+%d" % round(math.log10(v))]
+    assert len(rounded_up) >= 3
+    values = np.array(rounded_up + [-v for v in rounded_up])
+    assert array_printed(values) == reference_printed(values)
+
+
+def test_array_path_on_exact_decimal_ties():
+    # (k + 1/2) 2^j with 53-bit k, and odd multiples of 2^-j, have 18
+    # significant digits ending in 5 when they fall in the right binade:
+    # %.17g rounds those halves to even, and the array path leaves them to it
+    g = np.random.default_rng(5)
+    k = g.integers(2 ** 50, 2 ** 52, size=20_000).astype(np.float64)
+    j = g.integers(-12, 4, size=20_000)
+    odd = np.arange(1, 2000, 2, dtype=np.float64)
+    values = np.concatenate([(k + 0.5) * 2.0 ** j] + [odd * 2.0 ** -j for j in range(20, 80)])
+    digits = np.array([len(("%.25e" % v).split("e")[0].rstrip("0")) - 1 for v in values])
+    ties = values[(digits == 18) & np.array([("%.25e" % v)[18] == "5" for v in values])]
+    assert len(ties) > 3000
+    assert _arraytext._decimal(ties)[2].all()
+    values = np.concatenate([values, -values, [0.5, 2.5, 1e16 + 2, 1e17 - 16, 2.0 ** 56]])
+    assert array_printed(values) == reference_printed(values)
+
+
+def test_array_path_on_edge_floats():
+    values = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-270, 1e270,
+                       9.99e-271, 1.01e270, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+                       1e16, 1e17, 99999999999999999.0, 0.0001, 0.00009999999999999999,
+                       123456789.0, 1e-5, 0.1, 1.0, 10.0, 100.0, 2.0 ** 53])
+    assert array_printed(values) == reference_printed(values)
+
+
+def test_array_path_prints_int64_as_percent_d():
+    g = np.random.default_rng(8)
+    values = np.concatenate([g.integers(-2 ** 63, 2 ** 63 - 1, size=5000, endpoint=True),
+                             10 ** np.arange(19), -10 ** np.arange(19), 10 ** np.arange(19) - 1,
+                             [0, -1, 2 ** 63 - 1, -2 ** 63]]).astype(np.int64)
+    assert array_printed(values) == reference_printed(values, "%d")
+    small = np.arange(-3, 1000)
+    assert array_printed(small) == reference_printed(small, "%d")
+
+
+LARGE_CELLS = {
+    "int": st.one_of(st.sampled_from(EDGE_INTS), st.integers(-2 ** 63, 2 ** 63 - 1),
+                     st.integers(-2 ** 70, 2 ** 70)),
+    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "np.float64": st.floats().map(np.float64),
+    "np.float32": st.floats(width=32).map(np.float32),
+    "str": st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8),
+}
+
+
+@st.composite
+def large_tables(draw):
+    """Tables just above ARRAY_ROWS: drawn rows, repeated."""
+    kinds = draw(st.lists(st.sampled_from(sorted(LARGE_CELLS)), min_size=1, max_size=5))
+    rows = draw(st.lists(st.tuples(*(LARGE_CELLS[k] for k in kinds)), min_size=1,
+                         max_size=8))
+    size = tables.ARRAY_ROWS + draw(st.integers(0, 3))
+    return [f"c{k}" for k in range(len(kinds))], (rows * size)[:size]
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=large_tables())
+def test_large_tables_equal_the_cell_by_cell_writer(table):
+    header, rows = table
+    assert tables.table_text(header, rows) == reference_table_text(header, rows)
+    doc = {"tables": {"t": {"header": header, "rows": rows}}}
+    assert tables.json_text(doc) == reference_json_text(doc)
+
+
+@pytest.mark.parametrize("make", [
+    lambda n: [(1, True)] * n,
+    lambda n: [(1, np.bool_(False))] * n,
+    lambda n: [(1, 2.5 + 1j)] * n,
+    lambda n: [(1, None)] * n,
+    lambda n: [(1, 2.5)] * (n - 1) + [(2, 3)],  # an int cell in a float column
+    lambda n: [(1, 2.5)] * (n - 1) + [(2,)],    # rows of different lengths
+])
+@pytest.mark.parametrize("n", [2, tables.ARRAY_ROWS - 1, tables.ARRAY_ROWS,
+                               tables.ARRAY_ROWS + 1])
+def test_cells_the_writers_cannot_print_raise_on_both_sides_of_the_threshold(make, n):
+    rows = make(n)
+    with pytest.raises(TypeError):
+        tables.table_text(["a", "b"], rows)
+    # JSON writes such rows cell by cell, and raises where the reference does
+    doc = {"rows": rows}
+    try:
+        expected = reference_json_text(doc)
+    except TypeError:
+        with pytest.raises(TypeError):
+            tables.json_text(doc)
+    else:
+        assert tables.json_text(doc) == expected
+
+
+def test_large_tables_of_columns_and_of_rows_print_alike():
+    g = np.random.default_rng(4)
+    n = 3 * tables.ARRAY_ROWS + 7
+    re = g.normal(size=n) * 10.0 ** g.integers(-30, 30, size=n)
+    re[::13] = -0.0
+    re[::17] = np.inf
+    re[::19] = np.nan
+    columns = tables.Columns(np.arange(n) - 5, re, g.random(n))
+    rows = list(columns)
+    assert len(columns) == n and columns[3] == rows[3]
+    assert isinstance(rows[0][0], int) and isinstance(rows[0][1], float)
+    header = ["n", "re", "p"]
+    assert tables.table_text(header, columns) == reference_table_text(header, rows)
+    doc = {"t": {"header": header, "rows": columns}}
+    assert tables.json_text(doc) == reference_json_text({"t": {"header": header, "rows": rows}})
+
+
+def test_a_str_cell_holding_nul_takes_the_row_template():
+    rows = [("a\x00b", 1.5)] * (tables.ARRAY_ROWS + 1)
+    assert tables.table_text(["s", "x"], rows) == reference_table_text(["s", "x"], rows)
