@@ -17,6 +17,7 @@ from .cascade import (
     derive_seeds,
     estimate_photon_distribution,
     first_on_distribution,
+    response_matrix,
     run_cascade_trial,
     tuned_cascade,
     uniforms,
@@ -35,7 +36,6 @@ from .filtering import (
     SuperpositionReport,
     filter_pass,
     filter_pass_asymptotic,
-    filter_pass_diagonal,
     superposition_synthesis_check,
 )
 from .fock import (
@@ -73,11 +73,11 @@ __all__ = [
     "__version__",
     "CascadeConfig", "CascadeStage", "DistributionEstimate", "MeasurementRecord",
     "derive_seeds", "estimate_photon_distribution", "first_on_distribution",
-    "run_cascade_trial", "tuned_cascade", "uniforms",
+    "response_matrix", "run_cascade_trial", "tuned_cascade", "uniforms",
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",
-    "filter_pass_asymptotic", "filter_pass_diagonal", "superposition_synthesis_check",
+    "filter_pass_asymptotic", "superposition_synthesis_check",
     "CutoffError", "NumericalError", "PhotonDistribution", "StateSpec",
     "analytic_distribution", "choose_cutoff", "displace", "displacement_margin",
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",

@@ -10,32 +10,31 @@ easy as 1, 2, 3", SC'11): the uniform that decides stage k of trial i is a
 pure function u(seed, i, k), so no generator state is carried between
 trials and any subset or order of trials gives the same records.
 
-In terminate-on-first-ON mode every trial walks the same deterministic
-all-OFF chain until its first click, so the per-stage click probabilities
-q_k are computed once and trials are sampled in chunks: trial i clicks first
-at the smallest k with u(seed, i, k) < q_k.  Chunks only bound memory.  This
-is not an approximation: the records match a stage-by-stage state walk bit
-for bit (see tests).
-
-Each filter is a photon-number nondemolition measurement: an outcome scales
-element (n, m) of the state by its own factor, and its probability sums the
-diagonal alone.  So the q_k depend only on diag(rho), and the all-OFF chain
-carries the diagonal vector through the stages, O(N) per stage, under both
-update rules.  The trial walk keeps full density matrices and serves as the
-independent reference.
+Each filter is a photon-number nondemolition measurement, so under either
+update rule a cascade is one state-independent response matrix R[k, n] =
+P(first click at stage k | n photons), with the survival S[k, n] = P(no
+click before stage k | n photons) (`response_matrix`).  For an input
+diagonal d, the first-ON distribution is R @ d and the all-OFF residual
+S[K] @ d.  In terminate-on-first-ON mode trial i clicks first at the
+smallest k with u(seed, i, k) < q_k = (R @ d)_k / (S[k] @ d); trials are
+sampled in chunks, which only bound memory.  The trial walk keeps full
+density matrices and serves as the independent reference; its records
+match the sampler's unless a uniform falls within the few ulps by which the
+two q_k differ (see tests).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams
-from .filtering import ProbeDetector, filter_pass, filter_pass_diagonal, MIN_OUTCOME_PROB
+from .cavity import CavityParams, cavity_amplitudes
+from .filtering import ProbeDetector, filter_pass, MIN_OUTCOME_PROB, _folded_exponents
 from . import fock
 
 UPDATE_RULES = ("exact", "good_cavity")
 
-# Completeness |p_on + p_off - trace| beyond this aborts the trial.
+# Completeness |p_on + p_off - trace| beyond this aborts the trial; it also
+# bounds the input trace and e^G of the response matrix.
 TRACE_DRIFT_TOL = 1e-6
 
 # Trials sampled per block; bounds the (trials, stages) uniform array.
@@ -170,41 +169,20 @@ def _stage_update(state, stage, rule):
         return res.p_on, res.state_on, res.p_off, res.state_off
     # good-cavity projections: a click collapses onto |n_k><n_k|, silence
     # removes the n_k component and drops coherences
-    p_on, p_off, off = _good_cavity_diagonal(state.diagonal(), stage.target_n)
+    nk, d = stage.target_n, state.diagonal()
+    p_on = float(d[nk].real) if nk < d.size else 0.0
+    p_off = d.sum().real - p_on
+    on = off = None
     if p_on >= MIN_OUTCOME_PROB:
         on = np.zeros(state.shape, dtype=complex)
-        on[stage.target_n, stage.target_n] = 1.0
-    else:
-        on = None
-    return p_on, on, p_off, None if off is None else np.diag(off)
+        on[nk, nk] = 1.0
+    if p_off >= MIN_OUTCOME_PROB:
+        off = np.diag(np.where(np.arange(d.size) == nk, 0.0, d.real) / p_off).astype(complex)
+    return p_on, on, p_off, off
 
 
-def _good_cavity_diagonal(d, nk):
-    """(p_on, p_off, OFF diagonal or None) of the good-cavity rule on diagonal d."""
-    trace = d.sum().real
-    p_on = float(d[nk].real) if nk < d.size else 0.0
-    p_off = trace - p_on
-    if p_off < MIN_OUTCOME_PROB:
-        return p_on, p_off, None
-    off = d.real.copy()
-    if nk < d.size:
-        off[nk] = 0.0
-    return p_on, p_off, (off / p_off).astype(complex)
-
-
-def _diagonal_update(d, stage, rule):
-    """(p_on, p_off, OFF diagonal or None) for one stage on the diagonal d.
-
-    The same numbers as _stage_update on any state with diagonal d.
-    """
-    if rule == "exact":
-        return filter_pass_diagonal(d, stage.cavity, stage.probe)
-    return _good_cavity_diagonal(d, stage.target_n)
-
-
-def _check_completeness(p_on, p_off, k, stage):
-    """Raise NumericalError unless p_on + p_off stays at 1."""
-    drift = abs((p_on + p_off) - 1.0)
+def _check_completeness(drift, k, stage):
+    """Raise NumericalError unless drift = |p_on + p_off - 1| is within TRACE_DRIFT_TOL."""
     # written so that NaN fails: a non-finite p_on or p_off makes drift non-finite
     if not drift <= TRACE_DRIFT_TOL:
         raise fock.NumericalError(
@@ -227,7 +205,7 @@ def run_cascade_trial(rho, cfg, trial):
     first_on = None
     for k, stage in enumerate(cfg.stages):
         p_on, state_on, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
-        _check_completeness(p_on, p_off, k, stage)
+        _check_completeness(abs(p_on + p_off - 1.0), k, stage)
         clicked = u[k] < p_on
         outcomes.append(1 if clicked else 0)
         next_state = state_on if clicked else state_off
@@ -242,37 +220,64 @@ def run_cascade_trial(rho, cfg, trial):
     return MeasurementRecord(outcomes=tuple(outcomes), first_on=first_on)
 
 
-def _off_chain_probabilities(rho, cfg):
-    """Per-stage ON probability along the all-OFF path (exact chain, no sampling).
+def response_matrix(cfg, dim):
+    """First-click matrix R (K x dim) and all-OFF survival S ((K + 1) x dim).
 
-    Walks diag(rho) only (see the module docstring): the same q as a walk of
-    full states, with no N x N array along the way.
+    R[k, n] = P(first click at stage k | n photons) and S[k, n] = P(no click
+    before stage k | n photons), for the K stages of cfg; neither depends on
+    the state.  With each stage's diagonal exponents G, G_off from
+    filtering._folded_exponents, f = e^G - e^G_off, S[k] = exp(sum_{j<k} G_off,j)
+    summed in log space (a product of 1 - f cancels where a click is nearly
+    certain), and R = f S[:-1].  The good-cavity rule has G = 0 and G_off =
+    -inf at each stage's target.  Raises NumericalError when e^G leaves 1 by
+    more than TRACE_DRIFT_TOL or is not finite.
     """
-    d = np.asarray(rho, dtype=complex).diagonal()
-    q = np.empty(len(cfg.stages))
-    for k, stage in enumerate(cfg.stages):
-        p_on, p_off, d = _diagonal_update(d, stage, cfg.update_rule)
-        _check_completeness(p_on, p_off, k, stage)
-        q[k] = p_on
-        if d is None and k + 1 < len(cfg.stages):
-            raise fock.NumericalError(
-                f"all-OFF path dies at stage {k}: OFF probability < {MIN_OUTCOME_PROB:g}")
-    return q
+    n, stages = np.arange(dim), cfg.stages
+
+    def column(values):
+        return np.array(list(values))[:, None]
+
+    if cfg.update_rule == "exact":
+        kappa, sigma = cavity_amplitudes(
+            column(s.cavity.psi for s in stages) - column(s.cavity.chi_t for s in stages) * n,
+            column(s.cavity.tau for s in stages))
+        G, G_off = _folded_exponents(kappa * kappa.conj(), sigma * sigma.conj(),
+                                     column(abs(s.probe.alpha) ** 2 for s in stages),
+                                     column(s.probe.eta for s in stages))
+    else:
+        G = np.zeros((len(stages), dim))
+        G_off = np.where(n == column(s.target_n for s in stages), -np.inf, 0.0)
+    on = np.exp(G)
+    drift = np.abs(on - 1.0).max(axis=1)
+    k = int(np.argmax(~(drift <= TRACE_DRIFT_TOL)))  # the first failing stage, else 0
+    _check_completeness(drift[k], k, stages[k])
+    S = np.exp(np.cumsum(np.vstack([np.zeros(dim), G_off.real]), axis=0))
+    return (on - np.exp(G_off)).real * S[:-1], S
+
+
+def _first_on_chain(d, R, S):
+    """(q_k, first-ON probabilities R @ d, all-OFF residual S[K] @ d) of diagonal d.
+
+    Raises NumericalError unless sum(d) is 1 within TRACE_DRIFT_TOL, or when
+    the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB) before the last stage.
+    """
+    drift = abs(d.sum() - 1.0)
+    # written so that NaN fails: a non-finite d makes drift non-finite
+    if not drift <= TRACE_DRIFT_TOL:
+        raise fock.NumericalError(f"cascade input: probability completeness drifted by "
+                                  f"{drift:.3e} > {TRACE_DRIFT_TOL:g}")
+    expected, alive = R @ d.real, S @ d.real
+    dead = np.flatnonzero(alive[1:-1] < MIN_OUTCOME_PROB)
+    if dead.size:
+        raise fock.NumericalError(
+            f"all-OFF path dies at stage {dead[0]}: OFF probability < {MIN_OUTCOME_PROB:g}")
+    return expected / alive[:-1], expected, float(alive[-1])
 
 
 def first_on_distribution(rho, cfg):
-    """Analytic first-ON distribution: (probabilities per stage, all-OFF residual).
-
-    P(first_on = k) = q_k prod_{j<k} (1 - q_j) with q_k the exact per-stage
-    click probabilities chained along the all-OFF path.
-    """
-    return _first_on_from_chain(_off_chain_probabilities(rho, cfg))
-
-
-def _first_on_from_chain(q):
-    """(first-ON probabilities, all-OFF residual) from the chained q_k."""
-    survival = np.cumprod(np.concatenate(([1.0], 1.0 - q)))
-    return q * survival[:-1], float(survival[-1])
+    """Analytic first-ON distribution: (R @ d, S[K] @ d) for d = diag(rho)."""
+    d = np.asarray(rho, dtype=complex).diagonal()
+    return _first_on_chain(d, *response_matrix(cfg, d.size))[1:]
 
 
 def _count_first_on(q, seed, samples, chunk=CHUNK_TRIALS):
@@ -315,8 +320,9 @@ def estimate_photon_distribution(spec, n_top, cfg):
     """Estimate p_n for n = 0..n_top by Monte Carlo over the cascade.
 
     `spec` may be a StateSpec or a prepared density matrix.  The stages must
-    be tuned to 0..n_top in order.  The all-OFF chain is walked once; trial
-    i draws u(cfg.rng_seed, i, k), so the counts depend on nothing else.
+    be tuned to 0..n_top in order.  The click probabilities q_k come from
+    response_matrix; trial i draws u(cfg.rng_seed, i, k), so the counts
+    depend on nothing else.
     """
     targets = tuple(s.target_n for s in cfg.stages)
     if targets != tuple(range(n_top + 1)):
@@ -331,15 +337,20 @@ def estimate_photon_distribution(spec, n_top, cfg):
         rho = np.asarray(spec, dtype=complex)
         theory = fock.photon_distribution(rho).values[:n_top + 1]
 
-    q = _off_chain_probabilities(rho, cfg)
-    expected, residual = _first_on_from_chain(q)
+    d = rho.diagonal()
+    R, S = response_matrix(cfg, d.size)
+    return _estimate(d, theory, R, S, cfg.rng_seed, cfg.samples)
 
-    S = cfg.samples
-    counts = _count_first_on(q, cfg.rng_seed, S)
 
-    p_hat = counts[:n_top + 1] / S
-    ci = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / S), 1.0 / S)
+def _estimate(d, theory, R, S, seed, samples):
+    """Estimate from `samples` trials seeded by `seed` on the diagonal d, with
+    (R, S) of a cascade tuned to 0..K-1; theory is reported beside it."""
+    q, expected, residual = _first_on_chain(d, R, S)
+    counts = _count_first_on(q, seed, samples)
+    K = len(q)
+    p_hat = counts[:K] / samples
+    ci = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / samples), 1.0 / samples)
     return DistributionEstimate(
         values=p_hat, ci=ci, theory=theory, expected=expected,
-        counts=counts[:n_top + 1], all_off=counts[n_top + 1] / S,
-        all_off_expected=residual, samples=S, preparations=S)
+        counts=counts[:K], all_off=counts[K] / samples,
+        all_off_expected=residual, samples=samples, preparations=samples)

@@ -54,12 +54,17 @@ class CavityParams:
 
 
 def cavity_amplitudes(phi, tau):
-    """Reflected and transmitted amplitudes (kappa, sigma) at phase phi."""
-    if not (0.0 < tau < 1.0):
+    """Reflected and transmitted amplitudes (kappa, sigma) at phase phi.
+
+    tau may be an array that broadcasts against phi, e.g. one per row of a
+    (stages, photon numbers) phase grid.
+    """
+    tau = np.asarray(tau, dtype=float)
+    if not np.all((0.0 < tau) & (tau < 1.0)):
         raise ValueError(f"tau must lie strictly in (0, 1), got {tau}")
     rot = np.exp(1j * np.asarray(phi, dtype=float))
     den = 1.0 - (1.0 - tau) * rot
-    kappa = math.sqrt(1.0 - tau) * (rot - 1.0) / den
+    kappa = np.sqrt(1.0 - tau) * (rot - 1.0) / den
     sigma = tau / den
     return kappa, sigma
 

@@ -14,10 +14,9 @@ at |alpha| = 100.  Both conditional states are renormalized; their weighted
 sum preserves the input diagonal (photon-number nondemolition).
 
 Because each outcome scales element (n, m) by its own factor and its
-probability sums the diagonal alone, the outcome probabilities and the
-conditional diagonals depend on diag(nu) only.  `filter_pass_diagonal`
-computes exactly those, in O(N) instead of O(N^2), for callers that never
-look at the coherences (the cascade's all-OFF chain).
+probability sums the diagonal alone, the outcome probabilities depend on
+diag(nu) only, through the diagonal exponents G(n, n), G_off(n, n).  The
+cascade's response matrix (cascade.response_matrix) is built from those.
 
 The good-cavity (tau << chi_t) closed forms and the multi-resonance
 superposition regime live here as well.
@@ -66,30 +65,30 @@ class FilterResult:
     state_off: np.ndarray | None
 
 
-def _folded_exponents(kk, ss, probe):
+def _folded_exponents(kk, ss, a2, eta):
     """(G, G_off) from the products kk = k_n k_m* and ss = s_n s_m*.
 
     G     = |a|^2 (kk + ss - 1)          (unconditional)
     G_off = G - eta |a|^2 ss             (OFF outcome)
 
-    Both have real part <= 0; the ON factor is e^G - e^G_off.
+    a2 = |a|^2 and eta are numbers or arrays that broadcast against kk.
+    Both exponents have real part <= 0; the ON factor is e^G - e^G_off.
     """
-    a2 = abs(probe.alpha) ** 2
     G = a2 * (kk + ss - 1.0)
-    return G, G - probe.eta * a2 * ss
+    return G, G - eta * a2 * ss
 
 
 def _element_exponents(cav, probe, n_max):
     """Folded exponent matrices (G, G_off) for every signal pair (n, m)."""
     kappa, sigma = mode_amplitudes(cav, n_max)
     return _folded_exponents(np.outer(kappa, kappa.conj()),
-                             np.outer(sigma, sigma.conj()), probe)
+                             np.outer(sigma, sigma.conj()),
+                             abs(probe.alpha) ** 2, probe.eta)
 
 
 def _outcomes(nu, G, G_off):
     """Unnormalized (ON, OFF) elements and their probabilities (traces).
 
-    nu and the exponents are either matrices or the diagonals of matrices.
     Raises NumericalError when a probability is not finite, which only a
     non-finite input can cause (Re G, Re G_off <= 0).
     """
@@ -97,10 +96,7 @@ def _outcomes(nu, G, G_off):
     on_factor = np.exp(G) - off_factor
     on_raw = nu * on_factor
     off_raw = nu * off_factor
-    if on_raw.ndim == 2:
-        p_on, p_off = np.trace(on_raw).real, np.trace(off_raw).real
-    else:
-        p_on, p_off = on_raw.sum().real, off_raw.sum().real
+    p_on, p_off = np.trace(on_raw).real, np.trace(off_raw).real
     if not (math.isfinite(p_on) and math.isfinite(p_off)):
         raise fock.NumericalError(
             f"filter pass gave non-finite outcome probabilities "
@@ -116,22 +112,6 @@ def filter_pass(rho, cav, probe):
     return FilterResult(p_on=max(p_on, 0.0), p_off=max(p_off, 0.0),
                         state_on=_normalize(on_raw, p_on),
                         state_off=_normalize(off_raw, p_off))
-
-
-def filter_pass_diagonal(d, cav, probe):
-    """(p_on, p_off, OFF diagonal) of one filter pass, from the diagonal d alone.
-
-    Equals filter_pass(rho, ...) with d = diag(rho) bit for bit: p_on,
-    p_off and diag(state_off), which is None when the OFF outcome is
-    numerically impossible.  Costs O(N) instead of O(N^2).
-    """
-    d = np.ascontiguousarray(d, dtype=complex)
-    if d.ndim != 1:
-        raise ValueError(f"d must be a diagonal (1-D), got shape {d.shape}")
-    kappa, sigma = mode_amplitudes(cav, d.shape[0] - 1)
-    G, G_off = _folded_exponents(kappa * kappa.conj(), sigma * sigma.conj(), probe)
-    _, p_on, off_raw, p_off = _outcomes(d, G, G_off)
-    return max(p_on, 0.0), max(p_off, 0.0), _normalize(off_raw, p_off)
 
 
 def _normalize(raw, prob):

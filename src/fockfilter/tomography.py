@@ -20,8 +20,8 @@ K_s[n, m] = D[n, m+s] conj(D[n, m]) and B_s = K_s @ diag_s(nu),
     P[j, n] = sum_s e^{-i s phi_j} B_s[n],   B_{-s} = conj(B_s) for Hermitian nu,
 
 at an enlarged working cutoff.  The exact backend reads P directly; the
-Monte Carlo backend hands each phase's displaced diagonal to the
-cascaded-filter measurement, which reads nothing else of the state.
+Monte Carlo backend samples each phase's counts from one cascade response
+matrix per plan, applied to that phase's displaced diagonal.
 """
 
 import math
@@ -32,7 +32,7 @@ import numpy as np
 from . import fock
 from .cavity import CavityParams
 from .filtering import ProbeDetector
-from .cascade import derive_seeds, estimate_photon_distribution, tuned_cascade
+from .cascade import _estimate, derive_seeds, response_matrix, tuned_cascade
 
 CONDITION_FLAG_LIMIT = 1e12
 TRACE_BAND = (0.9, 1.1)
@@ -54,14 +54,14 @@ class MonteCarloBackend:
     update_rule: str = "exact"
 
     def __post_init__(self):
-        self._cascade(0, self.rng_seed)  # CascadeConfig checks the fields
+        self._cascade(0)  # CascadeConfig checks the fields
 
-    def _cascade(self, n_top, rng_seed):
-        """Cascade of stages 0..n_top with this backend's fields and rng_seed."""
+    def _cascade(self, n_top):
+        """Cascade of stages 0..n_top with this backend's fields."""
         return tuned_cascade(
             n_top=n_top, tau=self.cavity.tau, chi_t=self.cavity.chi_t,
             alpha=self.probe.alpha, eta=self.probe.eta, samples=self.samples,
-            rng_seed=rng_seed, update_rule=self.update_rule)
+            rng_seed=self.rng_seed, update_rule=self.update_rule)
 
 
 @dataclass(frozen=True)
@@ -155,10 +155,12 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
     return fock._checked_probabilities(P)
 
 
-def _cascade_estimate(p, n_rows, backend, seed):
-    """Monte Carlo estimate of rows 0..n_rows-1 of the displaced diagonal p."""
-    return estimate_photon_distribution(np.diag(p), n_rows - 1,
-                                        backend._cascade(n_rows - 1, seed))
+def _cascade_estimates(P, n_rows, backend, seeds):
+    """Monte Carlo estimates of rows 0..n_rows-1 of each displaced diagonal P[j],
+    phase j seeded with seeds[j], from one response matrix for all phases."""
+    R, S = response_matrix(backend._cascade(n_rows - 1), P.shape[1])
+    return [_estimate(p, p[:n_rows], R, S, int(seed), backend.samples)
+            for p, seed in zip(P, seeds)]
 
 
 def displaced_distribution(nu, gamma, n_rows, backend="exact"):
@@ -172,11 +174,11 @@ def displaced_distribution(nu, gamma, n_rows, backend="exact"):
     if not (backend == "exact" or isinstance(backend, MonteCarloBackend)):
         raise ValueError('backend must be "exact" or a MonteCarloBackend')
     gamma = complex(gamma)
-    p = _displaced_probabilities(nu, abs(gamma), [math.atan2(gamma.imag, gamma.real)],
-                                 n_rows)[0]
+    P = _displaced_probabilities(nu, abs(gamma), [math.atan2(gamma.imag, gamma.real)],
+                                 n_rows)
     if backend == "exact":
-        return fock.PhotonDistribution(values=p[:n_rows])
-    return _cascade_estimate(p, n_rows, backend, backend.rng_seed)
+        return fock.PhotonDistribution(values=P[0, :n_rows])
+    return _cascade_estimates(P, n_rows, backend, [backend.rng_seed])[0]
 
 
 def measure_distributions(nu, plan):
@@ -186,8 +188,7 @@ def measure_distributions(nu, plan):
     if backend == "exact":
         return P[:, :plan.n_rows].copy()
     seeds = derive_seeds(backend.rng_seed, range(len(plan.phases)))
-    return np.vstack([_cascade_estimate(p, plan.n_rows, backend, int(seed)).values
-                      for p, seed in zip(P, seeds)])
+    return np.vstack([est.values for est in _cascade_estimates(P, plan.n_rows, backend, seeds)])
 
 
 def _check_uniform_grid(phases):

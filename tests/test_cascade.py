@@ -2,20 +2,35 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from fockfilter import cascade, fock
+from fockfilter import cascade, filtering, fock
 from fockfilter.cascade import (CascadeConfig, CascadeStage, estimate_photon_distribution,
-                                first_on_distribution, run_cascade_trial, tuned_cascade,
-                                uniforms)
+                                first_on_distribution, response_matrix, run_cascade_trial,
+                                tuned_cascade, uniforms)
 from fockfilter.cavity import CavityParams
-from fockfilter.filtering import ProbeDetector
+from fockfilter.filtering import MIN_OUTCOME_PROB, ProbeDetector
+
+# Gap allowed between q_k from the response matrix and from a walk of full
+# states.  Largest relative gap measured over 12000 random cascades (1-6
+# stages, tau 1e-4..0.5, chi_t 0.05..3, |alpha| <= 100, full-rank states up
+# to dim 14): 2.6e-14.  Below 1e-30 (|alpha| ~ 1e-28, where e^G - e^G_off
+# rounds to 0 on one side and to ~1e-47 of imaginary residue on the other)
+# the gap is absolute; the uniforms resolve only 2^-53.
+Q_RTOL = 1e-13
+Q_ATOL = 1e-30
 
 
 def fig3_cascade(n_top=8, samples=2000, seed=0, rule="exact"):
     return tuned_cascade(n_top=n_top, tau=1e-3, chi_t=0.1, alpha=20.0, eta=0.4,
                          samples=samples, rng_seed=seed, update_rule=rule)
+
+
+def off_chain_q(rho, cfg):
+    """Per-stage click probabilities q_k along the all-OFF path, from R and S."""
+    d = np.asarray(rho, dtype=complex).diagonal()
+    return cascade._first_on_chain(d, *response_matrix(cfg, d.size))[0]
 
 
 def test_fock_input_clicks_at_its_own_stage():
@@ -112,7 +127,7 @@ def test_estimator_independent_of_chunk_size():
     spec = fock.StateSpec.squeezed_vacuum(1.0)
     cfg = fig3_cascade(samples=3000)
     est = estimate_photon_distribution(spec, 8, cfg)
-    q = cascade._off_chain_probabilities(fock.make_state(spec), cfg)
+    q = off_chain_q(fock.make_state(spec), cfg)
     for chunk in (1, 7, cascade.CHUNK_TRIALS):
         counts = cascade._count_first_on(q, cfg.rng_seed, cfg.samples, chunk)
         assert np.array_equal(counts[:9], est.counts), chunk
@@ -213,10 +228,110 @@ def test_off_chain_sees_only_the_diagonal(random_state, rule):
     cfg = fig3_cascade(rule=rule)
     for rho in (random_state(12, seed=3),
                 fock.make_state(fock.StateSpec.coherent(np.sqrt(3.0)))):
-        q = cascade._off_chain_probabilities(rho, cfg)
-        assert np.array_equal(q, cascade._off_chain_probabilities(
-            np.diag(np.diagonal(rho)), cfg))
-        assert np.array_equal(q, full_matrix_chain(rho, cfg))
+        q = off_chain_q(rho, cfg)
+        assert np.array_equal(q, off_chain_q(np.diag(np.diagonal(rho)), cfg))
+        assert_allclose(q, full_matrix_chain(rho, cfg), rtol=Q_RTOL, atol=Q_ATOL)
+
+
+def test_all_off_residual_where_a_click_is_nearly_certain():
+    # |3> clicks at stage 3 with p_off ~ 1e-70; a product of (1 - q_k)
+    # cancels there, the log-space survival does not
+    spec = fock.StateSpec.number(3)
+    rho = fock.make_state(spec)
+    cfg = fig3_cascade()
+    state, all_off, walk_expected = np.asarray(rho, dtype=complex), 1.0, []
+    for stage in cfg.stages:
+        p_on, _, p_off, state = cascade._stage_update(state, stage, "exact")
+        walk_expected.append(all_off * p_on)
+        all_off *= p_off
+    assert all_off == pytest.approx(3.11e-70, rel=1e-3)
+    expected, residual = first_on_distribution(rho, cfg)
+    est = estimate_photon_distribution(spec, 8, cfg)
+    for got_expected, got_residual in ((expected, residual),
+                                       (est.expected, est.all_off_expected)):
+        assert got_residual == pytest.approx(all_off, rel=1e-10, abs=0)
+        assert_allclose(got_expected, walk_expected, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
+def test_input_trace_drift_aborts_estimate(rule):
+    rho = 0.5 * fock.make_state(fock.StateSpec.thermal(1.0))
+    cfg = fig3_cascade(samples=100, rule=rule)
+    with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
+        estimate_photon_distribution(rho, 8, cfg)
+    with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
+        first_on_distribution(rho, cfg)
+
+
+@pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
+def test_dead_all_off_path_aborts_estimate(rule):
+    # |3> never survives a stage-3 filter at alpha = 100, eta = 1, so the
+    # click probabilities of the later stages are undefined
+    spec = fock.StateSpec.number(3)
+    cfg = tuned_cascade(n_top=8, tau=1e-3, chi_t=0.1, alpha=100.0, eta=1.0,
+                        samples=100, rng_seed=0, update_rule=rule)
+    with pytest.raises(fock.NumericalError, match="all-OFF path dies at stage 3"):
+        estimate_photon_distribution(spec, 8, cfg)
+    with pytest.raises(fock.NumericalError, match="all-OFF path dies at stage 3"):
+        first_on_distribution(fock.make_state(spec), cfg)
+
+
+def exponent_drift(stage, dim):
+    """|e^G(n, n) - 1| of a full filter pass at this stage: its own completeness error."""
+    G, _ = filtering._element_exponents(stage.cavity, stage.probe, dim - 1)
+    return np.abs(np.exp(np.diagonal(G)) - 1.0)
+
+
+STAGE = st.tuples(st.floats(1e-4, 0.5), st.floats(0.05, 3.0), st.floats(0.0, 99.99),
+                  st.floats(-np.pi, np.pi), st.floats(0.05, 1.0))
+TRIALS = 200
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rule=st.sampled_from(cascade.UPDATE_RULES),
+       targets=st.lists(st.integers(0, 15), min_size=1, max_size=6, unique=True),
+       dim=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_response_matrix_matches_full_state_walk(random_state, rule, targets, dim, seed,
+                                                 data):
+    # every stage has its own tau, chi_t, alpha and eta; targets are distinct,
+    # in any order and with gaps, and may lie beyond the cutoff
+    params = data.draw(st.lists(STAGE, min_size=len(targets), max_size=len(targets)))
+    stages = tuple(
+        CascadeStage(target_n=t, cavity=CavityParams.tuned(t, tau, chi_t),
+                     probe=ProbeDetector(alpha=a * np.exp(1j * arg), eta=eta))
+        for t, (tau, chi_t, a, arg, eta) in zip(targets, params))
+    cfg = CascadeConfig(stages=stages, samples=TRIALS, rng_seed=seed, update_rule=rule)
+    R, S = response_matrix(cfg, dim)
+    K = len(stages)
+    assert R.shape == (K, dim) and S.shape == (K + 1, dim)
+
+    # each column is a distribution over first clicks and no click; it sums
+    # to 1 up to the completeness error the stages' own full passes show
+    drift = np.zeros(dim) if rule == "good_cavity" else sum(
+        exponent_drift(stage, dim) for stage in stages)
+    assert np.all(R >= 0.0)
+    assert np.all(np.abs(R.sum(axis=0) + S[K] - 1.0) <= 1e-12 + drift)
+
+    # the click probabilities of a full-state walk along the all-OFF path,
+    # where that path stays possible
+    rho = random_state(dim, seed=seed)
+    alive = S[:-1] @ np.diagonal(rho).real
+    assume(np.all(alive[1:] >= MIN_OUTCOME_PROB))
+    assert_allclose(off_chain_q(rho, cfg), full_matrix_chain(rho, cfg),
+                    rtol=Q_RTOL, atol=Q_ATOL)
+
+    # column n is the first-ON distribution of |n>: compare with trial walks
+    n = data.draw(st.integers(0, dim - 1))
+    number = np.zeros((dim, dim), dtype=complex)
+    number[n, n] = 1.0
+    counts = np.zeros(K + 1)
+    for trial in range(TRIALS):
+        first = run_cascade_trial(number, cfg, trial).first_on
+        counts[K if first is None else first] += 1
+    p = np.clip(np.append(R[:, n], S[K, n]), 0.0, 1.0)
+    sigma = np.maximum(np.sqrt(p * (1.0 - p) / TRIALS), 1.0 / TRIALS)
+    assert np.all(np.abs(counts / TRIALS - p) <= 5.0 * sigma)
 
 
 def test_estimate_accepts_prepared_matrix():
