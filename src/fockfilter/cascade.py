@@ -17,7 +17,9 @@ click before stage k | n photons) (`response_matrix`).  For an input
 diagonal d, the first-ON distribution is R @ d and the all-OFF residual
 S[K] @ d.  In terminate-on-first-ON mode trial i clicks first at the
 smallest k with u(seed, i, k) < q_k = (R @ d)_k / (S[k] @ d); trials are
-sampled in chunks, which only bound memory.  The trial walk keeps full
+sampled in chunks, which only bound memory.  Where the all-OFF path dies
+(S[k] @ d < MIN_OUTCOME_PROB) the later q_k are undefined, and a trial that
+would reach them raises NumericalError.  The trial walk keeps full
 density matrices and serves as the independent reference; its records
 match the sampler's unless a uniform falls within the few ulps by which the
 two q_k differ (see tests).
@@ -258,8 +260,11 @@ def response_matrix(cfg, dim):
 def _first_on_chain(d, R, S):
     """(q_k, first-ON probabilities R @ d, all-OFF residual S[K] @ d) of diagonal d.
 
-    Raises NumericalError unless sum(d) is 1 within TRACE_DRIFT_TOL, or when
-    the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB) before the last stage.
+    q_k = (R @ d)_k / (S[k] @ d) is the click probability of stage k on the
+    all-OFF path, given for the stages that path reaches: when S[k] @ d <
+    MIN_OUTCOME_PROB at a stage 0 < k < K, the path dies before stage k and q
+    stops at stage k - 1.  Raises NumericalError unless sum(d) is 1 within
+    TRACE_DRIFT_TOL.
     """
     drift = abs(d.sum() - 1.0)
     # written so that NaN fails: a non-finite d makes drift non-finite
@@ -268,10 +273,8 @@ def _first_on_chain(d, R, S):
                                   f"{drift:.3e} > {TRACE_DRIFT_TOL:g}")
     expected, alive = R @ d.real, S @ d.real
     dead = np.flatnonzero(alive[1:-1] < MIN_OUTCOME_PROB)
-    if dead.size:
-        raise fock.NumericalError(
-            f"all-OFF path dies at stage {dead[0]}: OFF probability < {MIN_OUTCOME_PROB:g}")
-    return expected / alive[:-1], expected, float(alive[-1])
+    reached = dead[0] + 1 if dead.size else len(expected)
+    return expected[:reached] / alive[:reached], expected, float(alive[-1])
 
 
 def first_on_distribution(rho, cfg):
@@ -347,7 +350,15 @@ def _estimate(d, theory, R, S, seed, samples):
     (R, S) of a cascade tuned to 0..K-1; theory is reported beside it."""
     q, expected, residual = _first_on_chain(d, R, S)
     counts = _count_first_on(q, seed, samples)
-    K = len(q)
+    K, reached = len(expected), len(q)
+    if reached < K:
+        # the trials in the last slot clicked at none of the reached stages,
+        # so they went on to stage `reached`, which the all-OFF path never reaches
+        if counts[reached]:
+            raise fock.NumericalError(
+                f"{counts[reached]} of {samples} trials reached stage {reached}, where "
+                f"the all-OFF probability is < {MIN_OUTCOME_PROB:g}")
+        counts = np.pad(counts, (0, K - reached))
     p_hat = counts[:K] / samples
     ci = np.maximum(np.sqrt(p_hat * (1.0 - p_hat) / samples), 1.0 / samples)
     return DistributionEstimate(

@@ -264,16 +264,36 @@ def test_input_trace_drift_aborts_estimate(rule):
 
 
 @pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
-def test_dead_all_off_path_aborts_estimate(rule):
-    # |3> never survives a stage-3 filter at alpha = 100, eta = 1, so the
-    # click probabilities of the later stages are undefined
+def test_dead_all_off_path_clicks_every_trial_before_it_dies(rule):
+    # |3> never survives a stage-3 filter at alpha = 100, eta = 1, so no trial
+    # reaches the later stages, whose q is undefined; tau = 1e-5 keeps the
+    # exact rule's off-resonant clicks at stages 0-2 below 1.4e-4 per trial
     spec = fock.StateSpec.number(3)
-    cfg = tuned_cascade(n_top=8, tau=1e-3, chi_t=0.1, alpha=100.0, eta=1.0,
+    cfg = tuned_cascade(n_top=8, tau=1e-5, chi_t=0.1, alpha=100.0, eta=1.0,
                         samples=100, rng_seed=0, update_rule=rule)
-    with pytest.raises(fock.NumericalError, match="all-OFF path dies at stage 3"):
-        estimate_photon_distribution(spec, 8, cfg)
-    with pytest.raises(fock.NumericalError, match="all-OFF path dies at stage 3"):
-        first_on_distribution(fock.make_state(spec), cfg)
+    est = estimate_photon_distribution(spec, 8, cfg)
+    assert est.counts[3] == est.samples == 100
+    assert est.all_off == 0
+    expected, residual = first_on_distribution(fock.make_state(spec), cfg)
+    assert expected[:4].sum() == pytest.approx(1.0, abs=cascade.TRACE_DRIFT_TOL)
+    assert not expected[4:].any()
+    assert residual < MIN_OUTCOME_PROB
+    assert len(off_chain_q(fock.make_state(spec), cfg)) == 4
+
+
+def test_trial_reaching_a_dead_stage_raises():
+    # a hand-built (R, S) that contradicts itself for d = [1]: stage 0 never
+    # clicks, yet no probability survives to stage 1
+    d = np.array([1.0])
+    R = np.zeros((2, 1))
+    S = np.array([[1.0], [0.0], [0.0]])
+    with pytest.raises(fock.NumericalError, match="100 of 100 trials reached stage 1"):
+        cascade._estimate(d, d, R, S, seed=0, samples=100)
+    # the consistent chain, where stage 0 always clicks, samples as usual
+    R[0, 0] = 1.0
+    est = cascade._estimate(d, d, R, S, seed=0, samples=100)
+    assert list(est.counts) == [100, 0]
+    assert est.all_off == 0
 
 
 def exponent_drift(stage, dim):

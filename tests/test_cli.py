@@ -616,3 +616,54 @@ def test_overflowing_n_star_exits_2(tmp_path, capsys):
         code, _ = run(tmp_path, experiment, "--config", write_config(tmp_path, config))
         assert code == 2
         assert "n*" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# reruns into an existing --out directory rewrite its files in place
+
+PRESET_RUNS = [(e, p, fmt) for e, presets in sorted(cli.PRESETS.items()) for p in sorted(presets)
+               for fmt in ("table", "structured")]
+
+
+@pytest.mark.parametrize("experiment,preset,fmt", PRESET_RUNS)
+def test_rerun_into_the_same_directory_gives_the_fresh_bytes(tmp_path, experiment, preset,
+                                                            fmt):
+    argv = [experiment, "--preset", preset, "--format", fmt]
+    assert run(tmp_path / "fresh", *argv)[0] == 0
+    assert run(tmp_path / "rerun", *argv)[0] == 0
+    assert run(tmp_path / "rerun", *argv)[0] == 0
+    assert read_all(tmp_path / "rerun" / "out") == read_all(tmp_path / "fresh" / "out")
+
+
+def test_rerun_with_shorter_output_leaves_no_stale_tail(tmp_path):
+    big = write_config(tmp_path / "big", {"max_fock": 8})
+    small = write_config(tmp_path / "small", {"max_fock": 2})
+    argv = ["tomography", "--preset", "tomo-coherent", "--format", "structured"]
+    assert run(tmp_path / "rerun", *argv, "--config", big)[0] == 0
+    longer = read_all(tmp_path / "rerun" / "out")
+    assert run(tmp_path / "rerun", *argv, "--config", small)[0] == 0
+    assert run(tmp_path / "fresh", *argv, "--config", small)[0] == 0
+    rewritten, fresh = read_all(tmp_path / "rerun" / "out"), read_all(tmp_path / "fresh" / "out")
+    assert len(rewritten["results.json"]) < len(longer["results.json"])
+    assert rewritten == fresh
+    assert set(fresh) == {"manifest.json", "results.json"}
+
+
+def test_directory_in_place_of_an_output_file_exits_2(tmp_path, capsys):
+    (tmp_path / "out" / "manifest.json").mkdir(parents=True)
+    code, _ = run(tmp_path, "profile", "--preset", "fig2")
+    assert code == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
+def test_good_cavity_fock_state_below_n_top_clicks_at_its_own_stage(tmp_path):
+    # every trial clicks at stage 5, and no trial reaches the stages after it,
+    # where the all-OFF path is dead
+    config = write_config(tmp_path, {"state": {"kind": "number", "n": 5},
+                                     "update_rule": "good_cavity"})
+    code, out = run(tmp_path, "measure-pn", "--preset", "fig3-thermal", "--config", config)
+    assert code == 0
+    _, rows = tables.read_csv(out / "histogram.csv")
+    p = {int(row[0]): float(row[1]) for row in rows}
+    assert p[5] == 1.0
+    assert sum(p.values()) == 1.0

@@ -5,8 +5,13 @@ did before they built one %-template per table; the writers must give the
 same bytes.  In JSON, a non-finite float is the string "inf", "-inf" or "nan".
 """
 
+import gc
 import json
 import math
+import os
+import stat
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +195,48 @@ def test_read_csv_names_the_line_of_a_ragged_row(tmp_path):
         tables.read_csv(path)
     path.write_text("a,b\n\n1,2\n")
     assert tables.read_csv(path) == (["a", "b"], [["1", "2"]])
+
+
+# ---------------------------------------------------------------------------
+# write_text rewrites a file in place and cuts it to the new length
+
+@pytest.mark.parametrize("old,new", [("n,p\n0,0.25\n1,0.75\n", "n,p\n0,1\n"),
+                                     ("n,p\n0,1\n", "n,p\n0,0.25\n1,µ\r\n")])
+def test_write_text_rewrite_leaves_exactly_the_new_bytes(tmp_path, old, new):
+    path = tmp_path / "t.csv"
+    assert tables.write_text(str(path), old) == str(path)
+    assert path.read_bytes() == old.encode("utf-8")
+    tables.write_text(str(path), new)
+    assert path.read_bytes() == new.encode("utf-8")
+
+
+def test_write_text_new_file_mode_follows_the_umask(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        tables.write_text(str(tmp_path / "t.csv"), "x\n")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode) == 0o666 & ~0o027
+
+
+def test_write_text_to_a_directory_raises_oserror(tmp_path):
+    with pytest.raises(OSError):
+        tables.write_text(str(tmp_path), "x\n")
+
+
+def test_write_text_closes_the_file_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    unraised = []
+    monkeypatch.setattr(sys, "unraisablehook", unraised.append)
+    with warnings.catch_warnings():
+        # an unclosed file warns when collected; as an error it reaches the hook
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(UnicodeEncodeError):
+            tables.write_text(str(path), "lone surrogate \ud800\n")
+        gc.collect()
+    assert unraised == []
+    assert path.read_bytes() == b"old\n"
 
 
 # ---------------------------------------------------------------------------
