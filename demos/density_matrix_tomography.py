@@ -12,9 +12,8 @@ import argparse
 
 import numpy as np
 
-from fockfilter import (CavityParams, MonteCarloBackend, ProbeDetector, StateSpec,
-                        TomographyPlan, default_phase_grid, make_state,
-                        measure_distributions, reconstruct, trace_distance)
+from fockfilter import (MonteCarloBackend, ProbeDetector, StateSpec, TomographyPlan,
+                        make_state, measure_distributions, reconstruct, trace_distance)
 
 
 def describe(rec, truth, label):
@@ -46,18 +45,16 @@ def main():
           ", ".join(f"<{n + 1}|nu|{n}> = {truth[n + 1, n].real:+.4f}"
                     for n in range(3)))
 
-    plan = TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(M),
-                          max_fock=M, n_rows=2 * M + 2)
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=2 * M + 6, max_fock=M, n_rows=2 * M + 2)
     P = measure_distributions(truth, plan)
     print(f"\nmeasured {P.shape[0]} phases x {P.shape[1]} photon rows")
     describe(reconstruct(plan, P), truth, "exact measurement backend")
 
     backend = MonteCarloBackend(
-        cavity=CavityParams(tau=1e-4, psi=0.0, chi_t=0.1),
-        probe=ProbeDetector(alpha=20.0, eta=0.8),
+        tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
         samples=args.samples, rng_seed=args.seed)
-    noisy_plan = TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(M),
-                                max_fock=M, n_rows=2 * M + 2, backend=backend)
+    noisy_plan = TomographyPlan(gamma_abs=1.0, n_phases=2 * M + 6, max_fock=M,
+                                n_rows=2 * M + 2, backend=backend)
     P_mc = measure_distributions(truth, noisy_plan)
     describe(reconstruct(noisy_plan, P_mc), truth,
              f"cascade counter, {args.samples} samples/phase")

@@ -61,8 +61,6 @@ from .tomography import (
     ReconstructionResult,
     TomographyPlan,
     default_gamma_abs,
-    default_phase_grid,
-    displaced_distribution,
     measure_distributions,
     phase_fourier,
     project_psd,
@@ -83,6 +81,6 @@ __all__ = [
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",
     "purity", "state_metrics", "trace_distance", "validate_density_matrix",
     "MonteCarloBackend", "ReconstructionResult", "TomographyPlan",
-    "default_gamma_abs", "default_phase_grid", "displaced_distribution",
-    "measure_distributions", "phase_fourier", "project_psd", "reconstruct",
+    "default_gamma_abs", "measure_distributions", "phase_fourier", "project_psd",
+    "reconstruct",
 ]

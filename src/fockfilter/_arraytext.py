@@ -1,4 +1,5 @@
-"""The array path of `tables`: whole numpy columns printed as %.17g and %d.
+"""The array path of `tables`: the int64 and float64 numpy columns of a
+`tables.Columns`, printed whole as %d and %.17g.
 
 A float64 cell x takes e = floor(log10|x|) and forms |x|·10^(16−e) as a
 double-double: Dekker's exact product with 10^k stored as hi + lo, hi + lo
@@ -24,7 +25,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .tables import FLOAT, _json_scalar
+from .tables import FLOAT
 
 # Float cells printed per block (~240 bytes of temporaries each), which
 # bounds the memory the array path holds at once to ~0.5 MB.
@@ -224,52 +225,30 @@ def _int_slots(v):
     return slots
 
 
-def _text_slots(texts, width=None):
-    """UTF-8 of printed cells in NUL-padded rows (at least `width` bytes)."""
-    data = np.array([t.encode() for t in texts], dtype=f"S{width}" if width else bytes)
-    return data.view(np.uint8).reshape(len(texts), -1)
+def _text_slots(texts, width):
+    """The bytes of printed cells in NUL-padded rows of `width` bytes."""
+    data = np.array([t.encode() for t in texts], dtype=f"S{width}")
+    return data.view(np.uint8).reshape(len(texts), width)
 
 
-def _as_array(conversion, column):
-    """A column of cells as the int64 or float64 array that the array path
-    prints as `conversion` prints each cell, or None."""
-    if isinstance(column, np.ndarray):
-        return column
-    kinds = set(map(type, column))
-    if conversion == FLOAT and kinds <= {float, np.float64}:
-        return np.array(column, dtype=np.float64)
-    if conversion == "%d" and all(k is int or np.can_cast(k, np.int64) for k in kinds):
-        try:
-            return np.array(column, dtype=np.int64)
-        except OverflowError:  # a Python int beyond int64
-            return None
-    return None
-
-
-def array_text(table, head, sep, tail, json=False):
-    """Each row of `table` as head, its cells joined by sep, and tail, all
-    rows concatenated; None when a printed cell holds a NUL, the padding."""
-    arrays = [_as_array(conversion, column) for conversion, column in table]
-    floats = [a for a in arrays if a is not None and a.dtype.kind == "f"]
+def array_text(columns, head, sep, tail, json=False):
+    """Each row of the int64 and float64 `columns` as head, its cells joined
+    by sep, and tail, all rows concatenated."""
+    floats = [c for c in columns if c.dtype.kind == "f"]
     head, sep, tail = (np.frombuffer(p.encode(), np.uint8) for p in (head, sep, tail))
     step = max(1, BLOCK_CELLS // max(1, len(floats)))
     out = []
-    for start in range(0, len(table[0][1]), step):
+    for start in range(0, len(columns[0]), step):
         block = slice(start, start + step)
         if floats:  # the float columns of a block are printed together
             printed = iter(np.split(_float_slots(np.concatenate([a[block] for a in floats]),
                                                  quote=json), len(floats)))
         pieces = [head]
-        for (conversion, column), values in zip(table, arrays):
-            if values is None:
-                texts = [_json_scalar(v) if json else conversion % (v,) for v in column[block]]
-                if "\0" in "".join(texts):
-                    return None
-                pieces += [_text_slots(texts), sep]
-            elif values.dtype.kind == "f":
+        for column in columns:
+            if column.dtype.kind == "f":
                 pieces += [next(printed), sep]
             else:
-                pieces += [_int_slots(values[block]), sep]
+                pieces += [_int_slots(column[block]), sep]
         pieces[-1] = tail
         widths = [p.shape[-1] for p in pieces]
         matrix = np.empty((len(pieces[1]), sum(widths)), np.uint8)

@@ -27,7 +27,7 @@ from .cavity import CavityParams, resonant_components, transmission_profile
 from .filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from .fock import NumericalError, StateSpec
 from .tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                         measure_distributions, reconstruct, uniform_phase_grid)
+                         measure_distributions, reconstruct)
 
 REQUIRED = object()  # the default of a field that has none and must be given
 
@@ -434,9 +434,9 @@ def _read_measured(path, plan):
         raise ValueError(messages[int(np.argmax(failed[:, i]))])
     if parse_error is not None:
         raise parse_error
-    if len(key) != len(plan.phases) * plan.n_rows:
+    if len(key) != plan.n_phases * plan.n_rows:
         raise ValueError(f"{path} does not cover all (phase, n) cells")
-    P = np.empty((len(plan.phases), plan.n_rows))
+    P = np.empty((plan.n_phases, plan.n_rows))
     P[j, n_a] = p_a
     return P
 
@@ -445,14 +445,13 @@ def _run_tomography(params):
     spec = _build_state(params["state"])
     M = params["max_fock"]
     truth = fock.make_state(spec, cutoff=M, tail=None)
-    phases = uniform_phase_grid(params["n_phases"])
     if params["backend"] == "exact":
         backend = "exact"
     else:
         backend = MonteCarloBackend(
-            cavity=CavityParams(psi=0.0, **params["cavity"]), probe=_build_probe(params),
+            **params["cavity"], probe=_build_probe(params),
             samples=params["samples"], rng_seed=params["seed"])
-    plan = TomographyPlan(gamma_abs=params["gamma_abs"], phases=phases,
+    plan = TomographyPlan(gamma_abs=params["gamma_abs"], n_phases=params["n_phases"],
                           max_fock=M, n_rows=params["n_rows"], backend=backend)
     if params["measurements"] is not None:
         P = _read_measured(params["measurements"], plan)
@@ -460,12 +459,12 @@ def _run_tomography(params):
         P = measure_distributions(truth, plan)
     rec = reconstruct(plan, P)
     measured_rows = tables.Columns(np.repeat(plan.phases, plan.n_rows),
-                                   np.tile(np.arange(plan.n_rows), len(plan.phases)),
+                                   np.tile(np.arange(plan.n_rows), plan.n_phases),
                                    np.asarray(P, dtype=float).ravel())
     return {
         "summary": {
             "gamma_abs": params["gamma_abs"],
-            "n_phases": len(plan.phases),
+            "n_phases": plan.n_phases,
             "n_rows": plan.n_rows,
             "backend": params["backend"],
             "trace": rec.trace,

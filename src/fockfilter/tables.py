@@ -12,27 +12,23 @@ joins the cells of a row with "," and the JSON row arrays with ", ", so both
 formats print each cell exactly as `fmt_cell` prints it on its own, and the
 bytes are the same as those of a cell-by-cell writer.
 
-A table of fewer than ARRAY_ROWS rows goes through one row template, the
-joined conversions, which `%` applies to every row in C.  A larger table is
-printed from whole numpy columns by `_arraytext`, because one %.17g costs
-~1 µs (CPython's dtoa leaves its fast path above 14 digits):
+`Columns` holds a table's rows as int64 and float64 numpy columns, and the
+experiment runners hand every large table to the writers as one.  A
+`Columns` of ARRAY_ROWS rows or more is printed from its columns by
+`_arraytext`, because one %.17g costs ~1 µs (CPython's dtoa leaves its fast
+path above 14 digits):
 
 - A float64 cell gets its 17 digits from |x|·10^(16−e), e = floor(log10|x|),
   formed as a double-double within ~1e-14 of exact.  %.17g itself prints
   every cell whose scaled value lies within 1e-9 of a rounding midpoint
   (1e5 times that error bound), every non-finite cell and every |x| outside
   [1e-270, 1e270] other than ±0 (subnormals included).
-- An int column whose values fit int64 is printed from the same table of
-  4-digit chunks.
-- Any other column (str, ints beyond int64, numpy float32, int subclasses) is
-  printed cell by cell with its conversion.  A printed cell that holds a NUL,
-  the byte that pads the array path's fixed-width slots, sends the table back
-  to the row template.
+- An int64 cell is printed from the same table of 4-digit chunks.
 
-The output bytes are those of the row template; the tests compare the array
-path with %.17g and %d cell by cell.  `Columns` holds a table's rows as
-numpy columns, so the experiment runners hand whole arrays to the writers
-instead of row tuples.
+Every other table (a list of rows of any size, or a smaller `Columns`) goes
+through one row template, the joined conversions, which `%` applies to every
+row in C.  The output bytes are those of the row template; the tests compare
+the array path with %.17g and %d cell by cell.
 """
 
 import os
@@ -126,14 +122,12 @@ def table_text(header, rows):
     Rows must have equal lengths, and the cells of a column one kind: int,
     float or str.  `rows` is a sequence of rows or a `Columns`.
     """
+    head = ",".join(header) + "\n"
+    if isinstance(rows, Columns) and len(rows) >= ARRAY_ROWS:
+        return head + _array_text(rows, "", ",", "\n")
     table = _table(rows)
     if table is None:
         raise TypeError("table rows differ in length or mix cell kinds within a column")
-    head = ",".join(header) + "\n"
-    if len(rows) >= ARRAY_ROWS and table:
-        text = _array_text(table, "", ",", "\n")
-        if text is not None:
-            return head + text
     template = ",".join(conversion for conversion, _ in table)
     return head + "".join(map(f"{template}\n".__mod__, map(tuple, rows)))
 
@@ -152,8 +146,8 @@ def json_text(obj, indent=0):
 
     A list of numbers is written on one line; a list of such lists (a
     table's rows, or a `Columns`) one row per line, through one row template
-    or, from ARRAY_ROWS rows, the array path.  A non-finite float is written
-    as the string "inf", "-inf" or "nan".
+    or, for a `Columns` of ARRAY_ROWS rows or more, the array path.  A
+    non-finite float is written as the string "inf", "-inf" or "nan".
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -185,15 +179,13 @@ def json_text(obj, indent=0):
 
 def _json_rows(rows, inner):
     """The rows of a table as JSON arrays, one per line; None when a row
-    needs the cell-by-cell writer (a cell that is not a number or, below
-    ARRAY_ROWS, a non-finite float)."""
+    needs the cell-by-cell writer (a cell that is not a number or, outside
+    the array path, a non-finite float)."""
+    if isinstance(rows, Columns) and len(rows) >= ARRAY_ROWS:
+        return _array_text(rows, inner + "[", ", ", "],\n", json=True)[:-2]
     table = _table(rows, numbers_only=True)
     if table is None:
         return None
-    if len(rows) >= ARRAY_ROWS and table:
-        text = _array_text(table, inner + "[", ", ", "],\n", json=True)
-        if text is not None:
-            return text[:-2]
     template = ", ".join(conversion for conversion, _ in table)
     text = ",\n".join(map(f"{inner}[{template}]".__mod__, map(tuple, rows)))
     return None if "n" in text else text
@@ -224,13 +216,13 @@ def _json_str(s):
     return encode_basestring(s)
 
 
-def _array_text(table, head, sep, tail, json=False):
-    """Each row of `table` as head, its cells joined by sep, and tail, all
-    rows concatenated, by the array path; None when it cannot print them."""
+def _array_text(rows, head, sep, tail, json=False):
+    """Each row of the `Columns` `rows` as head, its cells joined by sep, and
+    tail, all rows concatenated, by the array path."""
     # imported on first use: without cached bytecode, compiling the array
     # path costs ~7 ms at every start, and small tables never need it
     from ._arraytext import array_text
-    return array_text(table, head, sep, tail, json)
+    return array_text(rows.columns, head, sep, tail, json)
 
 
 def write_text(path, text):

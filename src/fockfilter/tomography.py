@@ -6,8 +6,10 @@ statistics P_gamma(n) probes every matrix element of nu:
     P_gamma(n) = sum_{k,m} nu_km A_kmn(gamma),
     A_kmn(gamma) = <n|D(gamma)|k> <m|D^+(gamma)|n>.
 
-A depends on phi only through e^{i(m-k) phi}, so a DFT over a uniform phase
-grid separates the diagonals s = k - m, and each s gives an overdetermined
+A depends on phi only through e^{i(m-k) phi}, so a DFT over the uniform phase
+grid phi_j = 2 pi j / N_phi separates the diagonals s = k - m as long as
+N_phi >= 2M + 1.  A TomographyPlan holds N_phi and derives its phases from
+it, so every plan has such a grid.  Each s gives an overdetermined
 linear system in the unknowns nu_{m+s,m}, solved by least squares (SVD via
 np.linalg.lstsq; normal equations would square the condition number).
 Negative s follows from Hermitian symmetry.
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .cavity import CavityParams
 from .filtering import ProbeDetector
 from .cascade import _estimate, derive_seeds, response_matrix, tuned_cascade
 
@@ -42,40 +43,42 @@ TRACE_BAND = (0.9, 1.1)
 class MonteCarloBackend:
     """Measure displaced distributions with a cascade instead of exactly.
 
-    cavity supplies the per-stage (tau, chi_t) prototype — stage k is tuned
-    to n = k; its psi field is ignored.  The cascade of phase j is seeded
-    with derive_seeds(rng_seed, [j]), the mix that also seeds its trials.
+    Stage k of the cascade is tuned to n = k with this tau and chi_t.  The
+    cascade of phase j is seeded with derive_seeds(rng_seed, [j]), the mix
+    that also seeds its trials.
     """
 
-    cavity: CavityParams
+    tau: float
+    chi_t: float
     probe: ProbeDetector
     samples: int
     rng_seed: int
     update_rule: str = "exact"
 
     def __post_init__(self):
-        self._cascade(0)  # CascadeConfig checks the fields
+        self._cascade(0)  # CavityParams and CascadeConfig check the fields
 
     def _cascade(self, n_top):
         """Cascade of stages 0..n_top with this backend's fields."""
         return tuned_cascade(
-            n_top=n_top, tau=self.cavity.tau, chi_t=self.cavity.chi_t,
+            n_top=n_top, tau=self.tau, chi_t=self.chi_t,
             alpha=self.probe.alpha, eta=self.probe.eta, samples=self.samples,
             rng_seed=self.rng_seed, update_rule=self.update_rule)
 
 
 @dataclass(frozen=True)
 class TomographyPlan:
-    """Reconstruction plan: |gamma|, phase grid, max Fock index M, rows.
+    """Reconstruction plan: |gamma|, phase count, max Fock index M, rows.
 
-    max_fock (M) is the highest signal Fock component assumed populated;
-    n_rows photon-number rows enter each least-squares system.  The grid
-    needs at least 2M + 1 phases to separate all diagonals; the default
-    adds a safety margin (2M + 6).
+    The n_phases phases are the uniform grid phi_j = 2 pi j / n_phases, the
+    one grid on which the phase DFT separates the diagonals; it needs at
+    least 2M + 1 points.  max_fock (M) is the highest signal Fock component
+    assumed populated; n_rows photon-number rows enter each least-squares
+    system.
     """
 
     gamma_abs: float
-    phases: tuple
+    n_phases: int
     max_fock: int
     n_rows: int
     backend: object = "exact"
@@ -85,10 +88,11 @@ class TomographyPlan:
             raise ValueError(f"gamma_abs must be finite and > 0, got {self.gamma_abs}")
         if self.max_fock < 0:
             raise ValueError("max_fock must be >= 0")
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        if len(self.phases) < 2 * self.max_fock + 1:
+        if not isinstance(self.n_phases, (int, np.integer)):
+            raise ValueError(f"n_phases must be an integer, got {self.n_phases!r}")
+        if self.n_phases < 2 * self.max_fock + 1:
             raise ValueError(
-                f"{len(self.phases)} phases cannot separate diagonals up to "
+                f"{self.n_phases} phases cannot separate diagonals up to "
                 f"s = {self.max_fock}; need at least {2 * self.max_fock + 1}")
         if self.n_rows < self.max_fock + 1:
             raise ValueError(
@@ -97,15 +101,15 @@ class TomographyPlan:
         if not (self.backend == "exact" or isinstance(self.backend, MonteCarloBackend)):
             raise ValueError('backend must be "exact" or a MonteCarloBackend')
 
+    @property
+    def phases(self):
+        """The grid phi_j = 2 pi j / n_phases as a tuple of floats."""
+        return tuple(uniform_phase_grid(self.n_phases).tolist())
+
 
 def uniform_phase_grid(n_phi):
     """The n_phi phases phi_j = 2 pi j / n_phi, j = 0 .. n_phi - 1, as an array."""
     return 2.0 * math.pi * np.arange(n_phi) / n_phi
-
-
-def default_phase_grid(max_fock):
-    """Uniform phase grid with margin: N_phi = 2 max_fock + 6 points in [0, 2 pi)."""
-    return tuple(uniform_phase_grid(2 * max_fock + 6).tolist())
 
 
 def default_gamma_abs(mean_photons):
@@ -155,62 +159,32 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
     return fock._checked_probabilities(P)
 
 
-def _cascade_estimates(P, n_rows, backend, seeds):
-    """Monte Carlo estimates of rows 0..n_rows-1 of each displaced diagonal P[j],
-    phase j seeded with seeds[j], from one response matrix for all phases."""
-    R, S = response_matrix(backend._cascade(n_rows - 1), P.shape[1])
-    return [_estimate(p, p[:n_rows], R, S, int(seed), backend.samples)
-            for p, seed in zip(P, seeds)]
-
-
-def displaced_distribution(nu, gamma, n_rows, backend="exact"):
-    """Photon distribution of D(gamma) nu D^+(gamma) on rows 0..n_rows-1.
-
-    The one-phase case of measure_distributions.  The exact backend returns
-    the displaced diagonal; a MonteCarloBackend instead feeds it to a
-    cascade of n_rows filters seeded with backend.rng_seed and returns that
-    estimate (values, ci, ...).
-    """
-    if not (backend == "exact" or isinstance(backend, MonteCarloBackend)):
-        raise ValueError('backend must be "exact" or a MonteCarloBackend')
-    gamma = complex(gamma)
-    P = _displaced_probabilities(nu, abs(gamma), [math.atan2(gamma.imag, gamma.real)],
-                                 n_rows)
-    if backend == "exact":
-        return fock.PhotonDistribution(values=P[0, :n_rows])
-    return _cascade_estimates(P, n_rows, backend, [backend.rng_seed])[0]
-
-
 def measure_distributions(nu, plan):
-    """Distribution matrix P[j, n] over the plan's phase grid (rows = phases)."""
+    """Distribution matrix P[j, n] over the plan's phase grid (rows = phases).
+
+    The exact backend returns the displaced diagonals; a MonteCarloBackend
+    instead estimates each from a cascade of n_rows filters, phase j seeded
+    with derive_seeds(rng_seed, [j]), all phases sharing one response matrix.
+    """
     P = _displaced_probabilities(nu, plan.gamma_abs, plan.phases, plan.n_rows)
-    backend = plan.backend
+    backend, rows = plan.backend, plan.n_rows
     if backend == "exact":
-        return P[:, :plan.n_rows].copy()
-    seeds = derive_seeds(backend.rng_seed, range(len(plan.phases)))
-    return np.vstack([est.values for est in _cascade_estimates(P, plan.n_rows, backend, seeds)])
+        return P[:, :rows].copy()
+    R, S = response_matrix(backend._cascade(rows - 1), P.shape[1])
+    seeds = derive_seeds(backend.rng_seed, range(plan.n_phases))
+    return np.vstack([_estimate(p, p[:rows], R, S, int(seed), backend.samples).values
+                      for p, seed in zip(P, seeds)])
 
 
-def _check_uniform_grid(phases):
-    if np.max(np.abs(np.asarray(phases) - uniform_phase_grid(len(phases)))) > 1e-9:
-        raise ValueError("phase grid is not the uniform grid 2*pi*j/N_phi; "
-                         "the DFT separation of diagonals does not apply")
-
-
-def phase_fourier(P_matrix, s, phases=None):
+def phase_fourier(P_matrix, s):
     """s-th phase-Fourier component: (1/N_phi) sum_j e^{+i s phi_j} P[j, :].
 
-    Rows of P_matrix must follow the uniform grid phi_j = 2 pi j / N_phi;
-    pass the actual phases to have that verified.  The + sign makes the
-    component equal sum_m A_{m+s,m,n}(|gamma|) nu_{m+s,m}, i.e. it isolates
-    the s-th lower diagonal of nu.
+    Rows of P_matrix follow the uniform grid phi_j = 2 pi j / N_phi.  The +
+    sign makes the component equal sum_m A_{m+s,m,n}(|gamma|) nu_{m+s,m},
+    i.e. it isolates the s-th lower diagonal of nu.
     """
     P_matrix = np.asarray(P_matrix)
     n_phi = P_matrix.shape[0]
-    if phases is not None:
-        if len(phases) != n_phi:
-            raise ValueError(f"{len(phases)} phases for {n_phi} rows")
-        _check_uniform_grid(phases)
     return (np.exp(1j * s * uniform_phase_grid(n_phi)) @ P_matrix) / n_phi
 
 
@@ -219,8 +193,10 @@ class ReconstructionResult:
     """Reconstructed nu plus per-diagonal least-squares diagnostics.
 
     nu_hat is Hermitian by construction and NOT renormalized; its trace is
-    recorded.  flags report rank-deficient systems (condition > 1e12) and a
-    trace outside [0.9, 1.1] — flagged, never silently repaired.
+    recorded.  flags report rank-deficient systems (condition > 1e12),
+    near-singular ones (smallest singular value < 1e-12, which the
+    scale-free condition misses, e.g. at a near-zero |gamma|) and a trace
+    outside [0.9, 1.1] — flagged, never silently repaired.
     """
 
     nu_hat: np.ndarray
@@ -238,11 +214,10 @@ def reconstruct(plan, measured):
     system P^(s)(n) = sum_m A_{m+s,m,n}(|gamma|) nu_{m+s,m} is solved over
     rows n = 0..n_rows-1; s < 0 follows by Hermitian symmetry.
     """
-    _check_uniform_grid(plan.phases)
     measured = np.asarray(measured, dtype=float)
-    if measured.shape[0] != len(plan.phases):
+    if measured.shape[0] != plan.n_phases:
         raise ValueError(
-            f"measured has {measured.shape[0]} phase rows, plan has {len(plan.phases)}")
+            f"measured has {measured.shape[0]} phase rows, plan has {plan.n_phases}")
     if measured.shape[1] < plan.n_rows:
         raise ValueError(
             f"measured provides {measured.shape[1]} photon columns, plan needs {plan.n_rows}")
@@ -267,6 +242,11 @@ def reconstruct(plan, measured):
         conditions.append(cond)
         if cond > CONDITION_FLAG_LIMIT:
             flags.append(f"s={s}: rank-deficient system (condition {cond:.3g})")
+        elif singvals[-1] < 1.0 / CONDITION_FLAG_LIMIT:
+            # the data are probabilities, so 1/sigma_min bounds how far an
+            # error at rounding level grows in the solution
+            flags.append(f"s={s}: near-singular system "
+                         f"(smallest singular value {singvals[-1]:.3g})")
         m = np.arange(M + 1 - s)
         nu_hat[m + s, m] = solution
         nu_hat[m, m + s] = np.conj(solution)

@@ -17,8 +17,7 @@ from fockfilter.cavity import CavityParams
 from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
                                   superposition_synthesis_check)
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan,
-                                   default_phase_grid, measure_distributions,
-                                   phase_fourier, reconstruct)
+                                   measure_distributions, phase_fourier, reconstruct)
 
 RESULTS = []
 
@@ -137,8 +136,7 @@ def test_criterion_5_superposition_purity():
 def test_criterion_6_tomography_round_trip():
     """Reconstruction recovers the signal exactly, and within 0.1 from MC data."""
     truth = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
-    plan = TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(5),
-                          max_fock=5, n_rows=12)
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=16, max_fock=5, n_rows=12)
     t0 = time.perf_counter()
     rec = reconstruct(plan, measure_distributions(truth, plan))
     exact_td = fock.trace_distance(rec.nu_hat, truth)
@@ -147,11 +145,10 @@ def test_criterion_6_tomography_round_trip():
     mc_td = []
     for seed in range(10):
         backend = MonteCarloBackend(
-            cavity=CavityParams(tau=1e-4, psi=0.0, chi_t=0.1),
-            probe=ProbeDetector(alpha=20.0, eta=0.8),
+            tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
             samples=10_000, rng_seed=seed)
-        noisy = TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(5),
-                               max_fock=5, n_rows=12, backend=backend)
+        noisy = TomographyPlan(gamma_abs=1.0, n_phases=16, max_fock=5, n_rows=12,
+                               backend=backend)
         rec_mc = reconstruct(noisy, measure_distributions(truth, noisy))
         mc_td.append(fock.trace_distance(rec_mc.nu_hat, truth))
     ok = exact_td <= 1e-6 and exact_s <= 5.0 and max(mc_td) <= 0.1
@@ -223,8 +220,7 @@ def test_criterion_7_invariant_suite(random_state):
     # round trip that the correct orientation nails
     truth = fock.make_state(fock.StateSpec.coherent(0.9 * np.exp(0.7j)),
                             cutoff=4, tail=None)
-    plan = TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(4),
-                          max_fock=4, n_rows=10)
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=14, max_fock=4, n_rows=10)
     P = measure_distributions(truth, plan)
     td_right = fock.trace_distance(reconstruct(plan, P).nu_hat, truth)
     flipped = np.roll(P[::-1], 1, axis=0)      # P evaluated at -phi_j

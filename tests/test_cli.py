@@ -619,6 +619,30 @@ def test_overflowing_n_star_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the array path prints only Columns, so every large table must arrive as one
+
+@pytest.mark.parametrize("fmt", ["table", "structured"])
+def test_every_large_table_the_cli_writes_is_columns(tmp_path, monkeypatch, fmt):
+    emit, seen = cli.emit_results, []
+
+    def checked(result, cfg):
+        for name, tab in result["tables"].items():
+            if len(tab["rows"]) >= tables.ARRAY_ROWS:
+                seen.append(name)
+                assert isinstance(tab["rows"], tables.Columns), (cfg.experiment, name)
+        return emit(result, cfg)
+
+    monkeypatch.setattr(cli, "emit_results", checked)
+    runs = [[e, "--preset", p] for e, presets in sorted(cli.PRESETS.items())
+            for p in sorted(presets)]
+    runs.append(["profile", "--preset", "fig2",
+                 "--config", write_config(tmp_path, {"n_max": 400})])
+    for k, argv in enumerate(runs):
+        assert run(tmp_path / str(k), *argv, "--format", fmt)[0] == 0
+    assert {"profile", "state_0"} <= set(seen)
+
+
+# ---------------------------------------------------------------------------
 # reruns into an existing --out directory rewrite its files in place
 
 PRESET_RUNS = [(e, p, fmt) for e, presets in sorted(cli.PRESETS.items()) for p in sorted(presets)

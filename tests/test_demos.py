@@ -1,10 +1,13 @@
-"""Every narrative demo under demos/ runs to the end with small arguments."""
+"""Every narrative demo under demos/ runs to the end with small arguments,
+and every name the package root exports resolves."""
 
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+import fockfilter
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
@@ -27,3 +30,9 @@ def test_demo_runs(name, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path), *ARGS[name]])
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_every_exported_name_resolves():
+    assert len(set(fockfilter.__all__)) == len(fockfilter.__all__)
+    for name in fockfilter.__all__:
+        assert hasattr(fockfilter, name), name

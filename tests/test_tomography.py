@@ -10,16 +10,14 @@ from numpy.testing import assert_allclose
 from scipy.stats import poisson
 
 from fockfilter import fock, tomography
-from fockfilter.cascade import derive_seeds
-from fockfilter.cavity import CavityParams
+from fockfilter.cascade import derive_seeds, estimate_photon_distribution, tuned_cascade
 from fockfilter.filtering import ProbeDetector
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                                   default_phase_grid, displaced_distribution,
                                    measure_distributions, phase_fourier, reconstruct)
 
 
 def plan_for(max_fock, gamma_abs=1.0, n_rows=None, backend="exact"):
-    return TomographyPlan(gamma_abs=gamma_abs, phases=default_phase_grid(max_fock),
+    return TomographyPlan(gamma_abs=gamma_abs, n_phases=2 * max_fock + 6,
                           max_fock=max_fock,
                           n_rows=2 * max_fock + 2 if n_rows is None else n_rows,
                           backend=backend)
@@ -31,33 +29,45 @@ def kernel(D, k, m, n):
 
 
 def test_default_grid_and_gamma():
-    grid = default_phase_grid(5)
-    # bit for bit the Python-float formula 2 pi j / N_phi
-    assert grid == tuple(2.0 * math.pi * j / 16 for j in range(16))
-    assert len(grid) == 16
+    for n in (1, 7, 16, 86):
+        grid = TomographyPlan(gamma_abs=1.0, n_phases=n, max_fock=0, n_rows=1).phases
+        # bit for bit the Python-float formula 2 pi j / N_phi
+        assert grid == tuple(2.0 * math.pi * j / n for j in range(n))
+        assert all(type(phi) is float for phi in grid)
     assert grid[0] == 0.0
-    assert_allclose(np.diff(grid), 2 * math.pi / 16)
+    assert_allclose(np.diff(grid), 2 * math.pi / 86)
     assert default_gamma_abs(3.0) == 2.0
 
 
+def test_plan_phases_are_read_only():
+    plan = plan_for(2)
+    with pytest.raises(AttributeError):
+        plan.phases = (0.0,)
+    assert len(plan.phases) == plan.n_phases == 10
+
+
 def test_displaced_vacuum_is_poisson():
+    # every phase of a displaced vacuum is the Poisson distribution of mean |gamma|^2
     vac = fock.make_state(fock.StateSpec.number(0), cutoff=0)
-    p = displaced_distribution(vac, 1.2, n_rows=12).values
-    assert_allclose(p, poisson.pmf(np.arange(12), 1.44), atol=1e-12)
+    P = measure_distributions(vac, TomographyPlan(gamma_abs=1.2, n_phases=3, max_fock=0,
+                                                  n_rows=12))
+    assert P.shape == (3, 12)
+    for p in P:
+        assert_allclose(p, poisson.pmf(np.arange(12), 1.44), atol=1e-12)
 
 
 def test_displaced_single_photon_dip():
     # <0|D(gamma)|1> = -conj(gamma) e^{-|gamma|^2/2}: P(0) = e^{-1} at |gamma| = 1
     one = fock.make_state(fock.StateSpec.number(1), cutoff=1)
-    p = displaced_distribution(one, 1.0, n_rows=6).values
-    assert p[0] == pytest.approx(math.exp(-1.0), rel=1e-10)
+    P = measure_distributions(one, plan_for(1, n_rows=6))
+    assert_allclose(P[:, 0], math.exp(-1.0), rtol=1e-10)
 
 
 def test_displaced_distribution_covers_rows_beyond_input_dim():
     one = fock.make_state(fock.StateSpec.number(1), cutoff=1)
-    p = displaced_distribution(one, 0.5, n_rows=20).values
-    assert p.shape == (20,)
-    assert p.sum() == pytest.approx(1.0, abs=1e-9)
+    P = measure_distributions(one, plan_for(1, gamma_abs=0.5, n_rows=20))
+    assert P.shape == (8, 20)
+    assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None,
@@ -71,9 +81,8 @@ def test_forward_model_equals_per_phase_displacement(random_state, dim, seed, ga
     # D nu D^+ product for every phase, at the same working cutoff
     nu = random_state(dim, seed=seed)
     n_phi = 2 * dim - 1 + extra_phases
-    plan = TomographyPlan(gamma_abs=gamma_abs,
-                          phases=[2 * math.pi * j / n_phi for j in range(n_phi)],
-                          max_fock=dim - 1, n_rows=dim + extra_rows)
+    plan = TomographyPlan(gamma_abs=gamma_abs, n_phases=n_phi, max_fock=dim - 1,
+                          n_rows=dim + extra_rows)
     margin = fock.displacement_margin(gamma_abs) + max(0, plan.n_rows - dim)
     try:
         expect = [fock.photon_distribution(fock.displace(
@@ -170,13 +179,6 @@ def test_phase_fourier_negative_s_conjugate_symmetry():
     assert_allclose(phase_fourier(P, -2), np.conj(phase_fourier(P, 2)), atol=1e-13)
 
 
-def test_phase_fourier_rejects_nonuniform_grid():
-    P = np.ones((8, 4))
-    bad = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
-    with pytest.raises(ValueError):
-        phase_fourier(P, 1, phases=bad)
-
-
 # ---------------------------------------------------------------------------
 # full reconstruction
 
@@ -231,6 +233,37 @@ def test_rank_deficiency_is_flagged():
     assert max(rec.condition_numbers) > 1e12
 
 
+@pytest.mark.parametrize("gamma_abs, expected", [
+    (1e-8, ["s=2: near-singular"]),
+    (1e-200, ["s=1: near-singular", "s=2: rank-deficient"]),
+])
+def test_near_zero_displacement_is_flagged(gamma_abs, expected):
+    # the condition number ignores scale, and the s = M system has a single
+    # column, so its condition is 1: only the smallest singular value shows
+    # that the system amplifies rounding without bound
+    truth = fock.make_state(fock.StateSpec.thermal(0.0), cutoff=2, tail=None)
+    plan = TomographyPlan(gamma_abs=gamma_abs, n_phases=10, max_fock=2, n_rows=6)
+    rec = reconstruct(plan, measure_distributions(truth, plan))
+    # one flag per flagged s
+    assert [" ".join(f.split()[:2]) for f in rec.flags] == expected
+    D = fock.displacement_matrix(gamma_abs, plan.n_rows)
+    for s in range(3):
+        A = np.array([[kernel(D, m + s, m, n) for m in range(3 - s)]
+                      for n in range(plan.n_rows)])
+        sigma = np.linalg.svd(A, compute_uv=False)
+        assert any(f.startswith(f"s={s}:") for f in rec.flags) == (
+            sigma[-1] < 1e-12 or sigma[0] > 1e12 * sigma[-1])
+    assert rec.condition_numbers[2] in (1.0, math.inf)
+
+
+def test_unit_displacement_is_not_flagged():
+    truth = fock.make_state(fock.StateSpec.thermal(0.0), cutoff=2, tail=None)
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=10, max_fock=2, n_rows=6)
+    rec = reconstruct(plan, measure_distributions(truth, plan))
+    assert rec.flags == ()
+    assert fock.trace_distance(rec.nu_hat, truth) < 1e-10
+
+
 def test_unphysical_trace_is_flagged_not_repaired():
     truth = 0.5 * fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
     plan = plan_for(5)
@@ -242,9 +275,9 @@ def test_unphysical_trace_is_flagged_not_repaired():
 def test_reconstruct_shape_validation():
     plan = plan_for(3)
     with pytest.raises(ValueError):
-        reconstruct(plan, np.ones((len(plan.phases) + 1, plan.n_rows)))
+        reconstruct(plan, np.ones((plan.n_phases + 1, plan.n_rows)))
     with pytest.raises(ValueError):
-        reconstruct(plan, np.ones((len(plan.phases), plan.n_rows - 1)))
+        reconstruct(plan, np.ones((plan.n_phases, plan.n_rows - 1)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -259,14 +292,16 @@ def test_reconstruct_rejects_non_finite_measurements(bad):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        TomographyPlan(gamma_abs=0.0, phases=default_phase_grid(3), max_fock=3, n_rows=8)
+        TomographyPlan(gamma_abs=0.0, n_phases=12, max_fock=3, n_rows=8)
+    with pytest.raises(ValueError, match="need at least 7"):
+        TomographyPlan(gamma_abs=1.0, n_phases=6, max_fock=3, n_rows=8)
+    TomographyPlan(gamma_abs=1.0, n_phases=7, max_fock=3, n_rows=8)
+    with pytest.raises(ValueError, match="integer"):
+        TomographyPlan(gamma_abs=1.0, n_phases=12.5, max_fock=3, n_rows=8)
     with pytest.raises(ValueError):
-        TomographyPlan(gamma_abs=1.0, phases=(0.0, 1.0), max_fock=3, n_rows=8)
+        TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=2)
     with pytest.raises(ValueError):
-        TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(3), max_fock=3, n_rows=2)
-    with pytest.raises(ValueError):
-        TomographyPlan(gamma_abs=1.0, phases=default_phase_grid(3), max_fock=3,
-                       n_rows=8, backend="fast")
+        TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=8, backend="fast")
 
 
 def test_project_psd_clips_negative_eigenvalues():
@@ -282,18 +317,16 @@ def test_project_psd_clips_negative_eigenvalues():
 
 
 def mc_backend(samples, seed=0):
-    return MonteCarloBackend(
-        cavity=CavityParams(tau=1e-4, psi=0.0, chi_t=0.1),
-        probe=ProbeDetector(alpha=20.0, eta=0.8),
-        samples=samples, rng_seed=seed)
+    return MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+                             samples=samples, rng_seed=seed)
 
 
 def test_mc_displaced_distribution_agrees_with_exact():
     rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=3, tail=None)
-    exact = displaced_distribution(rho, 1.0, n_rows=8).values
-    est = displaced_distribution(rho, 1.0, n_rows=8, backend=mc_backend(4000))
-    assert np.max(np.abs(est.values - exact)) < 0.03
-    assert est.ci is not None
+    exact = measure_distributions(rho, plan_for(3, n_rows=8))
+    est = measure_distributions(rho, plan_for(3, n_rows=8, backend=mc_backend(4000)))
+    assert est.shape == exact.shape
+    assert np.max(np.abs(est - exact)) < 0.03
 
 
 def test_mc_round_trip_reconstruction():
@@ -314,13 +347,18 @@ def test_mc_is_reproducible():
 
 
 def test_mc_phase_j_is_seeded_with_its_derived_seed():
+    # phase j is the public cascade estimator run on that phase's displaced
+    # diagonal, at the forward model's working cutoff, seeded with substream j
     rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=2, tail=None)
     plan = plan_for(2, backend=mc_backend(300, seed=7))
     P = measure_distributions(rho, plan)
+    margin = fock.displacement_margin(plan.gamma_abs) + max(0, plan.n_rows - len(rho))
     for j in (0, 3):
-        seed_j = int(derive_seeds(7, [j])[0])
-        one = displaced_distribution(rho, cmath.exp(1j * plan.phases[j]), plan.n_rows,
-                                     backend=mc_backend(300, seed=seed_j))
+        displaced = fock.displace(rho, plan.gamma_abs * cmath.exp(1j * plan.phases[j]),
+                                  n_out=None, margin=margin)
+        cfg = tuned_cascade(n_top=plan.n_rows - 1, tau=1e-4, chi_t=0.1, alpha=20.0, eta=0.8,
+                            samples=300, rng_seed=int(derive_seeds(7, [j])[0]))
+        one = estimate_photon_distribution(np.diag(displaced.diagonal()), plan.n_rows - 1, cfg)
         assert np.array_equal(P[j], one.values)
 
 
@@ -329,9 +367,13 @@ def test_backend_validation():
         mc_backend(0)
     with pytest.raises(ValueError):
         mc_backend(100, seed=-3)
+    probe = ProbeDetector(alpha=20.0, eta=0.8)
     with pytest.raises(ValueError, match="update_rule"):
-        MonteCarloBackend(cavity=CavityParams(tau=1e-4, psi=0.0, chi_t=0.1),
-                          probe=ProbeDetector(alpha=20.0, eta=0.8), samples=10, rng_seed=0,
+        MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=probe, samples=10, rng_seed=0,
                           update_rule="bogus")
+    with pytest.raises(ValueError, match="tau"):
+        MonteCarloBackend(tau=1.0, chi_t=0.1, probe=probe, samples=10, rng_seed=0)
+    with pytest.raises(ValueError, match="chi_t"):
+        MonteCarloBackend(tau=1e-4, chi_t=-0.1, probe=probe, samples=10, rng_seed=0)
     with pytest.raises(ValueError):
-        displaced_distribution(np.eye(2, dtype=complex), 1.0, 4, backend="turbo")
+        plan_for(2, backend="turbo")
