@@ -15,9 +15,19 @@ Text is handled as unsigned integers whose byte k, counted from the least
 significant, is character k: 4 ASCII digits come from one lookup of a
 10000-entry table, and a float cell is assembled in three 8-byte lanes (sign,
 "0.000" prefix, 17 digits with the dot moved in by a one-byte shift) plus a
-fourth for the exponent when a cell of the block needs one.  Each cell is a
-fixed-width slot padded with NUL; the slots and separators of a block of rows
-form one uint8 matrix, whose bytes lose their NULs in one `bytes.translate`.
+fourth for the exponent when a cell of the table may need one.  Each cell is
+a fixed-width slot padded with NUL.  Digits are formed for magnitudes, once
+per distinct one: a density matrix whose |re| and |im| are symmetric forms
+them for its lower triangle only, an int column whose values span fewer
+numbers than it has rows (an index column) for that span only, and each cell
+is gathered from those slots and takes its own sign.  The slots of a block of
+rows are written into one row buffer per table, whose head, separators and
+tail are filled once, and its bytes lose their NULs in one `bytes.translate`.
+
+Cost on a 2-vCPU VM: forming the digits of 2048 magnitudes takes ~0.3-0.5
+ms, and assembling a block of 1024 rows of a density matrix from its slots
+~0.15 ms, most of it the `bytes.translate`; a 121×121 density matrix prints
+in about half the time it took when every cell formed its own digits.
 """
 
 import functools
@@ -27,8 +37,9 @@ import numpy as np
 
 from .tables import FLOAT
 
-# Float cells printed per block (~240 bytes of temporaries each), which
-# bounds the memory the array path holds at once to ~0.5 MB.
+# Float magnitudes whose digits are formed at once (~240 bytes of
+# temporaries each), which bounds the memory a block holds to ~0.5 MB; a
+# mirrored density matrix also holds the 32-byte slots of its triangle.
 BLOCK_CELLS = 2048
 
 _K_MIN, _K_MAX = -260, 290  # powers 10^k stored; |x| in [1e-270, 1e270] needs -255..288
@@ -56,8 +67,8 @@ def _lookup():
     for k = _K_MIN.._K_MAX; layout, for 18·point + kept: the lanes that
     keep bytes 6..6+point-1 (the digits before the dot), that keep
     6+point..6+kept-1 (those after it), and of the dot at byte 6+point;
-    head, for 5·sign + zeros: lane 0 with "-" and "0.", "0.0", .. before
-    the digits; exponent: the fourth lane, for -_EXP_MAX.._EXP_MAX, then
+    head, for zeros: lane 0 with "0.", "0.0", .. before the digits (byte 0,
+    the sign, NUL); exponent: the fourth lane, for -_EXP_MAX.._EXP_MAX, then
     none; int_powers: 10^1..10^19.
     """
     i = np.arange(10000)
@@ -81,10 +92,9 @@ def _lookup():
     layout = np.stack([((6 <= byte) & (byte < 6 + point)) * 255,
                        ((6 + point <= byte) & (byte < 6 + kept)) * 255,
                        ((byte == 6 + point) & (kept > point) & (point > 0)) * ord(".")])
-    head = np.zeros((2, 5, 8), np.uint8)
-    head[1, :, 0] = ord("-")
-    head[:, :, 1:6] = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5"
-                               ).view(np.uint8).reshape(5, 5)
+    head = np.zeros((5, 8), np.uint8)
+    head[:, 1:6] = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], dtype="S5"
+                            ).view(np.uint8).reshape(5, 5)
     x = np.arange(-_EXP_MAX, _EXP_MAX + 1)
     m = np.abs(x)
     exponent = np.zeros((len(x) + 1, 8), np.uint8)
@@ -178,51 +188,68 @@ def _digits(D, point):
     return dot
 
 
-def _float_slots(x, quote=False):
-    """%.17g of each cell of float64 `x` in a NUL-padded row of 24 bytes, or
-    32 when a cell takes an exponent; with `quote`, a non-finite cell is a
-    JSON string."""
+def _lanes(a):
+    """3 when every non-zero magnitude in `a` lies in [1e-4, 1e16), so that
+    %.17g prints it without an exponent; 4 otherwise (a cell that %.17g
+    prints itself may count as either)."""
+    return 4 if ((a < 1e-4) & (a > 0.0)).any() or (a >= 1e16).any() else 3
+
+
+def _float_slots(a, lanes):
+    """(slots, slow) of float64 magnitudes `a` >= 0: %.17g of each cell in a
+    NUL-padded row of 8·lanes bytes whose byte 0, the sign, is NUL, and the
+    mask of the cells that %.17g must print itself, whose slots are not
+    their text."""
     t = _lookup()
-    a = np.abs(x)
     zero = a == 0.0
     fast = (a >= 1e-270) & (a <= 1e270)
-    D, e, tie = _decimal(np.where(fast, a, 1.0))  # ±0 prints the "1" of 1.0, then "0"
+    D, e, tie = _decimal(np.where(fast, a, 1.0))  # 0 prints the "1" of 1.0, then "0"
     # %.17g is fixed-point for exponents -4..16: "0.000ddd" or "ddd.ddd"
     fixed = (e >= -4) & (e < 17)
     slots = _digits(D, np.where(fixed, np.maximum(e + 1, 0), 1))
-    slots[0] |= t.head.take(5 * np.signbit(x) + np.where(fixed & (e < 0), -e, 0))
-    if not fixed[fast].all():
+    slots[0] |= t.head.take(np.where(fixed & (e < 0), -e, 0))
+    if lanes == 4:
         slots = np.concatenate([slots, t.exponent.take(np.where(fixed, -1, e + _EXP_MAX))[None]])
     slots = np.ascontiguousarray(slots.T, _LANES).view(np.uint8)
     slots[zero, 6] = ord("0")
-    slow = np.flatnonzero(~(fast | zero) | (tie & fast))
-    if len(slow):
-        texts = [FLOAT % v for v in x[slow].tolist()]
-        if quote:
-            texts = [f'"{s}"' if "n" in s else s for s in texts]
-        slots[slow] = _text_slots(texts, slots.shape[1])
-    return slots
+    return slots, ~(fast | zero) | (tie & fast)
 
 
-def _int_slots(v):
-    """%d of each cell of int64 `v` in a NUL-padded row, as wide as the
-    longest cell."""
+def _magnitude_slots(columns, lanes):
+    """(slots, slow) of the magnitudes of the float64 `columns`, one column
+    after another, formed BLOCK_CELLS at a time; slow is None when %.17g
+    need print none of them."""
+    a = np.abs(np.concatenate(columns))
+    parts = [_float_slots(a[i:i + BLOCK_CELLS], lanes) for i in range(0, len(a), BLOCK_CELLS)]
+    slots, slow = (np.concatenate(p) if len(p) > 1 else p[0] for p in zip(*parts))
+    return slots, slow if slow.any() else None
+
+
+def _int_slots(v, width):
+    """%d of each cell of int64 `v`, right-aligned in a NUL-padded row of
+    `width` bytes (at least as wide as the longest cell), with any "-" at
+    byte 0."""
     t = _lookup()
     negative = v < 0
     magnitude = np.where(negative, -v, v).astype(np.uint64)  # -(-2^63) wraps to 2^63
     count = 1 + np.searchsorted(t.int_powers, magnitude, side="right")  # digits
-    width = int(count.max())
-    lanes = -(-width // 4)  # 4-digit chunks, of which each keeps its digits
+    lanes = -(-int(count.max()) // 4)  # 4-digit chunks, of which each keeps its digits
     chunks = _chunks(magnitude)[5 - lanes:] if lanes > 1 else magnitude[None].astype(np.intp)
     text = t.chunk.take(chunks) & t.tail.take(
         np.clip(count - 4 * np.arange(lanes - 1, -1, -1)[:, None], 0, 4))
     text = np.ascontiguousarray(text.T, np.dtype("<u4")).view(np.uint8)
-    sign = int(negative.any())
-    slots = np.empty((len(v), sign + width), np.uint8)
-    slots[:, sign:] = text[:, 4 * lanes - width:]
-    if sign:
-        slots[:, 0] = np.where(negative, ord("-"), 0)
+    slots = np.zeros((len(v), width), np.uint8)
+    digits = min(4 * lanes, width)  # the leading 4·lanes - digits bytes are NUL
+    slots[:, width - digits:] = text[:, 4 * lanes - digits:]
+    if negative.any():
+        slots[:, 0] |= negative.view(np.uint8) * np.uint8(ord("-"))
     return slots
+
+
+def _int_width(lo, hi):
+    """The slot width of int cells in lo..hi: the digits of the longest, and
+    a byte for the sign when one is negative."""
+    return max(len(str(abs(lo))), len(str(abs(hi)))) + (lo < 0)
 
 
 def _text_slots(texts, width):
@@ -231,28 +258,79 @@ def _text_slots(texts, width):
     return data.view(np.uint8).reshape(len(texts), width)
 
 
-def array_text(columns, head, sep, tail, json=False):
+def array_text(columns, head, sep, tail, json=False, mirror=None):
     """Each row of the int64 and float64 `columns` as head, its cells joined
-    by sep, and tail, all rows concatenated."""
+    by sep, and tail, all rows concatenated.
+
+    Digits are formed once per distinct magnitude and gathered.  `mirror` is
+    None or (cells, slot): the float cells of rows `cells` hold every
+    magnitude of the float columns, and row i's are those of row
+    cells[slot[i]], so their digits are formed once, up front, for those
+    rows.  With None (the identity mirror) each block of rows forms its own.
+    Each cell takes its sign from its own value, and a cell the array path
+    leaves to %.17g is printed from its own value.  An int column whose
+    values span fewer numbers than it has rows is printed from the slots of
+    that span.
+    """
+    n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
-    head, sep, tail = (np.frombuffer(p.encode(), np.uint8) for p in (head, sep, tail))
-    step = max(1, BLOCK_CELLS // max(1, len(floats)))
+    step = max(1, min(n, BLOCK_CELLS // max(1, len(floats))))
+    lanes = max((_lanes(np.abs(c)) for c in floats), default=3)
+    table = slow = None
+    if mirror is not None and floats:
+        cells, slot = mirror
+        table, slow = _magnitude_slots([c[cells] for c in floats], lanes)
+    identity = np.arange(step)
+
+    # one row buffer per table, whose head, separators and tail are filled once
+    text = [np.frombuffer(p.encode(), np.uint8) for p in (head, sep, tail)]
+    spans, widths = [], [len(text[0])]
+    for column in columns:
+        if column.dtype.kind == "f":
+            spans.append(None)
+            widths += [8 * lanes, len(text[1])]
+        else:
+            lo, hi = int(column.min()), int(column.max())
+            width = _int_width(lo, hi)
+            # an index column: each value is printed once, then gathered
+            spans.append((lo, _int_slots(lo + np.arange(hi - lo + 1), width)
+                          if hi - lo < n - 1 else None))
+            widths += [width, len(text[1])]
+    widths[-1] = len(text[2])
+    at = np.cumsum([0] + widths).tolist()
+    matrix = np.empty((step, at[-1]), np.uint8)
+    for k, piece in enumerate(text[:1] + [text[1]] * (len(columns) - 1) + text[2:]):
+        matrix[:, at[2 * k]:at[2 * k + 1]] = piece
+
     out = []
-    for start in range(0, len(columns[0]), step):
+    for start in range(0, n, step):
         block = slice(start, start + step)
-        if floats:  # the float columns of a block are printed together
-            printed = iter(np.split(_float_slots(np.concatenate([a[block] for a in floats]),
-                                                 quote=json), len(floats)))
-        pieces = [head]
-        for column in columns:
-            if column.dtype.kind == "f":
-                pieces += [next(printed), sep]
+        rows = matrix[:min(step, n - start)]
+        if mirror is None:
+            source = identity[:len(rows)]
+            if floats:
+                table, slow = _magnitude_slots([c[block] for c in floats], lanes)
+        else:
+            source = slot[block]
+        f = 0
+        for k, (column, span) in enumerate(zip(columns, spans)):
+            part = rows[:, at[2 * k + 1]:at[2 * k + 2]]
+            x = column[block]
+            if span is None:  # a float column: its slots, the sign of each cell
+                index = source + f * (len(table) // len(floats))
+                f += 1
+                part[...] = table.take(index, axis=0)
+                part[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
+                redo = () if slow is None else np.flatnonzero(slow.take(index))
+                if len(redo):
+                    texts = [FLOAT % v for v in x[redo].tolist()]
+                    if json:
+                        texts = [f'"{s}"' if "n" in s else s for s in texts]
+                    part[redo] = _text_slots(texts, part.shape[1])
+            elif span[1] is not None:
+                part[...] = span[1].take(x - span[0], axis=0)
             else:
-                pieces += [_int_slots(column[block]), sep]
-        pieces[-1] = tail
-        widths = [p.shape[-1] for p in pieces]
-        matrix = np.empty((len(pieces[1]), sum(widths)), np.uint8)
-        for p, at, width in zip(pieces, np.cumsum([0] + widths).tolist(), widths):
-            matrix[:, at:at + width] = p
-        out.append(matrix.tobytes().translate(None, b"\0").decode())
+                part[...] = _int_slots(x, part.shape[1])
+        out.append(rows.tobytes().translate(None, b"\0").decode())
+    table = slow = None  # freed before the text is joined: they would raise its peak
     return "".join(out)

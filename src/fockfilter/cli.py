@@ -509,20 +509,28 @@ def manifest_dict(cfg):
 
 
 def emit_results(result, cfg):
-    """Write manifest + tables (or one JSON document) under cfg.out_dir."""
+    """Write manifest + tables (or one JSON document) under cfg.out_dir.
+
+    Every output file is opened, in place, before any is written, so a file
+    that cannot be opened leaves the directory as it was.
+    """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    written = [tables.write_text(os.path.join(out, "manifest.json"),
-                                 tables.json_text(manifest_dict(cfg)) + "\n")]
+    texts = {"manifest.json": lambda: tables.json_text(manifest_dict(cfg)) + "\n"}
     if cfg.fmt == "table":
         for name, tab in result["tables"].items():
-            text = tables.table_text(tab["header"], tab["rows"])
-            written.append(tables.write_text(os.path.join(out, f"{name}.csv"), text))
+            texts[f"{name}.csv"] = functools.partial(tables.table_text, tab["header"],
+                                                     tab["rows"])
     else:
         doc = {"experiment": result["experiment"], "summary": result["summary"],
                "tables": result["tables"]}
-        written.append(tables.write_text(os.path.join(out, "results.json"),
-                                         tables.json_text(doc) + "\n"))
+        texts["results.json"] = lambda: tables.json_text(doc) + "\n"
+    files = tables.open_in_place([os.path.join(out, name) for name in texts])
+    try:
+        written = [tables.write_text(fh, text()) for fh, text in zip(files, texts.values())]
+    finally:
+        for fh in files:
+            fh.close()
     for key, value in result["summary"].items():
         print(f"{key} = {tables.fmt_cell(value)}")
     return written

@@ -13,6 +13,13 @@ where (k_n, s_n) are the cavity amplitudes at phase psi - chi_t n.  The
 at |alpha| = 100.  Both conditional states are renormalized; their weighted
 sum preserves the input diagonal (photon-number nondemolition).
 
+The factors and both states are formed on the lower triangle n >= m and
+mirrored, so every state a pass returns is Hermitian bit for bit, with a
+real diagonal, and the pass takes dim(dim+1)/2 complex exponentials per
+factor instead of dim^2 (at dim 121, ~0.75 of the time of the pass on
+whole matrices on a 2-vCPU VM).  The upper triangle of the input is not
+read.
+
 Because each outcome scales element (n, m) by its own factor and its
 probability sums the diagonal alone, the outcome probabilities depend on
 diag(nu) only, through the diagonal exponents G(n, n), G_off(n, n).  The
@@ -79,15 +86,18 @@ def _folded_exponents(kk, ss, a2, eta):
 
 
 def _element_exponents(cav, probe, n_max):
-    """Folded exponent matrices (G, G_off) for every signal pair (n, m)."""
+    """Folded exponents (G, G_off) of the signal pairs (n, m) of the lower
+    triangle n >= m, in the order of fock._lower_triangle(n_max + 1)."""
+    rows, cols, _ = fock._lower_triangle(n_max + 1)
     kappa, sigma = mode_amplitudes(cav, n_max)
-    return _folded_exponents(np.outer(kappa, kappa.conj()),
-                             np.outer(sigma, sigma.conj()),
+    return _folded_exponents(kappa[rows] * kappa[cols].conj(),
+                             sigma[rows] * sigma[cols].conj(),
                              abs(probe.alpha) ** 2, probe.eta)
 
 
-def _outcomes(nu, G, G_off):
-    """Unnormalized (ON, OFF) elements and their probabilities (traces).
+def _outcomes(nu, G, G_off, diagonal):
+    """Unnormalized (ON, OFF) elements and their probabilities (traces), on
+    the cells of one triangle; `diagonal` indexes its diagonal cells.
 
     Raises NumericalError when a probability is not finite, which only a
     non-finite input can cause (Re G, Re G_off <= 0).
@@ -96,7 +106,7 @@ def _outcomes(nu, G, G_off):
     on_factor = np.exp(G) - off_factor
     on_raw = nu * on_factor
     off_raw = nu * off_factor
-    p_on, p_off = np.trace(on_raw).real, np.trace(off_raw).real
+    p_on, p_off = on_raw[diagonal].sum().real, off_raw[diagonal].sum().real
     if not (math.isfinite(p_on) and math.isfinite(p_off)):
         raise fock.NumericalError(
             f"filter pass gave non-finite outcome probabilities "
@@ -105,21 +115,29 @@ def _outcomes(nu, G, G_off):
 
 
 def filter_pass(rho, cav, probe):
-    """Exact conditional output states of one filter pass on density matrix rho."""
+    """Exact conditional output states of one filter pass on density matrix rho.
+
+    The outcome factors and states are formed on the lower triangle (n >= m)
+    and mirrored, so both states are Hermitian bit for bit, with a real
+    diagonal, whatever rounding rho's upper triangle carries.
+    """
     rho = np.asarray(rho, dtype=complex)
-    G, G_off = _element_exponents(cav, probe, rho.shape[0] - 1)
-    on_raw, p_on, off_raw, p_off = _outcomes(rho, G, G_off)
+    dim = rho.shape[0]
+    rows, cols, diagonal = fock._lower_triangle(dim)
+    G, G_off = _element_exponents(cav, probe, dim - 1)
+    on_raw, p_on, off_raw, p_off = _outcomes(rho.ravel()[rows * dim + cols], G, G_off,
+                                             diagonal)
     return FilterResult(p_on=max(p_on, 0.0), p_off=max(p_off, 0.0),
-                        state_on=_normalize(on_raw, p_on),
-                        state_off=_normalize(off_raw, p_off))
+                        state_on=_normalize(on_raw, p_on, dim),
+                        state_off=_normalize(off_raw, p_off, dim))
 
 
-def _normalize(raw, prob):
+def _normalize(lower, prob, dim):
+    """The Hermitian state whose lower triangle is lower / prob; None when
+    prob < MIN_OUTCOME_PROB."""
     if prob < MIN_OUTCOME_PROB:
         return None
-    out = raw / prob
-    out.setflags(write=False)
-    return out
+    return fock._hermitian(lower / prob, dim)
 
 
 def filter_pass_asymptotic(rho, cav, probe, n_star):
@@ -165,9 +183,7 @@ def filter_pass_asymptotic(rho, cav, probe, n_star):
             "the input state is not finite")
     if not tr >= MIN_OUTCOME_PROB:
         return p_on_approx, None
-    state = bracket / tr
-    state.setflags(write=False)
-    return p_on_approx, state
+    return p_on_approx, _normalize(bracket[fock._lower_triangle(dim)[:2]], tr, dim)
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ State constructors (number / coherent / thermal / squeezed vacuum),
 displacement operators, photon distributions and state metrics.  Every state
 is a complex density matrix nu on the truncated basis {|0>, ..., |N>}:
 Hermitian, unit trace, positive semidefinite.  Matrices returned by the
-constructors are marked read-only; treat them as immutable values.
+constructors are Hermitian bit for bit (each upper cell the conjugate of its
+mirror, the diagonal real) and marked read-only; treat them as immutable
+values.
 
 Factorials are evaluated in log space so that cutoffs beyond n ~ 170 do not
 overflow double precision.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,12 +236,48 @@ def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):
     if spec.kind == "thermal":
         diag = analytic_distribution(spec, cutoff)
         rho = np.diag(diag / diag.sum()).astype(complex)
-    else:
-        c = _pure_amplitudes(spec, cutoff)
-        rho = np.outer(c, c.conj())
-        rho /= np.trace(rho).real
-    rho.setflags(write=False)
-    return rho
+        rho.setflags(write=False)
+        return rho
+    c = _pure_amplitudes(spec, cutoff)
+    rows, cols, diagonal = _lower_triangle(cutoff + 1)
+    lower = c[rows] * c[cols].conj()
+    return _hermitian(lower / lower[diagonal].sum().real, cutoff + 1)
+
+
+def _lower_triangle(dim):
+    """(rows, cols, diagonal) of a dim x dim matrix's lower triangle n >= m in
+    row-major order: the row and column of each cell, and the positions of
+    the diagonal cells among them.  Read-only."""
+    rows, cols, diagonal = _triangle_prefix(-(-dim // 64) * 64)
+    cells = dim * (dim + 1) // 2
+    return rows[:cells], cols[:cells], diagonal[:dim]
+
+
+@functools.lru_cache(maxsize=4)
+def _triangle_prefix(size):
+    """Read-only (rows, cols, diagonal) of the lower triangle of a size x size
+    matrix in row-major order.  Its first dim(dim+1)/2 cells are the
+    triangle of every dim <= size, so one size, a multiple of 64, serves
+    every dim up to it."""
+    rows, cols = np.tril_indices(size)
+    out = rows, cols, np.flatnonzero(rows == cols)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _hermitian(lower, dim):
+    """The read-only dim x dim matrix whose lower triangle (row-major, as
+    `_lower_triangle` orders it) is `lower`, whose upper triangle is its
+    conjugate and whose diagonal is lower's real part: Hermitian bit for bit."""
+    rows, cols, _ = _lower_triangle(dim)
+    out = np.empty(dim * dim, dtype=complex)
+    out[cols * dim + rows] = np.conj(lower)
+    out[rows * dim + cols] = lower
+    out.imag[::dim + 1] = 0.0
+    out = out.reshape(dim, dim)
+    out.setflags(write=False)
+    return out
 
 
 def photon_distribution(rho):

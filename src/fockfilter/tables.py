@@ -24,6 +24,9 @@ path above 14 digits):
   (1e5 times that error bound), every non-finite cell and every |x| outside
   [1e-270, 1e270] other than ±0 (subnormals included).
 - An int64 cell is printed from the same table of 4-digit chunks.
+- Digits are formed once per distinct magnitude: for a density matrix that
+  `density_matrix_rows` marks (|re| and |im| symmetric bit for bit), once
+  per mirror pair; for an index column, once per value.
 
 Every other table (a list of rows of any size, or a smaller `Columns`) goes
 through one row template, the joined conversions, which `%` applies to every
@@ -31,6 +34,8 @@ row in C.  The output bytes are those of the row template; the tests compare
 the array path with %.17g and %d cell by cell.
 """
 
+import contextlib
+import functools
 import os
 from collections.abc import Sequence
 from json.encoder import encode_basestring
@@ -39,9 +44,9 @@ import numpy as np
 
 FLOAT = "%.17g"  # shortest fixed precision that round-trips any double exactly
 # Tables with at least this many rows are printed a column at a time.  The
-# array path costs ~0.5 ms per block of rows whatever its size, so below
-# ~200-300 rows (2-4 columns, 1-3 of them float; measured on a 2-vCPU VM)
-# the row template is faster.
+# array path costs ~0.5 ms per table whatever its size, so below ~200-300
+# rows (4 columns, 2 of them float; measured on a 2-vCPU VM) the row
+# template is faster.
 ARRAY_ROWS = 300
 
 
@@ -50,9 +55,13 @@ class Columns(Sequence):
 
     Row i is the tuple of the columns' i-th values as Python ints and floats,
     so the writers print a Columns exactly as they print the list of its rows.
+    `mirror`, None or (cells, slot), says that the float cells of rows
+    `cells` hold every magnitude of the float columns and that row i's are
+    those of row cells[slot[i]]; the array path then forms digits for those
+    rows only.  It changes no printed byte.
     """
 
-    def __init__(self, *columns):
+    def __init__(self, *columns, mirror=None):
         arrays = [np.asarray(c) for c in columns]
         if not arrays or len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 1:
             raise ValueError("Columns needs one or more 1-D columns of one length")
@@ -61,6 +70,7 @@ class Columns(Sequence):
             raise TypeError(f"Columns holds int and float columns, got dtype kinds {kinds}")
         self.columns = [a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=False)
                         for a in arrays]
+        self.mirror = mirror
 
     def __len__(self):
         return len(self.columns[0])
@@ -133,12 +143,37 @@ def table_text(header, rows):
 
 
 def density_matrix_rows(rho):
-    """Row-major (n, m, re, im) rows of a density matrix, as `Columns`."""
+    """Row-major (n, m, re, im) rows of a density matrix, as `Columns`.
+
+    A square matrix whose |re| and |im| are symmetric bit for bit, as every
+    state this package returns is, and whose table takes the array path is
+    marked with the mirror of its lower triangle, so the array path forms
+    the digits of each mirror pair once.
+    """
     rho = np.asarray(rho, dtype=complex)
     dim_n, dim_m = rho.shape
     flat = rho.ravel()
+    mirror = None
+    if dim_n == dim_m and dim_n * dim_m >= ARRAY_ROWS:
+        re, im = np.abs(rho.real), np.abs(rho.imag)
+        if np.array_equal(re, re.T) and np.array_equal(im, im.T):
+            mirror = _lower_mirror(dim_n)
     return Columns(np.arange(dim_n).repeat(dim_m), np.tile(np.arange(dim_m), dim_n),
-                   flat.real, flat.imag)
+                   flat.real, flat.imag, mirror=mirror)
+
+
+@functools.lru_cache(maxsize=1)
+def _lower_mirror(dim):
+    """(cells, slot) of a dim x dim matrix's row-major table: the rows of its
+    lower triangle n >= m, and for each row (n, m) the position among them
+    of (max(n, m), min(n, m)).  Read-only."""
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    rows, cols = np.tril_indices(dim)
+    high, low = np.maximum(n, m), np.minimum(n, m)
+    out = rows * dim + cols, high * (high + 1) // 2 + low
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def json_text(obj, indent=0):
@@ -222,30 +257,64 @@ def _array_text(rows, head, sep, tail, json=False):
     # imported on first use: without cached bytecode, compiling the array
     # path costs ~7 ms at every start, and small tables never need it
     from ._arraytext import array_text
-    return array_text(rows.columns, head, sep, tail, json)
+    return array_text(rows.columns, head, sep, tail, json, rows.mirror)
 
 
 def write_text(path, text):
     """Write `text` as UTF-8 to `path`, in place; returns path.
 
-    The file is overwritten from its start and cut to the new length, never
-    truncated to zero first: on ext4 an O_TRUNC open frees the old blocks and
-    flushes the file again on close, which made the tables layer of a rerun
-    that rewrites three small files cost 0.99 ms instead of 0.30 ms (2-vCPU
-    VM, ext4 mounted with discard).  A new file
-    gets mode 0o666 & ~umask, as open(path, "w") gives it.  The directory must
-    exist.  The write is not atomic, and the old bytes stay until they are
-    overwritten, so a crash part way can leave a file that mixes bytes of the
-    old and the new run and may still parse.
+    `path` is a path, or a binary file from `open_in_place`, which is written
+    from its start and closed.  The file is overwritten from its start and
+    cut to the new length, never truncated to zero first: on ext4 an O_TRUNC
+    open frees the old blocks and flushes the file again on close, which
+    made the tables layer of a rerun that rewrites three small files cost
+    0.99 ms instead of 0.30 ms (2-vCPU VM, ext4 mounted with discard).  The
+    write is not atomic, and the old bytes stay until they are overwritten,
+    so a crash part way can leave a file that mixes bytes of the old and the
+    new run and may still parse.
     """
-    with open(path, "wb", opener=_open_in_place) as fh:
-        fh.write(text.encode("utf-8"))
-        fh.truncate()
-    return path
+    if isinstance(path, (str, bytes, os.PathLike)):
+        write_text(open_in_place([path])[0], text)
+        return path
+    with path:
+        path.write(text.encode("utf-8"))
+        path.truncate()
+    return path.name
 
 
-def _open_in_place(path, flags):
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+def open_in_place(paths):
+    """Every one of `paths` opened for writing without truncating, all before
+    any is written: a list of binary files, which the caller closes.
+
+    A new file gets mode 0o666 & ~umask, as open(path, "w") gives it; the
+    directory must exist.  When an open fails, the files opened so far are
+    closed, the ones this call created are removed, and the error is raised:
+    every file that existed is left untouched.
+    """
+    files, created = [], []
+    try:
+        for path in paths:
+            try:
+                files.append(open(path, "wb", opener=_open_existing))
+            except FileNotFoundError:
+                files.append(open(path, "wb", opener=_create))
+                created.append(path)
+    except BaseException:
+        for fh in files:
+            fh.close()
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+    return files
+
+
+def _open_existing(path, flags):
+    return os.open(path, flags & ~(os.O_TRUNC | os.O_CREAT))
+
+
+def _create(path, flags):
+    return os.open(path, (flags & ~os.O_TRUNC) | os.O_EXCL, 0o666)
 
 
 def read_csv(path):

@@ -11,8 +11,10 @@ grid phi_j = 2 pi j / N_phi separates the diagonals s = k - m as long as
 N_phi >= 2M + 1.  A TomographyPlan holds N_phi and derives its phases from
 it, so every plan has such a grid.  Each s gives an overdetermined
 linear system in the unknowns nu_{m+s,m}, solved by least squares (SVD via
-np.linalg.lstsq; normal equations would square the condition number).
-Negative s follows from Hermitian symmetry.
+np.linalg.lstsq; normal equations would square the condition number).  The
+kernels are real, so one real product takes every component's real and
+imaginary parts, and each s is a real system with those two right-hand
+sides.  Negative s follows from Hermitian symmetry.
 
 The forward model runs the same equation the other way.  D(|gamma| e^{i phi})
 = R(phi) D(|gamma|) R(phi)^+ with R(phi) = diag(e^{i n phi}), so one real
@@ -192,7 +194,7 @@ def phase_fourier(P_matrix, s):
 class ReconstructionResult:
     """Reconstructed nu plus per-diagonal least-squares diagnostics.
 
-    nu_hat is Hermitian by construction and NOT renormalized; its trace is
+    nu_hat is Hermitian bit for bit and NOT renormalized; its trace is
     recorded.  flags report rank-deficient systems (condition > 1e12),
     near-singular ones (smallest singular value < 1e-12, which the
     scale-free condition misses, e.g. at a near-zero |gamma|) and a trace
@@ -229,11 +231,16 @@ def reconstruct(plan, measured):
     M = plan.max_fock
     rows = plan.n_rows
     D = np.asarray(fock.displacement_matrix(plan.gamma_abs, max(rows, M + 1)))
+    # every phase-Fourier component s = 0..M in one product, as real and
+    # imaginary parts: D and every kernel K_s are real, so each s is a real
+    # least-squares problem with two right-hand sides
+    angles = np.outer(np.arange(M + 1), uniform_phase_grid(plan.n_phases))
+    targets = np.vstack([np.cos(angles), np.sin(angles)]) @ measured[:, :rows] / plan.n_phases
 
-    nu_hat = np.zeros((M + 1, M + 1), dtype=complex)
+    lower = np.zeros((M + 1, M + 1), dtype=complex)
     residuals, conditions, flags = [], [], []
     for s in range(M + 1):
-        target = phase_fourier(measured[:, :rows], s)
+        target = targets[[s, M + 1 + s]].T
         kernel = _diagonal_kernel(D, s, rows, M + 1)
         solution, _, _, singvals = np.linalg.lstsq(kernel, target, rcond=None)
         resid = float(np.linalg.norm(kernel @ solution - target))
@@ -248,13 +255,12 @@ def reconstruct(plan, measured):
             flags.append(f"s={s}: near-singular system "
                          f"(smallest singular value {singvals[-1]:.3g})")
         m = np.arange(M + 1 - s)
-        nu_hat[m + s, m] = solution
-        nu_hat[m, m + s] = np.conj(solution)
+        lower[m + s, m] = np.ascontiguousarray(solution).view(complex)[:, 0]
+    nu_hat = fock._hermitian(lower[fock._lower_triangle(M + 1)[:2]], M + 1)
 
     trace = float(np.trace(nu_hat).real)
     if not (TRACE_BAND[0] <= trace <= TRACE_BAND[1]):
         flags.append(f"trace {trace:.6f} outside {TRACE_BAND}")
-    nu_hat.setflags(write=False)
     return ReconstructionResult(
         nu_hat=nu_hat, residual_norms=tuple(residuals),
         condition_numbers=tuple(conditions), trace=trace, flags=tuple(flags))

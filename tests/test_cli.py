@@ -680,6 +680,29 @@ def test_directory_in_place_of_an_output_file_exits_2(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_an_output_that_cannot_be_opened_leaves_every_file_untouched(tmp_path, capsys):
+    argv = ["measure-pn", "--preset", "fig3-thermal"]
+    assert run(tmp_path, *argv, "--seed", "4")[0] == 0
+    out = tmp_path / "out"
+    (out / "input_distribution.csv").unlink()
+    (out / "input_distribution.csv").mkdir()
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()
+              if p.is_file()}
+    code, _ = run(tmp_path, *argv, "--seed", "5")
+    assert code == 2
+    assert "input_distribution.csv" in capsys.readouterr().err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()
+            if p.is_file()} == before
+
+
+def test_a_failed_open_removes_the_files_the_run_created(tmp_path):
+    out = tmp_path / "out"
+    (out / "input_distribution.csv").mkdir(parents=True)
+    code, _ = run(tmp_path, "measure-pn", "--preset", "fig3-thermal")
+    assert code == 2
+    assert [p.name for p in out.iterdir()] == ["input_distribution.csv"]
+
+
 def test_good_cavity_fock_state_below_n_top_clicks_at_its_own_stage(tmp_path):
     # every trial clicks at stage 5, and no trial reaches the stages after it,
     # where the all-OFF path is dead

@@ -254,3 +254,52 @@ def test_superposition_requires_two_resonances():
     rho = fock.make_state(fock.StateSpec.coherent(2.0))
     with pytest.raises(ValueError):
         filtering.superposition_synthesis_check(rho, fig2_cavity(2e-4), FIG2_PROBE)
+
+
+# ---------------------------------------------------------------------------
+# every state a pass returns is Hermitian bit for bit
+
+def assert_exactly_hermitian(state):
+    assert np.array_equal(state, state.conj().T)
+    assert not state.diagonal().imag.any()
+
+
+# the coherent input of the files workload's slowest synthesize ladder
+TAIL_INPUT = fock.StateSpec.coherent(complex(-0.372, -2.2246))
+
+
+@pytest.mark.parametrize("make", [
+    lambda random_state: fock.make_state(TAIL_INPUT, cutoff=120, tail=None),
+    lambda random_state: fock.make_state(fock.StateSpec.squeezed_vacuum(1.5), cutoff=40,
+                                         tail=None),
+    lambda random_state: fock.make_state(fock.StateSpec.thermal(2.0)),
+    lambda random_state: random_state(23, seed=5),  # Hermitian only to rounding
+])
+@pytest.mark.parametrize("tau", [1.14e-3, 2e-2])
+def test_filter_pass_states_are_exactly_hermitian(random_state, make, tau):
+    rho = make(random_state)
+    res = filter_pass(rho, ladder_cavity(tau), FIG2_PROBE)
+    assert_exactly_hermitian(res.state_on)
+    assert_exactly_hermitian(res.state_off)
+    # the lower triangles and the outcome probabilities are those of the
+    # pass on whole matrices
+    kappa, sigma = cavity.mode_amplitudes(ladder_cavity(tau), rho.shape[0] - 1)
+    a2, ss = abs(FIG2_PROBE.alpha) ** 2, np.outer(sigma, sigma.conj())
+    g = a2 * (np.outer(kappa, kappa.conj()) + ss - 1.0)
+    g_off = g - FIG2_PROBE.eta * a2 * ss
+    for state, raw in ((res.state_on, rho * (np.exp(g) - np.exp(g_off))),
+                       (res.state_off, rho * np.exp(g_off))):
+        p = np.trace(raw).real
+        assert_allclose(np.tril(state), np.tril(raw) / p, rtol=1e-10, atol=1e-15)
+    assert_allclose([res.p_on, res.p_off], [np.trace(rho * (np.exp(g) - np.exp(g_off))).real,
+                                            np.trace(rho * np.exp(g_off)).real], rtol=1e-12)
+
+
+def ladder_cavity(tau):
+    return CavityParams(tau=tau, psi=0.04, chi_t=0.01)
+
+
+def test_asymptotic_state_is_exactly_hermitian(random_state):
+    for rho in (fock.make_state(TAIL_INPUT, cutoff=40, tail=None), random_state(12, seed=2)):
+        _, state = filter_pass_asymptotic(rho, fig2_cavity(2e-4), FIG2_PROBE, n_star=4)
+        assert_exactly_hermitian(state)

@@ -163,6 +163,23 @@ def test_make_state_number_above_cutoff():
         fock.make_state(fock.StateSpec.number(5), cutoff=3)
 
 
+@pytest.mark.parametrize("spec", [
+    fock.StateSpec.number(3), fock.StateSpec.coherent(complex(-0.372, -2.2246)),
+    fock.StateSpec.coherent(2.0), fock.StateSpec.thermal(1.5),
+    fock.StateSpec.squeezed_vacuum(0.8),
+])
+def test_make_state_is_exactly_hermitian(spec):
+    # np.outer(c, c.conj()) is not: at cutoff 120 it leaves 4798 of the
+    # coherent state's cells unequal to the conjugate of their mirror cell
+    rho = fock.make_state(spec, cutoff=120, tail=None)
+    assert np.array_equal(rho, rho.conj().T)
+    assert not rho.diagonal().imag.any()
+    c = fock._pure_amplitudes(spec, 120)
+    if c is not None:
+        outer = np.outer(c, c.conj())
+        assert_allclose(rho, outer / np.trace(outer).real, rtol=0, atol=1e-16)
+
+
 def test_make_state_is_read_only():
     rho = fock.make_state(fock.StateSpec.coherent(1.0))
     with pytest.raises(ValueError):

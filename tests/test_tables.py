@@ -396,3 +396,65 @@ def test_large_tables_of_columns_and_of_rows_print_alike():
 def test_a_str_cell_holding_nul_takes_the_row_template():
     rows = [("a\x00b", 1.5)] * (tables.ARRAY_ROWS + 1)
     assert tables.table_text(["s", "x"], rows) == reference_table_text(["s", "x"], rows)
+
+
+# ---------------------------------------------------------------------------
+# a density matrix whose |re| and |im| are symmetric is printed from one
+# triangle of digits; every cell must still print as %.17g prints it
+
+# 18 digits ending in 5: %.17g rounds these halves to even, and the array
+# path leaves them to it
+TIES = [(2 ** 51 + 12345 + 0.5) * 2.0 ** -60, (2 ** 50 + 7 + 0.5) * 2.0 ** -3]
+MIRROR_EDGES = [0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1e-270, 9.99e-271, 1e-5,
+                0.0001, 0.00009999999999999999, 0.5, 1e16, 1e17, 1e300, math.inf] + TIES
+
+
+@st.composite
+def symmetric_magnitudes(draw):
+    """A square complex matrix whose |re| and |im| are symmetric bit for bit,
+    every cell with a sign of its own, from edge values and random ones."""
+    dim = draw(st.integers(1, 40))
+    palette = draw(st.lists(st.one_of(st.sampled_from(MIRROR_EDGES),
+                                      st.floats(0.0, allow_infinity=False)), min_size=1,
+                            max_size=6))
+    g = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rho = np.empty((dim, dim), dtype=complex)
+    for part in (rho.real, rho.imag):  # not re + 1j * im, which turns inf into nan
+        a = g.normal(size=(dim, dim)) * 10.0 ** g.integers(-20, 3, size=(dim, dim))
+        picked = g.random((dim, dim)) < 0.3
+        a[picked] = g.choice(palette, size=picked.sum())
+        a = np.abs(np.tril(a) + np.tril(a, -1).T)
+        part[...] = np.where(g.random((dim, dim)) < 0.5, -a, a)
+    return rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=symmetric_magnitudes(), nudge=st.booleans())
+def test_density_matrices_print_from_one_triangle_as_cell_by_cell(rho, nudge):
+    if nudge:  # one mirrored cell an ulp off: the table is printed unmarked
+        n = rho.shape[0]
+        x = rho[n - 1, 0]
+        rho[n - 1, 0] = complex(np.nextafter(x.real, -x.real if x.real else 1.0), x.imag)
+    rows = tables.density_matrix_rows(rho)
+    marked = rho.size >= tables.ARRAY_ROWS and not (nudge and rho.shape[0] > 1)
+    assert (rows.mirror is not None) == marked
+    header, reference = ["n", "m", "re", "im"], reference_density_matrix_rows(rho)
+    assert tables.table_text(header, rows) == reference_table_text(header, reference)
+    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+
+
+def test_non_finite_cells_of_a_mirrored_matrix_print_from_their_own_value():
+    rho = np.full((20, 20), 0.25 - 0.5j)
+    rho[3, 7], rho[7, 3] = complex(-np.inf, 1e-300), complex(np.inf, -1e-300)
+    rho[5, 5] = complex(-0.0, 5e-324)
+    rows = tables.density_matrix_rows(rho)
+    assert rows.mirror is not None
+    header, reference = ["n", "m", "re", "im"], reference_density_matrix_rows(rho)
+    assert tables.table_text(header, rows) == reference_table_text(header, reference)
+    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+    # NaN equals no mirror cell, so its table is printed unmarked
+    rho[2, 9] = rho[9, 2] = complex(np.nan, 0.0)
+    rows = tables.density_matrix_rows(rho)
+    assert rows.mirror is None
+    reference = reference_density_matrix_rows(rho)
+    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})

@@ -224,6 +224,20 @@ def test_reconstruction_is_hermitian(random_state):
     assert_allclose(rec.nu_hat, rec.nu_hat.conj().T, atol=1e-14)
 
 
+@pytest.mark.parametrize("truth", [
+    fock.make_state(fock.StateSpec.coherent(complex(0.8, -1.1)), cutoff=8, tail=None),
+    fock.make_state(fock.StateSpec.thermal(1.0), cutoff=8, tail=None),
+])
+@pytest.mark.parametrize("monte_carlo", [False, True])
+def test_reconstruction_is_exactly_hermitian(truth, monte_carlo):
+    backend = MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(20.0, 0.8),
+                                samples=500, rng_seed=3) if monte_carlo else "exact"
+    plan = plan_for(8, backend=backend)
+    nu = reconstruct(plan, measure_distributions(truth, plan)).nu_hat
+    assert np.array_equal(nu, nu.conj().T)
+    assert not nu.diagonal().imag.any()
+
+
 def test_rank_deficiency_is_flagged():
     # a huge displacement leaves the low rows blind to the signal block
     truth = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
