@@ -18,16 +18,28 @@ significant, is character k: 4 ASCII digits come from one lookup of a
 fourth for the exponent when a cell of the table may need one.  Each cell is
 a fixed-width slot padded with NUL.  Digits are formed for magnitudes, once
 per distinct one: a density matrix whose |re| and |im| are symmetric forms
-them for its lower triangle only, an int column whose values span fewer
-numbers than it has rows (an index column) for that span only, and each cell
-is gathered from those slots and takes its own sign.  The slots of a block of
-rows are written into one row buffer per table, whose head, separators and
-tail are filled once, and its bytes lose their NULs in one `bytes.translate`.
+them for its lower triangle only, a float column of runs of one magnitude
+(the phase of a phi,n,p table, repeated over its n) once per run, an int
+column whose values span fewer numbers than it has rows (an index column)
+for that span only, and each cell is gathered from those slots and takes its
+own sign.  Equal floats can differ in sign (0.0 and -0.0) and NaN equals
+nothing, so a run is of equal magnitudes and a NaN is a run of its own.
+The digits formed once are formed in the first digit call, and a column of
+runs does not count toward the rows whose digits one call forms: the cost is
+per numpy call, not per cell.  The text is assembled in blocks of
+BLOCK_CELLS // (float columns) rows whatever the runs, which bounds its
+memory; a call forms the digits of a whole number of blocks.  The slots of a
+block of rows are written into one row buffer per table, whose head,
+separators and tail are filled once, and its bytes lose their NULs in one
+`bytes.translate`.
 
 Cost on a 2-vCPU VM: forming the digits of 2048 magnitudes takes ~0.3-0.5
 ms, and assembling a block of 1024 rows of a density matrix from its slots
 ~0.15 ms, most of it the `bytes.translate`; a 121×121 density matrix prints
-in about half the time it took when every cell formed its own digits.
+in about half the time it took when every cell formed its own digits.  A
+phi,n,p table of 1932 rows (max_fock 20) forms its digits in one call and
+prints in ~0.7 of the time it took when it formed those of every phase cell,
+in two calls; at 7052 rows (max_fock 40), ~0.75.
 """
 
 import functools
@@ -41,6 +53,9 @@ from .tables import FLOAT
 # temporaries each), which bounds the memory a block holds to ~0.5 MB; a
 # mirrored density matrix also holds the 32-byte slots of its triangle.
 BLOCK_CELLS = 2048
+# A float column whose runs of one magnitude are this many rows long on
+# average forms its digits once per run.
+RUN_ROWS = 8
 
 _K_MIN, _K_MAX = -260, 290  # powers 10^k stored; |x| in [1e-270, 1e270] needs -255..288
 _EXP_MAX = 300  # exponents with an entry in the exponent table
@@ -258,6 +273,35 @@ def _text_slots(texts, width):
     return data.view(np.uint8).reshape(len(texts), width)
 
 
+def _runs(a):
+    """(run, first) of float magnitudes `a` that form runs of equal values
+    at least RUN_ROWS long on average: the run of each cell, counted from 0,
+    and the first cell of each run; None for any other column.  NaN equals
+    nothing, so it starts a run of its own."""
+    change = a[1:] != a[:-1]
+    count = 1 + int(np.count_nonzero(change))
+    if count * RUN_ROWS > len(a):
+        return None
+    run = np.zeros(len(a), np.int32)  # kept for the whole table: half of intp
+    np.cumsum(change, out=run[1:])
+    return run, np.flatnonzero(np.concatenate([[True], change]))
+
+
+def _source(column, mirror):
+    """(lanes, run, values, index) of a float column: `_lanes` of its
+    magnitudes, whether it is a column of runs, and the cells `values` whose
+    digits it forms once, row i taking those of values[index[i]]: one cell
+    per run, or the mirror's cells.  values and index are None for a column
+    that forms its digits group by group."""
+    a = np.abs(column)
+    lanes, run = _lanes(a), _runs(a)
+    if run is not None:
+        return lanes, True, column[run[1]], run[0]
+    if mirror is not None:
+        return lanes, False, column[mirror[0]], mirror[1]
+    return lanes, False, None, None
+
+
 def array_text(columns, head, sep, tail, json=False, mirror=None):
     """Each row of the int64 and float64 `columns` as head, its cells joined
     by sep, and tail, all rows concatenated.
@@ -265,21 +309,26 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
     Digits are formed once per distinct magnitude and gathered.  `mirror` is
     None or (cells, slot): the float cells of rows `cells` hold every
     magnitude of the float columns, and row i's are those of row
-    cells[slot[i]], so their digits are formed once, up front, for those
-    rows.  With None (the identity mirror) each block of rows forms its own.
-    Each cell takes its sign from its own value, and a cell the array path
-    leaves to %.17g is printed from its own value.  An int column whose
-    values span fewer numbers than it has rows is printed from the slots of
-    that span.
+    cells[slot[i]], so their digits are formed once, for those rows.  A float
+    column of runs of one magnitude (a phase repeated over rows) forms its
+    digits once per run.  Digits formed once are formed in the first digit
+    call; every other float column forms those of a group of blocks in one
+    call per group.  Each cell takes its sign from its own value, and a cell
+    the array path leaves to %.17g is printed from its own value.  An int
+    column whose values span fewer numbers than it has rows is printed from
+    the slots of that span.
     """
     n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
+    sources = [_source(c, mirror) for c in floats]
+    lanes = max([3] + [source[0] for source in sources])
+    runs = sum(source[1] for source in sources)
+    sources = [source[2:] for source in sources]  # (values, index) of each
+    # rows whose text is assembled at once, and rows whose digits are formed
+    # in one call, a whole number of blocks: a run column takes no part in
+    # the digit work
     step = max(1, min(n, BLOCK_CELLS // max(1, len(floats))))
-    lanes = max((_lanes(np.abs(c)) for c in floats), default=3)
-    table = slow = None
-    if mirror is not None and floats:
-        cells, slot = mirror
-        table, slow = _magnitude_slots([c[cells] for c in floats], lanes)
+    group = step * (max(1, len(floats)) // max(1, len(floats) - runs))
     identity = np.arange(step)
 
     # one row buffer per table, whose head, separators and tail are filled once
@@ -303,25 +352,46 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
         matrix[:, at[2 * k]:at[2 * k + 1]] = piece
 
     out = []
+    table = slow = once = None  # once: the slots and slow marks formed once
     for start in range(0, n, step):
         block = slice(start, start + step)
         rows = matrix[:min(step, n - start)]
-        if mirror is None:
-            source = identity[:len(rows)]
-            if floats:
-                table, slow = _magnitude_slots([c[block] for c in floats], lanes)
-        else:
-            source = slot[block]
-        f = 0
+        if start % group == 0:  # the digits of rows start .. start + group - 1
+            first, formed = start, min(group, n - start)
+            parts = [c[start:start + group] for c, (values, _) in zip(floats, sources)
+                     if values is None]
+            base = formed * len(parts)
+            if once is None:
+                # the digits formed once join the first call, each column's
+                # at its offset after `base`
+                offsets, end = [], 0
+                for values, _ in sources:
+                    offsets.append(end)
+                    if values is not None:
+                        parts.append(values)
+                        end += len(values)
+            if parts:
+                table, slow = _magnitude_slots(parts, lanes)
+            if once is None:  # kept apart from the first group's own slots
+                once = tuple(x[base:].copy() if base and x is not None else x
+                             for x in (table, slow))
+        f = b = 0
         for k, (column, span) in enumerate(zip(columns, spans)):
             part = rows[:, at[2 * k + 1]:at[2 * k + 2]]
             x = column[block]
             if span is None:  # a float column: its slots, the sign of each cell
-                index = source + f * (len(table) // len(floats))
+                values, index = sources[f]
+                if values is None:
+                    slots, marks = table, slow
+                    index = identity[:len(rows)] + (start - first + b * formed)
+                    b += 1
+                else:
+                    slots, marks = once
+                    index = index[block] + offsets[f]
                 f += 1
-                part[...] = table.take(index, axis=0)
+                part[...] = slots.take(index, axis=0)
                 part[:, 0] = np.signbit(x).view(np.uint8) * np.uint8(ord("-"))
-                redo = () if slow is None else np.flatnonzero(slow.take(index))
+                redo = () if marks is None else np.flatnonzero(marks.take(index))
                 if len(redo):
                     texts = [FLOAT % v for v in x[redo].tolist()]
                     if json:
@@ -332,5 +402,5 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
             else:
                 part[...] = _int_slots(x, part.shape[1])
         out.append(rows.tobytes().translate(None, b"\0").decode())
-    table = slow = None  # freed before the text is joined: they would raise its peak
+    table = slow = once = None  # freed before the text is joined: they would raise its peak
     return "".join(out)

@@ -20,6 +20,8 @@ import numpy as np
 
 DEFAULT_TAIL = 1e-10
 CUTOFF_CEILING = 4096
+# choose_cutoff scans levels 0 .. n_max for each n_max in turn
+_CUTOFF_PREFIXES = (63, 255, 1023, CUTOFF_CEILING)
 
 STATE_KINDS = ("number", "coherent", "thermal", "squeezed_vacuum")
 
@@ -163,14 +165,17 @@ def choose_cutoff(spec, tail=DEFAULT_TAIL):
         raise ValueError(f"tail tolerance must lie in (0, 0.1), got {tail}")
     if spec.kind == "number":
         return spec.n
-    p = analytic_distribution(spec, CUTOFF_CEILING)
-    tail_mass = 1.0 - np.cumsum(p)
-    ok = np.flatnonzero(tail_mass < tail)
-    if ok.size == 0:
-        raise CutoffError(
-            f"no cutoff up to {CUTOFF_CEILING} reaches tail mass < {tail:g} "
-            f"for {spec.kind} state (mean photons {spec.mean_photons:g})")
-    return int(ok[0])
+    # p_n and its cumulative sum are the same on every prefix of the levels,
+    # so growing prefixes find the cutoff of the full scan without paying
+    # for all CUTOFF_CEILING + 1 levels when the tail ends early
+    for n_max in _CUTOFF_PREFIXES:
+        tail_mass = 1.0 - np.cumsum(analytic_distribution(spec, n_max))
+        ok = np.flatnonzero(tail_mass < tail)
+        if ok.size:
+            return int(ok[0])
+    raise CutoffError(
+        f"no cutoff up to {CUTOFF_CEILING} reaches tail mass < {tail:g} "
+        f"for {spec.kind} state (mean photons {spec.mean_photons:g})")
 
 
 def _pure_amplitudes(spec, cutoff):
@@ -390,7 +395,7 @@ def _laguerre_rows(g_abs, dim):
     a = np.arange(dim)
     lf = _log_factorials(dim - 1)
     log_g = math.log(g_abs)
-    log_first = a * log_g - 0.5 * lf - 0.5 * x
+    log_first = _log_first_row(g_abs, dim)
     bits = None
     if log_first.min() < -_FLOOR:
         log_top = a * log_g - lf + 0.5 * (lf[-1] - lf[::-1])
@@ -419,6 +424,24 @@ def _laguerre_rows(g_abs, dim):
         if bits is not None:
             np.ldexp(E[1:], -bits, out=E[1:])
     return rows[1:]
+
+
+def _log_first_row(g_abs, dim):
+    """log E[0, a] = a log|g| - log(a!) / 2 - |g|^2 / 2 for a = 0 .. dim - 1."""
+    return (np.arange(dim) * math.log(g_abs) - 0.5 * _log_factorials(dim - 1)
+            - 0.5 * (g_abs * g_abs))
+
+
+def _is_leading_block(g_abs, dim):
+    """Whether displacement_matrix(g_abs, dim) is, bit for bit, the leading
+    dim x dim block of displacement_matrix(g_abs, work) for every work > dim.
+
+    It is when _laguerre_rows lifts no column at dim: each column runs its
+    own recurrence, and a larger dim lifts no column a < dim whose first
+    entry is above e^-_FLOOR.  Where dim itself lifts, the lift of a column
+    depends on dim, and entries below ~1e-300 can differ.
+    """
+    return g_abs == 0.0 or _log_first_row(g_abs, dim).min() >= -_FLOOR
 
 
 def displacement_margin(gamma):

@@ -26,7 +26,8 @@ path above 14 digits):
 - An int64 cell is printed from the same table of 4-digit chunks.
 - Digits are formed once per distinct magnitude: for a density matrix that
   `density_matrix_rows` marks (|re| and |im| symmetric bit for bit), once
-  per mirror pair; for an index column, once per value.
+  per mirror pair; for a float column of runs of one magnitude (a phase
+  repeated over rows), once per run; for an index column, once per value.
 
 Every other table (a list of rows of any size, or a smaller `Columns`) goes
 through one row template, the joined conversions, which `%` applies to every

@@ -18,16 +18,30 @@ sides.  Negative s follows from Hermitian symmetry.
 
 The forward model runs the same equation the other way.  D(|gamma| e^{i phi})
 = R(phi) D(|gamma|) R(phi)^+ with R(phi) = diag(e^{i n phi}), so one real
-matrix D(|gamma|) per plan serves every phase: with the diagonal kernel
-K_s[n, m] = D[n, m+s] conj(D[n, m]) and B_s = K_s @ diag_s(nu),
+matrix D(|gamma|) per plan serves every phase: with the real diagonal kernel
+K_s[n, m] = D[n, m+s] D[n, m] and B_s = K_s @ diag_s(nu),
 
     P[j, n] = sum_s e^{-i s phi_j} B_s[n],   B_{-s} = conj(B_s) for Hermitian nu,
 
-at an enlarged working cutoff.  The exact backend reads P directly; the
-Monte Carlo backend samples each phase's counts from one cascade response
-matrix per plan, applied to that phase's displaced diagonal.
+at an enlarged working cutoff; each s is one real product of K_s with the
+real and imaginary parts of the s-th lower and upper diagonals.  The exact
+backend reads P directly; the Monte Carlo backend samples each phase's
+counts from one cascade response matrix per plan, applied to that phase's
+displaced diagonal.
+
+A plan builds D once.  reconstruct needs D at max(n_rows, M + 1), and that
+is bit for bit the leading block of the matrix measure_distributions built
+at its working cutoff (fock._is_leading_block says where the identity
+holds).  measure_distributions keeps its matrix and the reconstruct after
+it reads that block; a reconstruct of another |gamma| (a measured.csv) or
+one where the identity does not hold builds its own.  reconstruct releases
+the kept matrix, so at most one is alive.  Each K_s is built once, in the
+solve loop, which holds the lstsq of each s and the product of K_s with its
+solution; residual norms, condition numbers, flags and the lower-triangle
+store follow it, over all s at once.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,10 +102,13 @@ class TomographyPlan:
     def __post_init__(self):
         if not (self.gamma_abs > 0.0 and math.isfinite(self.gamma_abs)):
             raise ValueError(f"gamma_abs must be finite and > 0, got {self.gamma_abs}")
+        for name in ("max_fock", "n_phases", "n_rows"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # no numpy integer arithmetic
         if self.max_fock < 0:
             raise ValueError("max_fock must be >= 0")
-        if not isinstance(self.n_phases, (int, np.integer)):
-            raise ValueError(f"n_phases must be an integer, got {self.n_phases!r}")
         if self.n_phases < 2 * self.max_fock + 1:
             raise ValueError(
                 f"{self.n_phases} phases cannot separate diagonals up to "
@@ -119,13 +136,52 @@ def default_gamma_abs(mean_photons):
     return math.sqrt(mean_photons + 1.0)
 
 
-def _diagonal_kernel(D, s, n_rows, dim):
-    """K_s[n, m] = D[n, m+s] conj(D[n, m]) for n < n_rows and m < dim - s.
+# (|gamma|, D(|gamma|)) that measure_distributions built for its plan, kept
+# for the reconstruct that follows it: at most one matrix is alive
+_last_displacement = (None, None)
 
-    With D = D(|gamma|) this is A_{m+s,m,n}(|gamma|): the weight of nu_{m+s,m}
-    in row n of the displaced distribution at phase 0.
+
+def _displacement(gamma_abs, dim, keep):
+    """A real D(|gamma|) of dim x dim or larger whose leading dim x dim block
+    is fock.displacement_matrix(gamma_abs, dim) bit for bit: the kept matrix
+    when it is, a new one otherwise.  With `keep` it is kept for the next
+    call; without, none is."""
+    global _last_displacement
+    last_gamma, D = _last_displacement
+    _last_displacement = (None, None)
+    if not (last_gamma == gamma_abs and len(D) >= dim
+            and (len(D) == dim or fock._is_leading_block(gamma_abs, dim))):
+        D = None  # freed before the new one is built
+        D = fock.displacement_matrix(gamma_abs, dim)
+    if keep:
+        _last_displacement = (gamma_abs, D)
+    return D
+
+
+@functools.lru_cache(maxsize=4)
+def _diagonals(dim):
+    """(rows, cols, bounds, order) of the cells (m + s, m) of a dim x dim lower
+    triangle taken diagonal by diagonal, s = 0 .. dim - 1 and m = 0 .. dim -
+    1 - s: their rows and columns, the cells bounds[s] .. bounds[s + 1] - 1
+    of diagonal s, and for each cell in the row-major order of
+    fock._lower_triangle its place among them.  Read-only."""
+    bounds = np.concatenate([[0], np.cumsum(np.arange(dim, 0, -1))])
+    s = np.repeat(np.arange(dim), np.diff(bounds))
+    cols = np.arange(bounds[-1]) - bounds[s]
+    tri_rows, tri_cols, _ = fock._lower_triangle(dim)
+    rows, order = cols + s, bounds[tri_rows - tri_cols] + tri_cols
+    for a in (rows, cols, order):
+        a.setflags(write=False)
+    return rows, cols, tuple(bounds.tolist()), order
+
+
+def _diagonal_kernel(D, s, n_rows, dim):
+    """K_s[n, m] = D[n, m+s] D[n, m] for n < n_rows and m < dim - s.
+
+    With the real D = D(|gamma|) this is A_{m+s,m,n}(|gamma|): the weight of
+    nu_{m+s,m} in row n of the displaced distribution at phase 0.
     """
-    return D[:n_rows, s:dim] * np.conj(D[:n_rows, :dim - s])
+    return D[:n_rows, s:dim] * D[:n_rows, :dim - s]
 
 
 def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
@@ -141,14 +197,22 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
     dim = nu.shape[0]
     # the working space must cover both the displacement margin and the rows
     work = dim + fock.displacement_margin(gamma_abs) + max(0, n_rows - dim)
-    D = fock.displacement_matrix(gamma_abs, work)
-    B = np.empty((2 * dim - 1, work), dtype=complex)  # B[dim - 1 + s] = B_s
+    D = _displacement(gamma_abs, work, keep=True)
+    rows, cols, bounds, _ = _diagonals(dim)
+    # the lower diagonals, and the upper ones too, so that a non-Hermitian nu
+    # shows as an imaginary residue instead of being symmetrised away: real
+    # and imaginary parts as four real columns, one product per diagonal
+    lower, upper = nu[rows, cols], nu[cols, rows]
+    diagonals = np.stack([lower.real, upper.real, lower.imag, upper.imag], axis=1)
+    sums = np.empty((dim, work, 4))
     for s in range(dim):
-        kernel = _diagonal_kernel(D, s, work, dim)
-        B[dim - 1 + s] = kernel @ np.diagonal(nu, -s)
-        # read the upper diagonals too, so that a non-Hermitian nu shows as an
-        # imaginary residue instead of being symmetrised away
-        B[dim - 1 - s] = np.conj(kernel) @ np.diagonal(nu, s)
+        np.matmul(_diagonal_kernel(D, s, work, dim), diagonals[bounds[s]:bounds[s + 1]],
+                  out=sums[s])
+    # B[dim - 1 + s] = B_s, and B_{-s} from the upper diagonals
+    B = np.empty((2 * dim - 1, work), dtype=complex)
+    B.real[dim - 1:], B.imag[dim - 1:] = sums[:, :, 0], sums[:, :, 2]
+    B.real[:dim], B.imag[:dim] = sums[::-1, :, 1], sums[::-1, :, 3]
+    del sums  # freed before P is formed: it would raise the peak
     P = np.exp(-1j * np.outer(phases, np.arange(1 - dim, dim))) @ B
     bad = np.flatnonzero(~np.isfinite(P).all(axis=1))
     if bad.size:
@@ -230,40 +294,47 @@ def reconstruct(plan, measured):
                          f"(phase {plan.phases[j]:.6g}, n = {n})")
     M = plan.max_fock
     rows = plan.n_rows
-    D = np.asarray(fock.displacement_matrix(plan.gamma_abs, max(rows, M + 1)))
+    D = _displacement(plan.gamma_abs, max(rows, M + 1), keep=False)
+    _, _, bounds, order = _diagonals(M + 1)
     # every phase-Fourier component s = 0..M in one product, as real and
-    # imaginary parts: D and every kernel K_s are real, so each s is a real
-    # least-squares problem with two right-hand sides
+    # imaginary parts: every kernel K_s is real, so each s is a real
+    # least-squares problem with two right-hand sides, targets[s]
     angles = np.outer(np.arange(M + 1), uniform_phase_grid(plan.n_phases))
     targets = np.vstack([np.cos(angles), np.sin(angles)]) @ measured[:, :rows] / plan.n_phases
+    targets = targets.reshape(2, M + 1, rows).transpose(1, 2, 0)
 
-    lower = np.zeros((M + 1, M + 1), dtype=complex)
-    residuals, conditions, flags = [], [], []
+    # the loop holds the solve, and the product of K_s with its solution,
+    # so that no K_s outlives its turn: holding them all raised the peak
+    # memory of a max_fock 40 reconstruction from 0.4 to 1.0 MB
+    solutions = np.empty((bounds[-1], 2))  # re and im of nu_{m+s,m}, diagonal by diagonal
+    fitted = np.empty((M + 1, rows, 2))
+    spectra = []
     for s in range(M + 1):
-        target = targets[[s, M + 1 + s]].T
-        kernel = _diagonal_kernel(D, s, rows, M + 1)
-        solution, _, _, singvals = np.linalg.lstsq(kernel, target, rcond=None)
-        resid = float(np.linalg.norm(kernel @ solution - target))
-        cond = float(singvals[0] / singvals[-1]) if singvals[-1] > 0 else math.inf
-        residuals.append(resid)
-        conditions.append(cond)
+        kernel, cells = _diagonal_kernel(D, s, rows, M + 1), slice(bounds[s], bounds[s + 1])
+        solutions[cells], _, _, singvals = np.linalg.lstsq(kernel, targets[s], rcond=None)
+        np.matmul(kernel, solutions[cells], out=fitted[s])
+        spectra.append(singvals)
+
+    residuals = np.sqrt(((fitted - targets) ** 2).sum(axis=(1, 2)))
+    top, low = np.array([(sv[0], sv[-1]) for sv in spectra]).T
+    conditions = np.full(M + 1, math.inf)
+    np.divide(top, low, out=conditions, where=low > 0)
+    flags = []
+    for s, (cond, sigma) in enumerate(zip(conditions.tolist(), low.tolist())):
         if cond > CONDITION_FLAG_LIMIT:
             flags.append(f"s={s}: rank-deficient system (condition {cond:.3g})")
-        elif singvals[-1] < 1.0 / CONDITION_FLAG_LIMIT:
+        elif sigma < 1.0 / CONDITION_FLAG_LIMIT:
             # the data are probabilities, so 1/sigma_min bounds how far an
             # error at rounding level grows in the solution
-            flags.append(f"s={s}: near-singular system "
-                         f"(smallest singular value {singvals[-1]:.3g})")
-        m = np.arange(M + 1 - s)
-        lower[m + s, m] = np.ascontiguousarray(solution).view(complex)[:, 0]
-    nu_hat = fock._hermitian(lower[fock._lower_triangle(M + 1)[:2]], M + 1)
+            flags.append(f"s={s}: near-singular system (smallest singular value {sigma:.3g})")
+    nu_hat = fock._hermitian(solutions.view(complex)[order, 0], M + 1)
 
     trace = float(np.trace(nu_hat).real)
     if not (TRACE_BAND[0] <= trace <= TRACE_BAND[1]):
         flags.append(f"trace {trace:.6f} outside {TRACE_BAND}")
     return ReconstructionResult(
-        nu_hat=nu_hat, residual_norms=tuple(residuals),
-        condition_numbers=tuple(conditions), trace=trace, flags=tuple(flags))
+        nu_hat=nu_hat, residual_norms=tuple(residuals.tolist()),
+        condition_numbers=tuple(conditions.tolist()), trace=trace, flags=tuple(flags))
 
 
 def project_psd(nu):

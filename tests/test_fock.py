@@ -147,6 +147,42 @@ def test_choose_cutoff_ceiling():
         fock.choose_cutoff(fock.StateSpec.thermal(1000.0))
 
 
+def full_scan_cutoff(spec, tail):
+    """The cutoff of a scan over all CUTOFF_CEILING + 1 levels at once."""
+    tail_mass = 1.0 - np.cumsum(fock.analytic_distribution(spec, fock.CUTOFF_CEILING))
+    ok = np.flatnonzero(tail_mass < tail)
+    if ok.size == 0:
+        raise fock.CutoffError("no cutoff")
+    return int(ok[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["coherent", "thermal", "squeezed_vacuum"]),
+       mean=st.one_of(st.floats(0.0, 60.0), st.floats(60.0, 4000.0)),
+       phase=st.floats(0.0, 2 * math.pi), tail=st.floats(1e-15, 0.099))
+def test_choose_cutoff_equals_the_full_scan(kind, mean, phase, tail):
+    # the growing prefixes find the full scan's cutoff, or fail where it fails
+    if kind == "coherent":
+        spec = fock.StateSpec.coherent(cmath.rect(math.sqrt(mean), phase))
+    else:
+        spec = fock.StateSpec(kind=kind, mean_n=mean)
+    try:
+        expected = full_scan_cutoff(spec, tail)
+    except fock.CutoffError:
+        with pytest.raises(fock.CutoffError):
+            fock.choose_cutoff(spec, tail)
+        return
+    assert fock.choose_cutoff(spec, tail) == expected
+
+
+def test_choose_cutoff_on_both_sides_of_each_prefix():
+    # coherent means whose cutoffs straddle the prefix ends 63, 255, 1023
+    for n_max in fock._CUTOFF_PREFIXES[:-1]:
+        for mean in np.linspace(0.6 * n_max, 1.1 * n_max, 25):
+            spec = fock.StateSpec.coherent(math.sqrt(mean))
+            assert fock.choose_cutoff(spec) == full_scan_cutoff(spec, fock.DEFAULT_TAIL)
+
+
 def test_make_state_rejects_lossy_cutoff():
     spec = fock.StateSpec.coherent(2.0)
     with pytest.raises(fock.CutoffError) as err:

@@ -458,3 +458,83 @@ def test_non_finite_cells_of_a_mirrored_matrix_print_from_their_own_value():
     assert rows.mirror is None
     reference = reference_density_matrix_rows(rho)
     assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+
+
+# ---------------------------------------------------------------------------
+# float columns of runs: digits formed once per run, in the first block's
+# digit call, and every cell still what %.17g prints
+
+RUN_EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, math.inf,
+             -math.inf, math.nan, 0.1, -0.1, 1e16, 1e17, 2 * math.pi * 3 / 46] + TIES
+
+
+def run_column(g, n, palette, mean_run):
+    """n cells of runs of mean length ~mean_run, each run one palette value
+    whose cells take random signs."""
+    lengths = g.integers(1, 2 * mean_run, size=n)
+    values = g.choice(np.array(palette), size=n)
+    column = np.repeat(values, lengths)[:n]
+    return np.where(g.random(n) < 0.3, -column, column)
+
+
+def assert_same_text(text, reference):
+    """text == reference, naming the first line that differs (pytest's own
+    diff of two texts of thousands of lines takes minutes)."""
+    if text != reference:
+        lines, expected = text.split("\n"), reference.split("\n")
+        k = next((k for k, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]),
+                 min(len(lines), len(expected)))
+        pytest.fail(f"line {k} differs: {lines[k:k + 1]} != {expected[k:k + 1]}")
+
+
+def assert_printed_as_cell_by_cell(columns, int_columns=()):
+    rows = tables.Columns(*int_columns, *columns)
+    header = [f"c{k}" for k in range(len(int_columns) + len(columns))]
+    reference = list(zip(*(c.tolist() for c in (*int_columns, *columns))))
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, reference))
+    assert_same_text(tables.json_text({"rows": rows}), reference_json_text({"rows": reference}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(tables.ARRAY_ROWS, 6000),
+       mean_runs=st.lists(st.integers(1, 60), min_size=1, max_size=2),
+       spread=st.integers(0, 2), with_int=st.booleans(),
+       palette=st.lists(st.one_of(st.sampled_from(RUN_EDGES), st.floats()), min_size=1,
+                        max_size=6))
+def test_float_runs_print_as_cell_by_cell(seed, n, mean_runs, spread, with_int, palette):
+    # runs that cross block boundaries (BLOCK_CELLS rows with one spread
+    # column), in any column order next to columns whose digits are formed
+    # block by block
+    g = np.random.default_rng(seed)
+    columns = [run_column(g, n, palette, mean_run) for mean_run in mean_runs]
+    columns += [g.normal(size=n) * 10.0 ** g.integers(-20, 20, size=n) for _ in range(spread)]
+    columns = [columns[k] for k in g.permutation(len(columns))]
+    ints = [np.arange(n) % 17] if with_int else []
+    assert_printed_as_cell_by_cell(columns, ints)
+
+
+def test_a_run_column_is_formed_once_per_run():
+    n = 5000
+    phi = np.repeat(np.linspace(0.0, 6.0, 100), 50)
+    assert _arraytext._runs(np.abs(phi))[1].tolist() == list(range(0, n, 50))
+    # a column of distinct values is formed block by block
+    assert _arraytext._runs(np.arange(n) * 0.5) is None
+    spread = np.random.default_rng(3).random(n)
+    assert_printed_as_cell_by_cell([spread, phi, spread, phi[::-1]])
+
+
+@pytest.mark.parametrize("edge", [
+    [0.0, -0.0],             # equal, but printed with different signs
+    [math.nan],              # equal to nothing: a run of its own, cell by cell
+    [math.inf, -math.inf],   # one magnitude, left to %.17g
+    [5e-324, -5e-324],       # subnormals
+    TIES[:1],                # a rounding midpoint, left to %.17g
+])
+def test_edge_cells_inside_runs_print_from_their_own_value(edge):
+    n = 3 * _arraytext.BLOCK_CELLS + 5
+    phi = np.repeat(np.linspace(0.5, 3.0, n // 40 + 1), 40)[:n]
+    at = np.arange(_arraytext.BLOCK_CELLS - 30, _arraytext.BLOCK_CELLS + 30)  # a boundary
+    phi[at] = np.resize(np.array(edge), len(at))
+    phi[7:9] = edge[-1]
+    assert _arraytext._runs(np.abs(phi)) is not None
+    assert_printed_as_cell_by_cell([phi, np.linspace(-1.0, 1.0, n)], [np.arange(n)])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 from scipy.stats import poisson
 
 from fockfilter import fock, tomography
@@ -96,6 +97,91 @@ def test_forward_model_equals_per_phase_displacement(random_state, dim, seed, ga
     P = measure_distributions(nu, plan)
     for j, row in enumerate(expect):
         assert_allclose(P[j], row[:plan.n_rows], rtol=0, atol=1e-13)
+
+
+def expm_displacement(gamma, size):
+    """D(gamma) = exp(gamma a+ - conj(gamma) a) on `size` levels, by scipy's expm."""
+    a = np.diag(np.sqrt(np.arange(1, size)), 1)
+    return expm(gamma * a.T - np.conj(gamma) * a)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(dim=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+       gamma_abs=st.floats(0.2, 2.5), extra_phases=st.integers(0, 4),
+       extra_rows=st.integers(0, 8))
+def test_exact_distributions_equal_expm_displacement(random_state, dim, seed, gamma_abs,
+                                                     extra_phases, extra_rows):
+    # an independent reference: diag(D nu D^+) with D from expm, on enough
+    # levels that its truncation does not reach the rows compared
+    nu = random_state(dim, seed=seed)
+    plan = TomographyPlan(gamma_abs=gamma_abs, n_phases=2 * dim - 1 + extra_phases,
+                          max_fock=dim - 1, n_rows=dim + extra_rows)
+    size = dim + extra_rows + fock.displacement_margin(gamma_abs) + 40
+    try:
+        P = measure_distributions(nu, plan)
+    except fock.CutoffError:
+        return  # the default margin is too small for this state, and says so
+    for j, phi in enumerate(plan.phases):
+        D = expm_displacement(gamma_abs * cmath.exp(1j * phi), size)[:plan.n_rows, :dim]
+        assert_allclose(P[j], np.diagonal(D @ nu @ D.conj().T).real, rtol=0, atol=1e-13)
+
+
+def test_non_hermitian_state_fails_the_imaginary_residue_guard(random_state):
+    nu = np.array(random_state(4, seed=7))
+    nu[2, 0] += 1e-3  # its mirror nu[0, 2] is left as it was
+    with pytest.raises(ValueError, match="imaginary residue"):
+        measure_distributions(nu, plan_for(3))
+
+
+def result_bytes(result):
+    return (result.nu_hat.tobytes(), result.residual_norms, result.condition_numbers,
+            result.trace, result.flags)
+
+
+@pytest.mark.parametrize("max_fock, gamma_abs, n_rows", [
+    (0, 1.0, 1), (3, 1.3, 8), (5, 1e-7, 12), (8, 2.1, 30), (20, 3.0, 42)])
+def test_reconstruct_is_the_same_with_a_shared_or_a_new_displacement(
+        monkeypatch, random_state, max_fock, gamma_abs, n_rows):
+    monkeypatch.setattr(tomography, "_last_displacement", (None, None))
+    built = []
+    build = fock.displacement_matrix
+    monkeypatch.setattr(fock, "displacement_matrix",
+                        lambda gamma, dim: built.append(dim) or build(gamma, dim))
+    plan = plan_for(max_fock, gamma_abs=gamma_abs, n_rows=n_rows)
+    P = measure_distributions(random_state(max_fock + 1, seed=max_fock), plan)
+    warm = reconstruct(plan, P)  # reads the block measure_distributions built
+    assert len(built) == 1
+    cold = reconstruct(plan, P)  # builds its own
+    assert built[1:] == [max(n_rows, max_fock + 1)]
+    measure_distributions(random_state(2, seed=1), plan_for(1, gamma_abs=gamma_abs + 0.5))
+    after_other = reconstruct(plan, P)
+    assert len(built) == 4
+    assert result_bytes(warm) == result_bytes(cold) == result_bytes(after_other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma_abs=st.one_of(st.floats(0.01, 10.0), st.floats(10.0, 45.0)),
+       dim=st.integers(1, 320), extra=st.integers(1, 200))
+def test_displacement_leading_block_identity(gamma_abs, dim, extra):
+    # the identity the shared displacement matrix relies on: where it is
+    # claimed, D at a larger dimension starts with D at dim, bit for bit
+    if fock._is_leading_block(gamma_abs, dim):
+        big = fock.displacement_matrix(gamma_abs, dim + extra)
+        assert np.array_equal(big[:dim, :dim], fock.displacement_matrix(gamma_abs, dim))
+
+
+def test_leading_block_identity_holds_for_plans_and_not_where_columns_are_lifted():
+    # every plan of the CLI's default shape up to max_fock 60 at 0.1 <= |gamma|
+    # <= 12 shares its matrix: the smallest first-row log is at an end of
+    # that range
+    for max_fock in range(61):
+        for gamma_abs in (0.1, 1.0, default_gamma_abs(max_fock), 12.0):
+            assert fock._is_leading_block(gamma_abs, 2 * max_fock + 2)
+    # |gamma| = 0.01 at dim 500 lifts columns, and entries near 1e-300 differ
+    assert not fock._is_leading_block(0.01, 500)
+    big = fock.displacement_matrix(0.01, 511)
+    assert not np.array_equal(big[:500, :500], fock.displacement_matrix(0.01, 500))
 
 
 def test_forward_model_rejects_non_finite_state():
@@ -316,6 +402,29 @@ def test_plan_validation():
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=2)
     with pytest.raises(ValueError):
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=8, backend="fast")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_rows", 12.5), ("n_rows", 12.0), ("n_rows", np.float64(12.0)), ("n_rows", "12"),
+    ("max_fock", 5.0), ("max_fock", True), ("max_fock", np.bool_(True)),
+    ("n_phases", True), ("n_phases", 13.0), ("n_phases", None),
+])
+def test_plan_integer_fields_reject_non_integers_and_bools(field, value):
+    fields = dict(gamma_abs=1.0, n_phases=13, max_fock=5, n_rows=12)
+    fields[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        TomographyPlan(**fields)
+
+
+def test_plan_integer_fields_take_numpy_integers():
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=np.int64(13), max_fock=np.int32(5),
+                          n_rows=np.uint8(12))
+    P = measure_distributions(fock.make_state(fock.StateSpec.coherent(0.5), cutoff=5,
+                                              tail=None), plan)
+    assert P.shape == (13, 12)
+    assert reconstruct(plan, P).flags == ()
+    assert plan == TomographyPlan(gamma_abs=1.0, n_phases=13, max_fock=5, n_rows=12)
+    assert all(type(v) is int for v in (plan.n_phases, plan.max_fock, plan.n_rows))
 
 
 def test_project_psd_clips_negative_eigenvalues():
