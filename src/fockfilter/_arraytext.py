@@ -31,7 +31,9 @@ BLOCK_CELLS // (float columns) rows whatever the runs, which bounds its
 memory; a call forms the digits of a whole number of blocks.  The slots of a
 block of rows are written into one row buffer per table, whose head,
 separators and tail are filled once, and its bytes lose their NULs in one
-`bytes.translate`.
+`bytes.translate` and go to the sink as they are formed: a table in
+writing holds one block of text, its digit slots and, for a mirrored
+density matrix, the slots of its triangle.
 
 Cost on a 2-vCPU VM: forming the digits of 2048 magnitudes takes ~0.3-0.5
 ms, and assembling a block of 1024 rows of a density matrix from its slots
@@ -302,9 +304,11 @@ def _source(column, mirror):
     return lanes, False, None, None
 
 
-def array_text(columns, head, sep, tail, json=False, mirror=None):
+def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=None):
     """Each row of the int64 and float64 `columns` as head, its cells joined
-    by sep, and tail, all rows concatenated.
+    by sep, and tail, handed to `sink` as UTF-8 bytes a block of rows at a
+    time; the last row ends in `last`, no longer than tail, in place of tail
+    when it is given.
 
     Digits are formed once per distinct magnitude and gathered.  `mirror` is
     None or (cells, slot): the float cells of rows `cells` hold every
@@ -333,6 +337,8 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
 
     # one row buffer per table, whose head, separators and tail are filled once
     text = [np.frombuffer(p.encode(), np.uint8) for p in (head, sep, tail)]
+    if last is not None:  # padded with NUL, which the translate drops
+        last = np.frombuffer(last.encode().ljust(len(text[2]), b"\0"), np.uint8)
     spans, widths = [], [len(text[0])]
     for column in columns:
         if column.dtype.kind == "f":
@@ -351,7 +357,6 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
     for k, piece in enumerate(text[:1] + [text[1]] * (len(columns) - 1) + text[2:]):
         matrix[:, at[2 * k]:at[2 * k + 1]] = piece
 
-    out = []
     table = slow = once = None  # once: the slots and slow marks formed once
     for start in range(0, n, step):
         block = slice(start, start + step)
@@ -401,6 +406,6 @@ def array_text(columns, head, sep, tail, json=False, mirror=None):
                 part[...] = span[1].take(x - span[0], axis=0)
             else:
                 part[...] = _int_slots(x, part.shape[1])
-        out.append(rows.tobytes().translate(None, b"\0").decode())
-    table = slow = once = None  # freed before the text is joined: they would raise its peak
-    return "".join(out)
+        if last is not None and start + step >= n:
+            rows[-1, at[-2]:] = last
+        sink(rows.tobytes().translate(None, b"\0"))

@@ -512,22 +512,25 @@ def emit_results(result, cfg):
     """Write manifest + tables (or one JSON document) under cfg.out_dir.
 
     Every output file is opened, in place, before any is written, so a file
-    that cannot be opened leaves the directory as it was.
+    that cannot be opened leaves the directory as it was.  Each table and
+    document is then streamed into its file, every block written as it is
+    formed: a write holds one block of text and, for a mirrored density
+    matrix, the digit slots of its triangle, never a whole file.  A failure
+    part way cuts the file being written at the bytes that reached it.
     """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    texts = {"manifest.json": lambda: tables.json_text(manifest_dict(cfg)) + "\n"}
+    texts = {"manifest.json": tables.json_text(manifest_dict(cfg)) + "\n"}
     if cfg.fmt == "table":
         for name, tab in result["tables"].items():
-            texts[f"{name}.csv"] = functools.partial(tables.table_text, tab["header"],
-                                                     tab["rows"])
+            texts[f"{name}.csv"] = tables.table_text(tab["header"], tab["rows"])
     else:
         doc = {"experiment": result["experiment"], "summary": result["summary"],
                "tables": result["tables"]}
-        texts["results.json"] = lambda: tables.json_text(doc) + "\n"
+        texts["results.json"] = tables.json_text(doc) + "\n"
     files = tables.open_in_place([os.path.join(out, name) for name in texts])
     try:
-        written = [tables.write_text(fh, text()) for fh, text in zip(files, texts.values())]
+        written = [tables.write_text(fh, text) for fh, text in zip(files, texts.values())]
     finally:
         for fh in files:
             fh.close()

@@ -5,7 +5,13 @@ binary64 exactly, so identical configurations produce byte-identical files.
 The structured format is JSON written by a small formatter here because the
 stdlib encoder cannot be told how to print floats.
 
-Tables are formatted a whole table at a time.  The exact types of each
+`table_text` and `json_text` return a `Text`, which forms its bytes as it is
+written: each block goes to the file (or to any sink) as soon as it is
+formed, so writing holds one block of text, plus for a mirrored density
+matrix the digit slots of its triangle, and never a whole file.  str() of a
+`Text` runs the same writer into a buffer.
+
+Conversions are chosen a whole table at a time: the exact types of each
 column's cells give it one %-conversion (%d for int, %.17g for float, %s for
 str; numpy integer and float scalars print as their .item() would).  CSV
 joins the cells of a row with "," and the JSON row arrays with ", ", so both
@@ -29,10 +35,13 @@ path above 14 digits):
   per mirror pair; for a float column of runs of one magnitude (a phase
   repeated over rows), once per run; for an index column, once per value.
 
-Every other table (a list of rows of any size, or a smaller `Columns`) goes
-through one row template, the joined conversions, which `%` applies to every
-row in C.  The output bytes are those of the row template; the tests compare
-the array path with %.17g and %d cell by cell.
+The array path hands over a block of rows at a time.  Every other table (a
+list of rows of any size, or a smaller `Columns`) goes through one row
+template, the joined conversions, which `%` applies to every row in C, and
+is one block.  The output bytes are those of the row template; the tests
+compare the array path with %.17g and %d cell by cell.  JSON gathers its
+small pieces and hands them over as one block before each table the array
+path streams, and at its end.
 """
 
 import contextlib
@@ -127,20 +136,77 @@ def _table(rows, numbers_only=False):
     return table
 
 
+class Text:
+    """A table or JSON document, formed block by block as it is written.
+
+    `write(sink)` forms the text and hands its UTF-8 bytes to `sink` (a
+    binary file's write, say) one block at a time, in order; a formatting
+    error is raised from there.  len() is the number of bytes the last write
+    handed over (a text never written is formed once to count them), str()
+    forms the text into one string, and `text + s` is a Text that writes the
+    str s after it.
+    """
+
+    __slots__ = ("_form", "_size")
+
+    def __init__(self, form):
+        self._form = form  # form(sink): hands each block of bytes to sink
+        self._size = None
+
+    def write(self, sink):
+        size = 0
+
+        def counted(block):
+            nonlocal size
+            sink(block)
+            size += len(block)
+
+        self._form(counted)
+        self._size = size
+
+    def __len__(self):
+        if self._size is None:
+            self.write(lambda block: None)  # formed only to count its bytes
+        return self._size
+
+    def __str__(self):
+        blocks = []
+        self.write(blocks.append)
+        return b"".join(blocks).decode("utf-8")
+
+    def __add__(self, other):
+        if not isinstance(other, str):
+            return NotImplemented
+        after = other.encode("utf-8")
+
+        def form(sink):
+            self._form(sink)
+            sink(after)
+
+        return Text(form)
+
+
 def table_text(header, rows):
-    """Comma-separated table with newline-terminated rows.
+    """Comma-separated table with newline-terminated rows, as a `Text`.
 
     Rows must have equal lengths, and the cells of a column one kind: int,
-    float or str.  `rows` is a sequence of rows or a `Columns`.
+    float or str; a table that breaks this raises TypeError when it is
+    written.  `rows` is a sequence of rows or a `Columns`.
     """
+    return Text(functools.partial(_write_table, header, rows))
+
+
+def _write_table(header, rows, sink):
     head = ",".join(header) + "\n"
     if isinstance(rows, Columns) and len(rows) >= ARRAY_ROWS:
-        return head + _array_text(rows, "", ",", "\n")
+        sink(head.encode("utf-8"))
+        _array_text(rows, "", ",", "\n", sink)
+        return
     table = _table(rows)
     if table is None:
         raise TypeError("table rows differ in length or mix cell kinds within a column")
     template = ",".join(conversion for conversion, _ in table)
-    return head + "".join(map(f"{template}\n".__mod__, map(tuple, rows)))
+    sink((head + "".join(map(f"{template}\n".__mod__, map(tuple, rows)))).encode("utf-8"))
 
 
 def density_matrix_rows(rho):
@@ -177,25 +243,46 @@ def _lower_mirror(dim):
     return out
 
 
-def json_text(obj, indent=0):
-    """Deterministic JSON: dict insertion order kept, floats via %.17g.
+def json_text(obj):
+    """Deterministic JSON, as a `Text`: dict insertion order kept, floats via
+    %.17g.
 
     A list of numbers is written on one line; a list of such lists (a
     table's rows, or a `Columns`) one row per line, through one row template
     or, for a `Columns` of ARRAY_ROWS rows or more, the array path.  A
-    non-finite float is written as the string "inf", "-inf" or "nan".
+    non-finite float is written as the string "inf", "-inf" or "nan".  A
+    value that cannot be serialized raises TypeError when the text is written.
     """
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    return Text(functools.partial(_write_json, obj))
+
+
+def _write_json(obj, sink):
+    """Hand `obj` as JSON to sink: its pieces are gathered and handed over as
+    one block at the end and before each table the array path streams."""
+    pieces = []
+    _json(obj, "", pieces, sink)
+    sink("".join(pieces).encode("utf-8"))
+
+
+def _json(obj, pad, pieces, sink):
+    """Append `obj` as JSON, indented from `pad`, to pieces; a `Columns` of
+    ARRAY_ROWS rows or more goes to sink, after the pieces before it."""
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{inner}{_json_str(k)}: {json_text(v, indent + 1)}' for k, v in obj.items())
-        return "{\n" + items + "\n" + pad + "}"
+            pieces.append("{}")
+            return
+        separator = "{\n"
+        for key, value in obj.items():
+            pieces.append(f"{separator}{inner}{_json_str(key)}: ")
+            _json(value, inner, pieces, sink)
+            separator = ",\n"
+        pieces.append("\n" + pad + "}")
+        return
     if isinstance(obj, (list, tuple, Columns)):
         if not obj:
-            return "[]"
+            pieces.append("[]")
+            return
         if not isinstance(obj, Columns):
             table = _table([obj], numbers_only=True)
             if table is not None:
@@ -203,22 +290,34 @@ def json_text(obj, indent=0):
                 # %d and %.17g print the letter n only in "inf" and "nan"
                 if "n" in text:
                     text = ", ".join(map(_json_scalar, obj))
-                return "[" + text + "]"
+                pieces.append("[" + text + "]")
+                return
+        if isinstance(obj, Columns) and len(obj) >= ARRAY_ROWS:
+            pieces.append("[\n")
+            sink("".join(pieces).encode("utf-8"))
+            pieces.clear()
+            _array_text(obj, inner + "[", ", ", "],\n", sink, json=True, last="]")
+            pieces.append("\n" + pad + "]")
+            return
         if isinstance(obj, Columns) or set(map(type, obj)) <= {list, tuple}:
             text = _json_rows(obj, inner)
             if text is not None:
-                return "[\n" + text + "\n" + pad + "]"
-        items = ",\n".join(f"{inner}{json_text(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    return _json_scalar(obj)
+                pieces.append("[\n" + text + "\n" + pad + "]")
+                return
+        separator = "[\n"
+        for value in obj:
+            pieces.append(separator + inner)
+            _json(value, inner, pieces, sink)
+            separator = ",\n"
+        pieces.append("\n" + pad + "]")
+        return
+    pieces.append(_json_scalar(obj))
 
 
 def _json_rows(rows, inner):
-    """The rows of a table as JSON arrays, one per line; None when a row
-    needs the cell-by-cell writer (a cell that is not a number or, outside
-    the array path, a non-finite float)."""
-    if isinstance(rows, Columns) and len(rows) >= ARRAY_ROWS:
-        return _array_text(rows, inner + "[", ", ", "],\n", json=True)[:-2]
+    """The rows of a table the row template prints as JSON arrays, one per
+    line; None when a row needs the cell-by-cell writer (a cell that is not a
+    number, or a non-finite float)."""
     table = _table(rows, numbers_only=True)
     if table is None:
         return None
@@ -252,35 +351,59 @@ def _json_str(s):
     return encode_basestring(s)
 
 
-def _array_text(rows, head, sep, tail, json=False):
+def _array_text(rows, head, sep, tail, sink, json=False, last=None):
     """Each row of the `Columns` `rows` as head, its cells joined by sep, and
-    tail, all rows concatenated, by the array path."""
+    tail (`last` for the last row), handed to sink a block at a time by the
+    array path."""
     # imported on first use: without cached bytecode, compiling the array
     # path costs ~7 ms at every start, and small tables never need it
     from ._arraytext import array_text
-    return array_text(rows.columns, head, sep, tail, json, rows.mirror)
+    array_text(rows.columns, head, sep, tail, sink, json, rows.mirror, last)
 
 
 def write_text(path, text):
-    """Write `text` as UTF-8 to `path`, in place; returns path.
+    """Write `text`, a str or a `Text`, as UTF-8 to `path`, in place; returns
+    path.
 
     `path` is a path, or a binary file from `open_in_place`, which is written
-    from its start and closed.  The file is overwritten from its start and
-    cut to the new length, never truncated to zero first: on ext4 an O_TRUNC
-    open frees the old blocks and flushes the file again on close, which
-    made the tables layer of a rerun that rewrites three small files cost
-    0.99 ms instead of 0.30 ms (2-vCPU VM, ext4 mounted with discard).  The
-    write is not atomic, and the old bytes stay until they are overwritten,
-    so a crash part way can leave a file that mixes bytes of the old and the
-    new run and may still parse.
+    from its start and closed.  A `Text` is formed as it is written, each
+    block going to the file as soon as it is formed, so no whole-file string
+    is ever built.  The file is overwritten from its start and cut to the
+    new length, never truncated to zero first: on ext4 an O_TRUNC open frees
+    the old blocks and flushes the file again on close, which made the
+    tables layer of a rerun that rewrites three small files cost 0.99 ms
+    instead of 0.30 ms (2-vCPU VM, ext4 mounted with discard).  The write is
+    not atomic.  When formatting or writing raises part way, the file is cut
+    at the bytes that reached it, closed, and the error re-raised, so it
+    holds a prefix of the new text and none of the old tail; a file that was
+    handed no byte is left as it was.
     """
     if isinstance(path, (str, bytes, os.PathLike)):
         write_text(open_in_place([path])[0], text)
         return path
     with path:
-        path.write(text.encode("utf-8"))
+        try:
+            if isinstance(text, Text):
+                text.write(path.write)
+            else:
+                path.write(text.encode("utf-8"))
+        except BaseException:
+            _cut(path)
+            raise
         path.truncate()
     return path.name
+
+
+def _cut(fh):
+    """Cut the buffered binary file `fh`, whose writing failed, at the bytes
+    that reached it, and close it; one that was handed no byte is left whole."""
+    if fh.tell():
+        with contextlib.suppress(OSError):
+            fh.flush()
+        fd = fh.fileno()
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    fh.raw.close()  # drops any bytes the flush could not write
 
 
 def open_in_place(paths):

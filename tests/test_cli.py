@@ -1,17 +1,19 @@
 """Command-line interface: presets, file formats, determinism, exit codes."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
-from fockfilter import cli, tables
+from fockfilter import _arraytext, cli, tables
 
 
 def run(tmp_path, *argv):
@@ -164,7 +166,7 @@ def test_duplicate_measured_rows_exit_2(tmp_path):
     # every cell present, and (phi, n) of the first row given a second time
     rows.append([rows[0][0], rows[0][1], "0.5"])
     measured = tmp_path / "measured.csv"
-    measured.write_text(tables.table_text(header, rows))
+    tables.write_text(measured, tables.table_text(header, rows))
     manifest["config"]["measurements"] = str(measured)
     cfg = tmp_path / "replay.json"
     cfg.write_text(json.dumps(manifest["config"]))
@@ -192,7 +194,7 @@ def test_non_finite_measured_value_exits_2(tmp_path, capsys, cell, bad, named):
     header, rows = tables.read_csv(first / "measured.csv")
     assert rows[5][1] == "5"
     rows[5][cell] = bad
-    measured.write_text(tables.table_text(header, rows))
+    tables.write_text(measured, tables.table_text(header, rows))
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -362,7 +364,7 @@ def test_measured_table_rejections_name_the_first_offending_row(tmp_path, capsys
     cfg, measured, header, rows = measured_rows(tmp_path)
     for i, (cell, value) in edits.items():
         rows[i][cell] = value
-    measured.write_text(tables.table_text(header, rows))
+    tables.write_text(measured, tables.table_text(header, rows))
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -371,7 +373,7 @@ def test_measured_table_rejections_name_the_first_offending_row(tmp_path, capsys
 
 def test_measured_table_missing_a_cell_exits_2(tmp_path, capsys):
     cfg, measured, header, rows = measured_rows(tmp_path)
-    measured.write_text(tables.table_text(header, rows[:-1]))
+    tables.write_text(measured, tables.table_text(header, rows[:-1]))
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -380,7 +382,7 @@ def test_measured_table_missing_a_cell_exits_2(tmp_path, capsys):
 
 def test_measured_rows_in_any_order_reconstruct_the_same_state(tmp_path):
     cfg, measured, header, rows = measured_rows(tmp_path)
-    measured.write_text(tables.table_text(header, rows[::-1]))
+    tables.write_text(measured, tables.table_text(header, rows[::-1]))
     code, out = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 0
     assert (out / "reconstruction.csv").read_bytes() \
@@ -515,7 +517,7 @@ def test_null_and_absent_fields_take_the_same_default(tmp_path, experiment):
     first = cli.resolve_config(experiment, config_path=write_config(tmp_path / "a", absent))
     second = cli.resolve_config(experiment, config_path=write_config(tmp_path / "b", null))
     assert first.params == second.params
-    assert tables.json_text(first.params) == tables.json_text(second.params)
+    assert str(tables.json_text(first.params)) == str(tables.json_text(second.params))
 
 
 # sha256 of each preset's manifest.json, as written before the presets were
@@ -714,3 +716,145 @@ def test_good_cavity_fock_state_below_n_top_clicks_at_its_own_stage(tmp_path):
     p = {int(row[0]): float(row[1]) for row in rows}
     assert p[5] == 1.0
     assert sum(p.values()) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# every output is streamed into its file: a write holds a block of text,
+# never a whole file, and a failure part way cuts the file being written
+
+def failing_table(monkeypatch, k):
+    """Make the k-th table the array path prints, counted from 1, raise."""
+    calls, array_text = [], _arraytext.array_text
+
+    def fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise RuntimeError("formatting failed")
+        return array_text(*args, **kwargs)
+
+    monkeypatch.setattr(_arraytext, "array_text", fails)
+
+
+def ladder_config(tmp_path, cutoff):
+    """Two 1681-cell states at cutoff 40, each printed by the array path."""
+    return write_config(tmp_path, {"state": COHERENT, "taus": [0.002, 2e-4], "psi": 0.04,
+                                   "chi_t": 0.01, "cutoff": cutoff})
+
+
+def test_a_failure_in_the_second_table_of_a_document_cuts_it_there(tmp_path, monkeypatch):
+    argv = ["synthesize", "--config", ladder_config(tmp_path, 40), "--format", "structured"]
+    assert run(tmp_path, *argv)[0] == 0
+    out = tmp_path / "out"
+    manifest, full = (out / "manifest.json").read_bytes(), (out / "results.json").read_bytes()
+    (out / "results.json").write_bytes(full + b"the longer tail of an older run\n")
+    failing_table(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        run(tmp_path, *argv)
+    left = (out / "results.json").read_bytes()
+    assert len(left) < len(full) and full.startswith(left)
+    assert left.endswith(b'"state_1": {\n      "header": [\n        "n",\n        "m",\n'
+                         b'        "re",\n        "im"\n      ],\n      "rows": [\n')
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_a_failure_mid_run_leaves_the_files_not_yet_reached_untouched(tmp_path, monkeypatch):
+    assert run(tmp_path / "fresh", "synthesize", "--config", ladder_config(tmp_path, 41))[0] == 0
+    assert run(tmp_path, "synthesize", "--config", ladder_config(tmp_path, 40))[0] == 0
+    out, fresh = tmp_path / "out", read_all(tmp_path / "fresh" / "out")
+    old = read_all(out)
+    failing_table(monkeypatch, 1)  # state_0.csv, after manifest.json and distribution_0.csv
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        run(tmp_path, "synthesize", "--config", ladder_config(tmp_path, 41))
+    now = read_all(out)
+    for name in ("manifest.json", "distribution_0.csv"):
+        assert now[name] == fresh[name]
+    assert len(now["state_0.csv"]) < len(fresh["state_0.csv"])
+    assert fresh["state_0.csv"].startswith(now["state_0.csv"])
+    for name in ("distribution_1.csv", "state_1.csv", "summary.csv"):
+        assert now[name] == old[name] != fresh[name]
+
+
+@pytest.mark.parametrize("experiment,preset,fmt", [("tomography", "tomo-coherent", "table"),
+                                                   ("synthesize", "fig2", "structured")])
+def test_every_output_goes_through_the_traced_writers(tmp_path, monkeypatch, experiment, preset,
+                                                      fmt):
+    # the benchmark's tracer wraps these three functions by name, binds rows,
+    # obj and text, and reads len(text) after the write: every file must pass
+    # through them, with len(text) its size, or tables.rows and tables.bytes
+    # read 0
+    seen = {"table_text": [], "json_text": [], "write_text": []}
+
+    def wrap(name, count):
+        fn = getattr(tables, name)
+        signature = inspect.signature(fn)
+
+        def traced(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            seen[name].append((count(signature.bind(*args, **kwargs).arguments), result))
+            return result
+
+        monkeypatch.setattr(tables, name, traced)
+
+    wrap("table_text", lambda a: len(a["rows"]))
+    wrap("json_text", lambda a: sum(len(t["rows"]) for t in a["obj"].get("tables", {}).values()))
+    wrap("write_text", lambda a: len(a["text"]))
+    code, out = run(tmp_path, experiment, "--preset", preset, "--format", fmt)
+    assert code == 0
+    assert {os.path.basename(path): size for size, path in seen["write_text"]} \
+        == {p.name: p.stat().st_size for p in out.iterdir()}
+    assert len(seen["table_text"]) + len(seen["json_text"]) == len(seen["write_text"])
+    if fmt == "table":
+        rows = sum(len(tables.read_csv(p)[1]) for p in out.glob("*.csv"))
+    else:
+        doc = json.loads((out / "results.json").read_bytes())
+        rows = sum(len(t["rows"]) for t in doc["tables"].values())
+    assert rows > 0
+    assert sum(n for n, _ in seen["table_text"] + seen["json_text"]) == rows
+
+
+LADDER = {"state": {"kind": "coherent", "amplitude": [3.0, 1.0]},
+          "taus": [0.02, 0.002, 2e-4, 1e-3], "psi": 0.04, "chi_t": 0.01, "cutoff": 150}
+
+
+@pytest.fixture(scope="module")
+def ladder(tmp_path_factory):
+    """(result, cfg) of a synthesize ladder at cutoff 150, written once to
+    cfg.out_dir as one document: four 151 x 151 states."""
+    tmp_path = tmp_path_factory.mktemp("ladder")
+    cfg = cli.resolve_config("synthesize", config_path=write_config(tmp_path, LADDER),
+                             out_dir=str(tmp_path / "out"), fmt="structured")
+    return cli.run_experiment(cfg), cfg
+
+
+def peak_bytes(write):
+    """The peak of the memory allocated while write() runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_large_document_holds_no_whole_file(ladder):
+    result, cfg = ladder
+    path = pathlib.Path(cfg.out_dir) / "results.json"
+    size = path.stat().st_size
+    assert size >= 6_000_000
+    peak = peak_bytes(lambda: cli.emit_results(result, cfg))
+    assert path.stat().st_size == size
+    assert peak < size / 2, (peak, size)
+
+
+def test_writing_a_large_state_table_holds_no_whole_file(ladder, tmp_path):
+    table = ladder[0]["tables"]["state_0"]
+    assert len(table["rows"]) == 151 * 151 and table["rows"].mirror is not None
+    path = str(tmp_path / "state_0.csv")
+
+    def write():
+        tables.write_text(path, tables.table_text(table["header"], table["rows"]))
+
+    write()
+    size = os.path.getsize(path)
+    peak = peak_bytes(write)
+    assert peak < 2 * size, (peak, size)

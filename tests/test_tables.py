@@ -5,7 +5,9 @@ did before they built one %-template per table; the writers must give the
 same bytes.  In JSON, a non-finite float is the string "inf", "-inf" or "nan".
 """
 
+import errno
 import gc
+import io
 import json
 import math
 import os
@@ -18,6 +20,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockfilter import _arraytext, tables
+
+
+def assert_same_text(text, reference):
+    """str(text) == reference, naming the first line that differs: pytest's
+    own diff of two texts of thousands of lines takes minutes."""
+    text = str(text)
+    if text != reference:
+        lines, expected = text.split("\n"), reference.split("\n")
+        k = next((k for k, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]),
+                 min(len(lines), len(expected)))
+        pytest.fail(f"line {k} of {len(expected)} differs: {lines[k:k + 1]} != "
+                    f"{expected[k:k + 1]}")
 
 
 def reference_cell(value):
@@ -114,9 +128,9 @@ def test_writers_equal_the_cell_by_cell_writer(table, as_lists):
     header, rows = table
     if as_lists:
         rows = [list(row) for row in rows]
-    assert tables.table_text(header, rows) == reference_table_text(header, rows)
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, rows))
     doc = {"tables": {"t": {"header": header, "rows": rows}}, "flat": rows[0] if rows else []}
-    assert tables.json_text(doc) == reference_json_text(doc)
+    assert_same_text(tables.json_text(doc), reference_json_text(doc))
     for row in rows:
         for cell in row:
             assert tables.fmt_cell(cell) == reference_cell(cell)
@@ -132,7 +146,7 @@ def test_writers_equal_the_cell_by_cell_writer(table, as_lists):
 ])
 def test_table_text_rejects_cells_it_cannot_print_alone(rows):
     with pytest.raises(TypeError):
-        tables.table_text(["a", "b"], rows)
+        str(tables.table_text(["a", "b"], rows))
 
 
 @pytest.mark.parametrize("rows", [
@@ -145,19 +159,19 @@ def test_table_text_rejects_cells_it_cannot_print_alone(rows):
 ])
 def test_json_rows_one_template_cannot_print_are_written_cell_by_cell(rows):
     doc = {"rows": rows}
-    assert tables.json_text(doc) == reference_json_text(doc)
+    assert_same_text(tables.json_text(doc), reference_json_text(doc))
 
 
 def test_bool_cell_is_ambiguous():
     with pytest.raises(TypeError, match="bool"):
         tables.fmt_cell(True)
     with pytest.raises(TypeError, match="bool"):
-        tables.table_text(["ok"], [(True,)])
+        str(tables.table_text(["ok"], [(True,)]))
 
 
 def test_empty_table():
-    assert tables.table_text(["n", "p"], []) == "n,p\n"
-    assert tables.json_text({"header": ["n"], "rows": []}) \
+    assert_same_text(tables.table_text(["n", "p"], []), "n,p\n")
+    assert str(tables.json_text({"header": ["n"], "rows": []})) \
         == '{\n  "header": [\n    "n"\n  ],\n  "rows": []\n}'
 
 
@@ -175,15 +189,15 @@ def test_density_matrix_rows_equal_the_double_loop(make):
     rows = tables.density_matrix_rows(rho)
     assert repr(list(rows)) == repr(reference_density_matrix_rows(rho))
     header = ["n", "m", "re", "im"]
-    assert tables.table_text(header, rows) == reference_table_text(header, rows)
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, rows))
 
 
 @pytest.mark.parametrize("text", ["a\tb/measured.csv", "\x00\x1f\x7f", "line\r\nbreak\x0c",
                                   'quote " and \\ and é'])
 def test_json_strings_escape_control_characters(text):
-    encoded = tables.json_text({text: [text]})
+    encoded = str(tables.json_text({text: [text]}))
     assert json.loads(encoded) == {text: [text]}
-    assert tables.json_text(text) == json.dumps(text, ensure_ascii=False)
+    assert_same_text(tables.json_text(text), json.dumps(text, ensure_ascii=False))
     if not any(ord(c) < 0x20 for c in text):
         assert encoded == reference_json_text({text: [text]})
 
@@ -247,7 +261,7 @@ def array_printed(values):
     """Each value of a float64 or int64 array as the array path prints it."""
     values = np.asarray(values)
     rows = np.resize(values, max(len(values), tables.ARRAY_ROWS))
-    text = tables.table_text(["x"], tables.Columns(rows))
+    text = str(tables.table_text(["x"], tables.Columns(rows)))
     return text.split("\n")[1:len(values) + 1]
 
 
@@ -346,9 +360,9 @@ def large_tables(draw):
 @given(table=large_tables())
 def test_large_tables_equal_the_cell_by_cell_writer(table):
     header, rows = table
-    assert tables.table_text(header, rows) == reference_table_text(header, rows)
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, rows))
     doc = {"tables": {"t": {"header": header, "rows": rows}}}
-    assert tables.json_text(doc) == reference_json_text(doc)
+    assert_same_text(tables.json_text(doc), reference_json_text(doc))
 
 
 @pytest.mark.parametrize("make", [
@@ -364,16 +378,16 @@ def test_large_tables_equal_the_cell_by_cell_writer(table):
 def test_cells_the_writers_cannot_print_raise_on_both_sides_of_the_threshold(make, n):
     rows = make(n)
     with pytest.raises(TypeError):
-        tables.table_text(["a", "b"], rows)
+        str(tables.table_text(["a", "b"], rows))
     # JSON writes such rows cell by cell, and raises where the reference does
     doc = {"rows": rows}
     try:
         expected = reference_json_text(doc)
     except TypeError:
         with pytest.raises(TypeError):
-            tables.json_text(doc)
+            str(tables.json_text(doc))
     else:
-        assert tables.json_text(doc) == expected
+        assert_same_text(tables.json_text(doc), expected)
 
 
 def test_large_tables_of_columns_and_of_rows_print_alike():
@@ -388,14 +402,15 @@ def test_large_tables_of_columns_and_of_rows_print_alike():
     assert len(columns) == n and columns[3] == rows[3]
     assert isinstance(rows[0][0], int) and isinstance(rows[0][1], float)
     header = ["n", "re", "p"]
-    assert tables.table_text(header, columns) == reference_table_text(header, rows)
+    assert_same_text(tables.table_text(header, columns), reference_table_text(header, rows))
     doc = {"t": {"header": header, "rows": columns}}
-    assert tables.json_text(doc) == reference_json_text({"t": {"header": header, "rows": rows}})
+    assert_same_text(tables.json_text(doc),
+                     reference_json_text({"t": {"header": header, "rows": rows}}))
 
 
 def test_a_str_cell_holding_nul_takes_the_row_template():
     rows = [("a\x00b", 1.5)] * (tables.ARRAY_ROWS + 1)
-    assert tables.table_text(["s", "x"], rows) == reference_table_text(["s", "x"], rows)
+    assert_same_text(tables.table_text(["s", "x"], rows), reference_table_text(["s", "x"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +454,8 @@ def test_density_matrices_print_from_one_triangle_as_cell_by_cell(rho, nudge):
     marked = rho.size >= tables.ARRAY_ROWS and not (nudge and rho.shape[0] > 1)
     assert (rows.mirror is not None) == marked
     header, reference = ["n", "m", "re", "im"], reference_density_matrix_rows(rho)
-    assert tables.table_text(header, rows) == reference_table_text(header, reference)
-    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, reference))
+    assert_same_text(tables.json_text({"rows": rows}), reference_json_text({"rows": reference}))
 
 
 def test_non_finite_cells_of_a_mirrored_matrix_print_from_their_own_value():
@@ -450,14 +465,14 @@ def test_non_finite_cells_of_a_mirrored_matrix_print_from_their_own_value():
     rows = tables.density_matrix_rows(rho)
     assert rows.mirror is not None
     header, reference = ["n", "m", "re", "im"], reference_density_matrix_rows(rho)
-    assert tables.table_text(header, rows) == reference_table_text(header, reference)
-    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+    assert_same_text(tables.table_text(header, rows), reference_table_text(header, reference))
+    assert_same_text(tables.json_text({"rows": rows}), reference_json_text({"rows": reference}))
     # NaN equals no mirror cell, so its table is printed unmarked
     rho[2, 9] = rho[9, 2] = complex(np.nan, 0.0)
     rows = tables.density_matrix_rows(rho)
     assert rows.mirror is None
     reference = reference_density_matrix_rows(rho)
-    assert tables.json_text({"rows": rows}) == reference_json_text({"rows": reference})
+    assert_same_text(tables.json_text({"rows": rows}), reference_json_text({"rows": reference}))
 
 
 # ---------------------------------------------------------------------------
@@ -475,16 +490,6 @@ def run_column(g, n, palette, mean_run):
     values = g.choice(np.array(palette), size=n)
     column = np.repeat(values, lengths)[:n]
     return np.where(g.random(n) < 0.3, -column, column)
-
-
-def assert_same_text(text, reference):
-    """text == reference, naming the first line that differs (pytest's own
-    diff of two texts of thousands of lines takes minutes)."""
-    if text != reference:
-        lines, expected = text.split("\n"), reference.split("\n")
-        k = next((k for k, pair in enumerate(zip(lines, expected)) if pair[0] != pair[1]),
-                 min(len(lines), len(expected)))
-        pytest.fail(f"line {k} differs: {lines[k:k + 1]} != {expected[k:k + 1]}")
 
 
 def assert_printed_as_cell_by_cell(columns, int_columns=()):
@@ -538,3 +543,100 @@ def test_edge_cells_inside_runs_print_from_their_own_value(edge):
     phi[7:9] = edge[-1]
     assert _arraytext._runs(np.abs(phi)) is not None
     assert_printed_as_cell_by_cell([phi, np.linspace(-1.0, 1.0, n)], [np.arange(n)])
+
+
+# ---------------------------------------------------------------------------
+# writing is a stream: each block goes to the file as it is formed, and a
+# failure part way leaves the file a prefix of the new text
+
+def spread_columns(n=3 * _arraytext.BLOCK_CELLS + 5):
+    """An index column and a float column of distinct values: 4 blocks of
+    BLOCK_CELLS rows, each forming its digits in a call of its own."""
+    g = np.random.default_rng(6)
+    return tables.Columns(np.arange(n), g.normal(size=n) * 10.0 ** g.integers(-20, 20, size=n))
+
+
+def test_texts_are_handed_over_a_block_at_a_time():
+    rows = spread_columns()
+    reference = list(rows)
+    text = tables.table_text(["n", "x"], rows)
+    blocks = []
+    text.write(blocks.append)
+    assert len(blocks) == 1 + 4  # the header, then the blocks of rows
+    assert len(text) == sum(map(len, blocks))
+    assert_same_text(b"".join(blocks).decode(), reference_table_text(["n", "x"], reference))
+    text = tables.json_text({"a": rows, "b": {"rows": rows}, "c": [0.5]}) + "\n"
+    blocks = []
+    text.write(blocks.append)
+    # the pieces before each table, its blocks, the pieces after, the newline
+    assert len(blocks) == 1 + 4 + 1 + 4 + 1 + 1
+    assert len(text) == sum(map(len, blocks))
+    assert_same_text(b"".join(blocks).decode(), reference_json_text(
+        {"a": reference, "b": {"rows": reference}, "c": [0.5]}) + "\n")
+
+
+def test_len_of_a_text_counts_its_utf8_bytes():
+    text = tables.json_text({"é": [1, 2.5]})
+    assert len(text) == len(str(text).encode()) == len(str(text)) + 1
+    assert len(text + "µ\n") == len(text) + 3
+
+
+def test_a_text_that_fails_before_its_first_byte_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old\n")
+    with pytest.raises(TypeError):
+        tables.write_text(str(path), tables.table_text(["a"], [(True,)]))
+    assert path.read_bytes() == b"old\n"
+
+
+def older_and_longer(path, text):
+    """Leave at path the bytes of `text` and a tail an older run left; returns
+    the bytes of text."""
+    full = str(text).encode()
+    path.write_bytes(full + b"the longer tail of an older run\n")
+    return full
+
+
+def test_a_failure_in_the_second_block_cuts_the_file_after_the_first(tmp_path, monkeypatch):
+    header, rows = ["n", "x"], spread_columns()
+    path = tmp_path / "t.csv"
+    full = older_and_longer(path, tables.table_text(header, rows))
+    calls, form = [], _arraytext._float_slots
+
+    def second_block_fails(a, lanes):
+        calls.append(len(a))
+        if len(calls) == 2:
+            raise RuntimeError("formatting failed")
+        return form(a, lanes)
+
+    monkeypatch.setattr(_arraytext, "_float_slots", second_block_fails)
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        tables.write_text(str(path), tables.table_text(header, rows))
+    left = path.read_bytes()
+    assert len(left) < len(full) and full.startswith(left)
+    assert left.count(b"\n") == 1 + _arraytext.BLOCK_CELLS
+
+
+class FullDisk(io.FileIO):
+    """A file on a disk with room for `room` bytes: a write past them is cut
+    short, and the next one fails as a full disk fails."""
+
+    room = 10_000
+
+    def write(self, data):
+        room = self.room - self.tell()
+        if room <= 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(memoryview(data)[:room])
+
+
+def test_a_failed_write_cuts_the_file_at_the_bytes_that_reached_it(tmp_path):
+    header, rows = ["n", "x"], spread_columns()
+    path = tmp_path / "t.csv"
+    full = older_and_longer(path, tables.table_text(header, rows))
+    fh = io.BufferedWriter(FullDisk(path, "r+"))
+    with pytest.raises(OSError) as failed:
+        tables.write_text(fh, tables.table_text(header, rows))
+    assert failed.value.errno == errno.ENOSPC
+    assert fh.closed
+    assert path.read_bytes() == full[:FullDisk.room]
