@@ -15,14 +15,13 @@ update rule a cascade is one state-independent response matrix R[k, n] =
 P(first click at stage k | n photons), with the survival S[k, n] = P(no
 click before stage k | n photons) (`response_matrix`).  For an input
 diagonal d, the first-ON distribution is R @ d and the all-OFF residual
-S[K] @ d.  In terminate-on-first-ON mode trial i clicks first at the
-smallest k with u(seed, i, k) < q_k = (R @ d)_k / (S[k] @ d); trials are
-sampled in chunks, which only bound memory.  Where the all-OFF path dies
-(S[k] @ d < MIN_OUTCOME_PROB) the later q_k are undefined, and a trial that
-would reach them raises NumericalError.  The trial walk keeps full
-density matrices and serves as the independent reference; its records
-match the sampler's unless a uniform falls within the few ulps by which the
-two q_k differ (see tests).
+S[K] @ d.  Trial i clicks first at the smallest k with u(seed, i, k) <
+q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks, which only
+bound memory.  Where the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB)
+the later q_k are undefined, and a trial that would reach them raises
+NumericalError.  The trial walk keeps full density matrices and serves as
+the independent reference; its records match the sampler's unless a
+uniform falls within the few ulps by which the two q_k differ (see tests).
 """
 
 from dataclasses import dataclass
@@ -112,15 +111,14 @@ class CascadeConfig:
 
     update_rule "exact" evolves the full conditional state through every
     stage; "good_cavity" uses the tau << chi_t projections (ON -> |n_k><n_k|,
-    OFF -> diagonal with n_k removed).  terminate_on_first_on is the
-    distribution-estimation mode; switch it off to record every stage.
+    OFF -> diagonal with n_k removed).  A trial stops at its first click,
+    which is all the distribution estimate records.
     """
 
     stages: tuple
     samples: int
     rng_seed: int
     update_rule: str = "exact"
-    terminate_on_first_on: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "stages", tuple(self.stages))
@@ -152,8 +150,8 @@ def tuned_cascade(n_top, tau, chi_t, alpha, eta, samples, rng_seed,
 class MeasurementRecord:
     """Per-stage ON/OFF bits of one trial and the first-ON stage index.
 
-    In terminate-on-first-ON mode the outcome tuple stops at the click (so
-    it contains at most one ON); first_on is None when no stage fired.
+    The outcome tuple stops at the click, so it contains at most one ON;
+    first_on is None when no stage fired.
     """
 
     outcomes: tuple
@@ -196,30 +194,23 @@ def run_cascade_trial(rho, cfg, trial):
     """One Monte Carlo walk, for trial index `trial`; one uniform per stage.
 
     Stage k clicks when u(cfg.rng_seed, trial, k) < p_on, the same uniform
-    the estimator gives that trial.  The conditional state after each
-    outcome feeds the next stage.  Raises NumericalError if probability
+    the estimator gives that trial.  The walk stops at the first click; the
+    conditional state after each OFF feeds the next stage.  Raises NumericalError if probability
     completeness drifts past 1e-6 (or turns non-finite) at any stage or the
     drawn outcome has no conditional state.
     """
     u = uniforms(cfg.rng_seed, [trial], len(cfg.stages))[0]
     state = np.asarray(rho, dtype=complex)
-    outcomes = []
-    first_on = None
     for k, stage in enumerate(cfg.stages):
-        p_on, state_on, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
+        p_on, _, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
         _check_completeness(abs(p_on + p_off - 1.0), k, stage)
-        clicked = u[k] < p_on
-        outcomes.append(1 if clicked else 0)
-        next_state = state_on if clicked else state_off
-        if clicked and first_on is None:
-            first_on = k
-            if cfg.terminate_on_first_on:
-                break
-        if next_state is None:
+        if u[k] < p_on:
+            return MeasurementRecord(outcomes=(0,) * k + (1,), first_on=k)
+        if state_off is None:
             raise fock.NumericalError(
                 f"cascade stage {k}: drew an outcome of probability < {MIN_OUTCOME_PROB:g}")
-        state = next_state
-    return MeasurementRecord(outcomes=tuple(outcomes), first_on=first_on)
+        state = state_off
+    return MeasurementRecord(outcomes=(0,) * len(cfg.stages), first_on=None)
 
 
 def response_matrix(cfg, dim):
@@ -307,7 +298,7 @@ class DistributionEstimate(fock.PhotonDistribution):
     expected: the analytic first-ON distribution (what the estimator
     converges to).  all_off: fraction of trials with no click at any stage,
     with its analytic counterpart in all_off_expected.  preparations counts
-    signal preparations consumed (one per trial in terminate-on-ON mode).
+    signal preparations consumed (one per trial: a trial stops at its click).
     """
 
     theory: np.ndarray | None = None
@@ -330,8 +321,6 @@ def estimate_photon_distribution(spec, n_top, cfg):
     targets = tuple(s.target_n for s in cfg.stages)
     if targets != tuple(range(n_top + 1)):
         raise ValueError(f"stages must cover 0..{n_top} in order, got targets {targets}")
-    if not cfg.terminate_on_first_on:
-        raise ValueError("distribution estimation requires terminate_on_first_on mode")
 
     if isinstance(spec, fock.StateSpec):
         rho = fock.make_state(spec)

@@ -333,7 +333,7 @@ def _run_synthesize(params):
         summary[f"target_weight_{i}"] = weight
     result_tables["summary"] = {
         "header": ["tau", "p_on", "target_weight", "dominance", "purity"],
-        "rows": summary_rows}
+        "rows": tables.Columns(*(np.array(c, dtype=float) for c in zip(*summary_rows)))}
     return {"summary": summary, "tables": result_tables}
 
 
@@ -509,18 +509,21 @@ def manifest_dict(cfg):
 
 
 def emit_results(result, cfg):
-    """Write manifest + tables (or one JSON document) under cfg.out_dir.
+    """Write tables (or one JSON document) and then manifest.json under
+    cfg.out_dir.
 
-    Every output file is opened, in place, before any is written, so a file
-    that cannot be opened leaves the directory as it was.  Each table and
-    document is then streamed into its file, every block written as it is
-    formed: a write holds one block of text and, for a mirrored density
-    matrix, the digit slots of its triangle, never a whole file.  A failure
-    part way cuts the file being written at the bytes that reached it.
+    Every text is built, and every output file opened in place, before any
+    is written, so a table that is not a `Columns` or a file that cannot be
+    opened leaves the directory as it was.  Each table and document is then
+    streamed into its file, every block written as it is formed: a write
+    holds one block of text and, for a mirrored density matrix, the digit
+    slots of its triangle, never a whole file.  A failure part way cuts the
+    file being written at the bytes that reached it.  The manifest is
+    written last, so one that matches its config says the run finished.
     """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    texts = {"manifest.json": tables.json_text(manifest_dict(cfg)) + "\n"}
+    texts = {}
     if cfg.fmt == "table":
         for name, tab in result["tables"].items():
             texts[f"{name}.csv"] = tables.table_text(tab["header"], tab["rows"])
@@ -528,6 +531,7 @@ def emit_results(result, cfg):
         doc = {"experiment": result["experiment"], "summary": result["summary"],
                "tables": result["tables"]}
         texts["results.json"] = tables.json_text(doc) + "\n"
+    texts["manifest.json"] = tables.json_text(manifest_dict(cfg)) + "\n"
     files = tables.open_in_place([os.path.join(out, name) for name in texts])
     try:
         written = [tables.write_text(fh, text) for fh, text in zip(files, texts.values())]

@@ -11,18 +11,16 @@ formed, so writing holds one block of text, plus for a mirrored density
 matrix the digit slots of its triangle, and never a whole file.  str() of a
 `Text` runs the same writer into a buffer.
 
-Conversions are chosen a whole table at a time: the exact types of each
-column's cells give it one %-conversion (%d for int, %.17g for float, %s for
-str; numpy integer and float scalars print as their .item() would).  CSV
-joins the cells of a row with "," and the JSON row arrays with ", ", so both
-formats print each cell exactly as `fmt_cell` prints it on its own, and the
-bytes are the same as those of a cell-by-cell writer.
-
-`Columns` holds a table's rows as int64 and float64 numpy columns, and the
-experiment runners hand every large table to the writers as one.  A
-`Columns` of ARRAY_ROWS rows or more is printed from its columns by
-`_arraytext`, because one %.17g costs ~1 µs (CPython's dtoa leaves its fast
-path above 14 digits):
+Every table is a `Columns`, its rows held as int64 and float64 numpy
+columns: an int cell prints with %d and a float cell with %.17g, exactly as
+`fmt_cell` prints it on its own.  One row writer prints a table's rows in
+both formats: a CSV row is its cells joined with "," and a newline, a JSON
+row its cells in brackets joined with ", ", a non-finite one quoted.  Below
+ARRAY_ROWS rows the writer applies one row template, the joined
+conversions, which `%` applies to every row in C, and hands the rows over
+as one block.  From ARRAY_ROWS rows `_arraytext` prints them from the
+columns, a block of rows at a time, because one %.17g costs ~1 µs
+(CPython's dtoa leaves its fast path above 14 digits):
 
 - A float64 cell gets its 17 digits from |x|·10^(16−e), e = floor(log10|x|),
   formed as a double-double within ~1e-14 of exact.  %.17g itself prints
@@ -35,19 +33,15 @@ path above 14 digits):
   per mirror pair; for a float column of runs of one magnitude (a phase
   repeated over rows), once per run; for an index column, once per value.
 
-The array path hands over a block of rows at a time.  Every other table (a
-list of rows of any size, or a smaller `Columns`) goes through one row
-template, the joined conversions, which `%` applies to every row in C, and
-is one block.  The output bytes are those of the row template; the tests
-compare the array path with %.17g and %d cell by cell.  JSON gathers its
-small pieces and hands them over as one block before each table the array
-path streams, and at its end.
+The output bytes are those of the row template; the tests compare the array
+path with %.17g and %d cell by cell.  JSON gathers the small pieces around
+its tables and hands them over as one block before each table and at its
+end.
 """
 
 import contextlib
 import functools
 import os
-from collections.abc import Sequence
 from json.encoder import encode_basestring
 
 import numpy as np
@@ -60,11 +54,12 @@ FLOAT = "%.17g"  # shortest fixed precision that round-trips any double exactly
 ARRAY_ROWS = 300
 
 
-class Columns(Sequence):
+class Columns:
     """A table's rows held as equal-length int64 and float64 numpy columns.
 
-    Row i is the tuple of the columns' i-th values as Python ints and floats,
-    so the writers print a Columns exactly as they print the list of its rows.
+    Signed integer columns are held as int64 and float columns as float64;
+    any other dtype, unsigned included, raises TypeError.  Iterating gives
+    row i as the tuple of the columns' i-th values as Python ints and floats.
     `mirror`, None or (cells, slot), says that the float cells of rows
     `cells` hold every magnitude of the float columns and that row i's are
     those of row cells[slot[i]]; the array path then forms digits for those
@@ -76,17 +71,16 @@ class Columns(Sequence):
         if not arrays or len({a.shape for a in arrays}) > 1 or arrays[0].ndim != 1:
             raise ValueError("Columns needs one or more 1-D columns of one length")
         kinds = {a.dtype.kind for a in arrays}
-        if not kinds <= {"i", "u", "f"}:
-            raise TypeError(f"Columns holds int and float columns, got dtype kinds {kinds}")
+        if not kinds <= {"i", "f"}:
+            # an unsigned value of 2^63 or more would wrap in int64
+            raise TypeError(f"Columns holds signed int and float columns, got dtype kinds "
+                            f"{sorted(kinds)}")
         self.columns = [a.astype(np.float64 if a.dtype.kind == "f" else np.int64, copy=False)
                         for a in arrays]
         self.mirror = mirror
 
     def __len__(self):
         return len(self.columns[0])
-
-    def __getitem__(self, i):
-        return tuple(c[i].item() for c in self.columns)
 
     def __iter__(self):
         return zip(*(c.tolist() for c in self.columns))
@@ -108,32 +102,6 @@ def _conversion(kind):
 def fmt_cell(value):
     """One table cell as text: %.17g for floats, str() for ints and strings."""
     return _conversion(type(value)) % (value,)
-
-
-def _table(rows, numbers_only=False):
-    """[(conversion, column)] of `rows`: each column's cells and the one
-    %-conversion that prints them, from the exact types of the cells.
-
-    None when the rows differ in length, when a column would need two
-    conversions (an int cell in a float column), or, with `numbers_only`, when
-    a cell is not a Python int or float.  A bool or unknown cell raises
-    TypeError.
-    """
-    if isinstance(rows, Columns):
-        return [("%d" if c.dtype.kind == "i" else FLOAT, c) for c in rows.columns]
-    if len(set(map(len, rows))) > 1:
-        return None
-    table = []
-    for column in zip(*rows):
-        kinds = set(map(type, column))
-        if numbers_only and not all(issubclass(k, (int, float)) and not issubclass(k, bool)
-                                    for k in kinds):
-            return None
-        found = set(map(_conversion, kinds))
-        if len(found) > 1:
-            return None
-        table.append((found.pop(), column))
-    return table
 
 
 class Text:
@@ -189,24 +157,39 @@ class Text:
 def table_text(header, rows):
     """Comma-separated table with newline-terminated rows, as a `Text`.
 
-    Rows must have equal lengths, and the cells of a column one kind: int,
-    float or str; a table that breaks this raises TypeError when it is
-    written.  `rows` is a sequence of rows or a `Columns`.
+    `rows` is a `Columns`; anything else raises TypeError here, before any
+    file is opened.
     """
+    if not isinstance(rows, Columns):
+        raise TypeError(f"table rows must be a Columns, got {type(rows).__name__}")
     return Text(functools.partial(_write_table, header, rows))
 
 
 def _write_table(header, rows, sink):
-    head = ",".join(header) + "\n"
-    if isinstance(rows, Columns) and len(rows) >= ARRAY_ROWS:
-        sink(head.encode("utf-8"))
-        _array_text(rows, "", ",", "\n", sink)
+    sink((",".join(header) + "\n").encode("utf-8"))
+    _write_rows(rows, "", ",", "\n", sink)
+
+
+def _write_rows(rows, head, sep, tail, sink, json=False, last=None):
+    """Each row of the `Columns` `rows` as head, its cells joined by sep, and
+    tail (`last` for the last row), handed to sink; with `json` a non-finite
+    cell is quoted.  Below ARRAY_ROWS rows one row template prints them as
+    one block, from ARRAY_ROWS the array path a block at a time."""
+    if len(rows) >= ARRAY_ROWS:
+        # imported on first use: without cached bytecode, compiling the array
+        # path costs ~7 ms at every start, and small tables never need it
+        from ._arraytext import array_text
+        array_text(rows.columns, head, sep, tail, sink, json, rows.mirror, last)
         return
-    table = _table(rows)
-    if table is None:
-        raise TypeError("table rows differ in length or mix cell kinds within a column")
-    template = ",".join(conversion for conversion, _ in table)
-    sink((head + "".join(map(f"{template}\n".__mod__, map(tuple, rows)))).encode("utf-8"))
+    template = head + sep.join("%d" if c.dtype.kind == "i" else FLOAT
+                               for c in rows.columns) + tail
+    text = "".join(map(template.__mod__, rows))
+    # %d and %.17g print the letter n only in "inf" and "nan"
+    if json and "n" in text:
+        text = "".join(head + sep.join(map(_json_scalar, row)) + tail for row in rows)
+    if last is not None:
+        text = text[:len(text) - len(tail)] + last
+    sink(text.encode("utf-8"))
 
 
 def density_matrix_rows(rho):
@@ -247,26 +230,25 @@ def json_text(obj):
     """Deterministic JSON, as a `Text`: dict insertion order kept, floats via
     %.17g.
 
-    A list of numbers is written on one line; a list of such lists (a
-    table's rows, or a `Columns`) one row per line, through one row template
-    or, for a `Columns` of ARRAY_ROWS rows or more, the array path.  A
-    non-finite float is written as the string "inf", "-inf" or "nan".  A
-    value that cannot be serialized raises TypeError when the text is written.
+    A list of numbers is written on one line, a `Columns` one row per line
+    by the row writer, and any other list one item per line.  A non-finite
+    float is written as the string "inf", "-inf" or "nan".  A value that
+    cannot be serialized raises TypeError when the text is written.
     """
     return Text(functools.partial(_write_json, obj))
 
 
 def _write_json(obj, sink):
     """Hand `obj` as JSON to sink: its pieces are gathered and handed over as
-    one block at the end and before each table the array path streams."""
+    one block before each table and at the end."""
     pieces = []
     _json(obj, "", pieces, sink)
     sink("".join(pieces).encode("utf-8"))
 
 
 def _json(obj, pad, pieces, sink):
-    """Append `obj` as JSON, indented from `pad`, to pieces; a `Columns` of
-    ARRAY_ROWS rows or more goes to sink, after the pieces before it."""
+    """Append `obj` as JSON, indented from `pad`, to pieces; a `Columns` goes
+    to sink, after the pieces before it."""
     inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -279,31 +261,20 @@ def _json(obj, pad, pieces, sink):
             separator = ",\n"
         pieces.append("\n" + pad + "}")
         return
-    if isinstance(obj, (list, tuple, Columns)):
-        if not obj:
-            pieces.append("[]")
+    if isinstance(obj, (list, tuple, Columns)) and not len(obj):
+        pieces.append("[]")
+        return
+    if isinstance(obj, Columns):
+        pieces.append("[\n")
+        sink("".join(pieces).encode("utf-8"))
+        pieces.clear()
+        _write_rows(obj, inner + "[", ", ", "],\n", sink, json=True, last="]")
+        pieces.append("\n" + pad + "]")
+        return
+    if isinstance(obj, (list, tuple)):
+        if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
+            pieces.append("[" + ", ".join(map(_json_scalar, obj)) + "]")
             return
-        if not isinstance(obj, Columns):
-            table = _table([obj], numbers_only=True)
-            if table is not None:
-                text = ", ".join(conversion for conversion, _ in table) % tuple(obj)
-                # %d and %.17g print the letter n only in "inf" and "nan"
-                if "n" in text:
-                    text = ", ".join(map(_json_scalar, obj))
-                pieces.append("[" + text + "]")
-                return
-        if isinstance(obj, Columns) and len(obj) >= ARRAY_ROWS:
-            pieces.append("[\n")
-            sink("".join(pieces).encode("utf-8"))
-            pieces.clear()
-            _array_text(obj, inner + "[", ", ", "],\n", sink, json=True, last="]")
-            pieces.append("\n" + pad + "]")
-            return
-        if isinstance(obj, Columns) or set(map(type, obj)) <= {list, tuple}:
-            text = _json_rows(obj, inner)
-            if text is not None:
-                pieces.append("[\n" + text + "\n" + pad + "]")
-                return
         separator = "[\n"
         for value in obj:
             pieces.append(separator + inner)
@@ -312,18 +283,6 @@ def _json(obj, pad, pieces, sink):
         pieces.append("\n" + pad + "]")
         return
     pieces.append(_json_scalar(obj))
-
-
-def _json_rows(rows, inner):
-    """The rows of a table the row template prints as JSON arrays, one per
-    line; None when a row needs the cell-by-cell writer (a cell that is not a
-    number, or a non-finite float)."""
-    table = _table(rows, numbers_only=True)
-    if table is None:
-        return None
-    template = ", ".join(conversion for conversion, _ in table)
-    text = ",\n".join(map(f"{inner}[{template}]".__mod__, map(tuple, rows)))
-    return None if "n" in text else text
 
 
 def _json_scalar(v):
@@ -349,16 +308,6 @@ def _json_str(s):
     """A JSON string literal escaped as json.dumps(s, ensure_ascii=False) escapes
     it: backslash, quote and every control character below U+0020."""
     return encode_basestring(s)
-
-
-def _array_text(rows, head, sep, tail, sink, json=False, last=None):
-    """Each row of the `Columns` `rows` as head, its cells joined by sep, and
-    tail (`last` for the last row), handed to sink a block at a time by the
-    array path."""
-    # imported on first use: without cached bytecode, compiling the array
-    # path costs ~7 ms at every start, and small tables never need it
-    from ._arraytext import array_text
-    array_text(rows.columns, head, sep, tail, sink, json, rows.mirror, last)
 
 
 def write_text(path, text):

@@ -70,16 +70,6 @@ def test_trial_records_off_prefix():
     assert rec.outcomes == (0, 0, 0, 1)
 
 
-def test_full_walk_when_termination_disabled():
-    rho = fock.make_state(fock.StateSpec.number(2), cutoff=8)
-    base = fig3_cascade(n_top=5)
-    cfg = CascadeConfig(stages=base.stages, samples=1, rng_seed=0,
-                        terminate_on_first_on=False)
-    rec = run_cascade_trial(rho, cfg, 0)
-    assert len(rec.outcomes) == 6
-    assert rec.first_on == 2
-
-
 def test_first_on_matches_input_distribution_in_good_cavity_regime():
     # the mixing correction is O(c) with c = eta |alpha|^2 tau^2 / chi_t^2
     for spec in (fock.StateSpec.squeezed_vacuum(1.0),

@@ -26,6 +26,12 @@ def read_all(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def write_csv(path, header, rows):
+    """A comma-separated table of string cells, for hand-edited inputs that
+    the table writer, which prints only numbers, cannot write."""
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]))
+
+
 def test_profile_preset(tmp_path):
     code, out = run(tmp_path, "profile", "--preset", "fig2")
     assert code == 0
@@ -166,7 +172,7 @@ def test_duplicate_measured_rows_exit_2(tmp_path):
     # every cell present, and (phi, n) of the first row given a second time
     rows.append([rows[0][0], rows[0][1], "0.5"])
     measured = tmp_path / "measured.csv"
-    tables.write_text(measured, tables.table_text(header, rows))
+    write_csv(measured, header, rows)
     manifest["config"]["measurements"] = str(measured)
     cfg = tmp_path / "replay.json"
     cfg.write_text(json.dumps(manifest["config"]))
@@ -194,7 +200,7 @@ def test_non_finite_measured_value_exits_2(tmp_path, capsys, cell, bad, named):
     header, rows = tables.read_csv(first / "measured.csv")
     assert rows[5][1] == "5"
     rows[5][cell] = bad
-    tables.write_text(measured, tables.table_text(header, rows))
+    write_csv(measured, header, rows)
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -336,7 +342,7 @@ def measured_rows(tmp_path):
 def test_measured_row_with_wrong_cell_count_exits_2(tmp_path, capsys, cells, named):
     cfg, measured, header, rows = measured_rows(tmp_path)
     rows[5] = cells
-    measured.write_text("\n".join(",".join(r) for r in [header, *rows]) + "\n")
+    write_csv(measured, header, rows)
     capsys.readouterr()
     code, out = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -364,7 +370,7 @@ def test_measured_table_rejections_name_the_first_offending_row(tmp_path, capsys
     cfg, measured, header, rows = measured_rows(tmp_path)
     for i, (cell, value) in edits.items():
         rows[i][cell] = value
-    tables.write_text(measured, tables.table_text(header, rows))
+    write_csv(measured, header, rows)
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -373,7 +379,7 @@ def test_measured_table_rejections_name_the_first_offending_row(tmp_path, capsys
 
 def test_measured_table_missing_a_cell_exits_2(tmp_path, capsys):
     cfg, measured, header, rows = measured_rows(tmp_path)
-    tables.write_text(measured, tables.table_text(header, rows[:-1]))
+    write_csv(measured, header, rows[:-1])
     capsys.readouterr()
     code, _ = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 2
@@ -382,7 +388,7 @@ def test_measured_table_missing_a_cell_exits_2(tmp_path, capsys):
 
 def test_measured_rows_in_any_order_reconstruct_the_same_state(tmp_path):
     cfg, measured, header, rows = measured_rows(tmp_path)
-    tables.write_text(measured, tables.table_text(header, rows[::-1]))
+    write_csv(measured, header, rows[::-1])
     code, out = run(tmp_path, "tomography", "--config", str(cfg))
     assert code == 0
     assert (out / "reconstruction.csv").read_bytes() \
@@ -621,27 +627,44 @@ def test_overflowing_n_star_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the array path prints only Columns, so every large table must arrive as one
+# every table is a Columns, from the runners to the file
 
 @pytest.mark.parametrize("fmt", ["table", "structured"])
-def test_every_large_table_the_cli_writes_is_columns(tmp_path, monkeypatch, fmt):
+def test_every_table_the_cli_writes_is_columns(tmp_path, monkeypatch, fmt):
     emit, seen = cli.emit_results, []
 
     def checked(result, cfg):
         for name, tab in result["tables"].items():
-            if len(tab["rows"]) >= tables.ARRAY_ROWS:
-                seen.append(name)
-                assert isinstance(tab["rows"], tables.Columns), (cfg.experiment, name)
+            seen.append((cfg.experiment, name))
+            assert isinstance(tab["rows"], tables.Columns), (cfg.experiment, name)
         return emit(result, cfg)
 
     monkeypatch.setattr(cli, "emit_results", checked)
-    runs = [[e, "--preset", p] for e, presets in sorted(cli.PRESETS.items())
-            for p in sorted(presets)]
-    runs.append(["profile", "--preset", "fig2",
-                 "--config", write_config(tmp_path, {"n_max": 400})])
-    for k, argv in enumerate(runs):
-        assert run(tmp_path / str(k), *argv, "--format", fmt)[0] == 0
-    assert {"profile", "state_0"} <= set(seen)
+    for experiment, presets in sorted(cli.PRESETS.items()):
+        for preset in presets:
+            argv = [experiment, "--preset", preset, "--format", fmt]
+            assert run(tmp_path / f"{experiment}-{preset}", *argv)[0] == 0
+    assert {experiment for experiment, _ in seen} == set(cli.EXPERIMENTS)
+    assert {("synthesize", "summary"), ("measure-pn", "histogram"),
+            ("tomography", "measured")} <= set(seen)
+
+
+def test_a_table_that_is_not_columns_is_refused_before_any_file(tmp_path, monkeypatch):
+    argv = ["synthesize", "--preset", "fig2"]
+    assert run(tmp_path, *argv)[0] == 0
+    out = tmp_path / "out"
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    synthesize = cli._RUNNERS["synthesize"]
+
+    def listed(params):
+        result = synthesize(params)
+        result["tables"]["summary"]["rows"] = list(result["tables"]["summary"]["rows"])
+        return result
+
+    monkeypatch.setitem(cli._RUNNERS, "synthesize", listed)
+    with pytest.raises(TypeError, match="Columns"):
+        run(tmp_path, *argv)
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------
@@ -762,15 +785,15 @@ def test_a_failure_mid_run_leaves_the_files_not_yet_reached_untouched(tmp_path, 
     assert run(tmp_path, "synthesize", "--config", ladder_config(tmp_path, 40))[0] == 0
     out, fresh = tmp_path / "out", read_all(tmp_path / "fresh" / "out")
     old = read_all(out)
-    failing_table(monkeypatch, 1)  # state_0.csv, after manifest.json and distribution_0.csv
+    failing_table(monkeypatch, 1)  # state_0.csv, after distribution_0.csv
     with pytest.raises(RuntimeError, match="formatting failed"):
         run(tmp_path, "synthesize", "--config", ladder_config(tmp_path, 41))
     now = read_all(out)
-    for name in ("manifest.json", "distribution_0.csv"):
-        assert now[name] == fresh[name]
+    assert now["distribution_0.csv"] == fresh["distribution_0.csv"]
     assert len(now["state_0.csv"]) < len(fresh["state_0.csv"])
     assert fresh["state_0.csv"].startswith(now["state_0.csv"])
-    for name in ("distribution_1.csv", "state_1.csv", "summary.csv"):
+    # the manifest is written last: it still describes the old run
+    for name in ("distribution_1.csv", "state_1.csv", "summary.csv", "manifest.json"):
         assert now[name] == old[name] != fresh[name]
 
 

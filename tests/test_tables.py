@@ -2,7 +2,9 @@
 
 The reference functions below print one cell at a time, the way the writers
 did before they built one %-template per table; the writers must give the
-same bytes.  In JSON, a non-finite float is the string "inf", "-inf" or "nan".
+same bytes.  Every table is a `Columns`; a JSON document may also hold lists
+of any cells.  In JSON, a non-finite float is the string "inf", "-inf" or
+"nan".
 """
 
 import errno
@@ -122,13 +124,43 @@ def mixed_tables(draw):
     return header, rows
 
 
+# the cells of a Columns' int64, float64 and float32 columns
+COLUMN_CELLS = {
+    "int": (st.one_of(st.sampled_from([v for v in EDGE_INTS if v < 2 ** 63]),
+                      st.integers(-2 ** 63, 2 ** 63 - 1)), np.int64),
+    "float": (st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()), np.float64),
+    "float32": (st.floats(width=32), np.float32),
+}
+
+
+@st.composite
+def columns_tables(draw, sizes):
+    """(header, columns, rows): up to 8 drawn cells per column, repeated to a
+    size drawn from `sizes`, and the rows of Python ints and floats they hold."""
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMN_CELLS)), min_size=1, max_size=5))
+    size, drawn = draw(sizes), draw(st.integers(1, 8))
+    columns = [np.resize(np.array(draw(st.lists(COLUMN_CELLS[k][0], min_size=drawn,
+                                                 max_size=drawn)), COLUMN_CELLS[k][1]), size)
+               for k in kinds]
+    rows = list(zip(*(c.tolist() for c in columns)))
+    return [f"c{k}" for k in range(len(kinds))], tables.Columns(*columns), rows
+
+
+def assert_tables_print_as_cell_by_cell(header, columns, rows):
+    assert_same_text(tables.table_text(header, columns), reference_table_text(header, rows))
+    doc = {"tables": {"t": {"header": header, "rows": columns}}}
+    assert_same_text(tables.json_text(doc),
+                     reference_json_text({"tables": {"t": {"header": header, "rows": rows}}}))
+
+
 @settings(max_examples=300, deadline=None)
-@given(table=mixed_tables(), as_lists=st.booleans())
-def test_writers_equal_the_cell_by_cell_writer(table, as_lists):
-    header, rows = table
+@given(table=columns_tables(st.integers(0, 12)), cells=mixed_tables(), as_lists=st.booleans())
+def test_writers_equal_the_cell_by_cell_writer(table, cells, as_lists):
+    assert_tables_print_as_cell_by_cell(*table)
+    # a document's own lists, of any cells, are written cell by cell
+    header, rows = cells
     if as_lists:
         rows = [list(row) for row in rows]
-    assert_same_text(tables.table_text(header, rows), reference_table_text(header, rows))
     doc = {"tables": {"t": {"header": header, "rows": rows}}, "flat": rows[0] if rows else []}
     assert_same_text(tables.json_text(doc), reference_json_text(doc))
     for row in rows:
@@ -143,10 +175,38 @@ def test_writers_equal_the_cell_by_cell_writer(table, as_lists):
     [(1, None)],
     [(1, 2.5), (2, 3)],     # an int cell in a float column
     [(1, 2.5), (2,)],       # rows of different lengths
+    [(1, 2.5)],             # rows of cells a Columns could hold
+    [],
+    ((1, 2.5),),
+    np.ones((2, 2)),
+    None,
 ])
 def test_table_text_rejects_cells_it_cannot_print_alone(rows):
+    # a table is a Columns; anything else is refused at the call, before any
+    # text is formed
+    with pytest.raises(TypeError, match="Columns"):
+        tables.table_text(["a", "b"], rows)
+
+
+@pytest.mark.parametrize("column", [[True], np.array([False]), [2.5 + 1j], [None], ["x"]])
+def test_columns_hold_only_signed_int_and_float_columns(column):
     with pytest.raises(TypeError):
-        str(tables.table_text(["a", "b"], rows))
+        tables.Columns(np.arange(len(column)), column)
+
+
+def test_columns_are_one_or_more_1d_columns_of_one_length():
+    for columns in [(), (np.arange(2), np.arange(3)), (np.ones((2, 2)),)]:
+        with pytest.raises(ValueError):
+            tables.Columns(*columns)
+
+
+def test_unsigned_columns_are_refused_not_wrapped():
+    # as int64, 2^63 would print as -9223372036854775808
+    for column in [np.array([2 ** 63], np.uint64), [2 ** 63], np.array([1], np.uint8)]:
+        with pytest.raises(TypeError, match="signed int"):
+            tables.Columns(column)
+    top = tables.Columns(np.array([2 ** 63 - 1]))
+    assert str(tables.table_text(["n"], top)) == "n\n9223372036854775807\n"
 
 
 @pytest.mark.parametrize("rows", [
@@ -165,14 +225,14 @@ def test_json_rows_one_template_cannot_print_are_written_cell_by_cell(rows):
 def test_bool_cell_is_ambiguous():
     with pytest.raises(TypeError, match="bool"):
         tables.fmt_cell(True)
-    with pytest.raises(TypeError, match="bool"):
-        str(tables.table_text(["ok"], [(True,)]))
 
 
 def test_empty_table():
-    assert_same_text(tables.table_text(["n", "p"], []), "n,p\n")
-    assert str(tables.json_text({"header": ["n"], "rows": []})) \
-        == '{\n  "header": [\n    "n"\n  ],\n  "rows": []\n}'
+    empty = tables.Columns(np.arange(0), np.zeros(0))
+    assert_same_text(tables.table_text(["n", "p"], empty), "n,p\n")
+    for rows in ([], empty):
+        assert str(tables.json_text({"header": ["n"], "rows": rows})) \
+            == '{\n  "header": [\n    "n"\n  ],\n  "rows": []\n}'
 
 
 @pytest.mark.parametrize("make", [
@@ -335,34 +395,10 @@ def test_array_path_prints_int64_as_percent_d():
     assert array_printed(small) == reference_printed(small, "%d")
 
 
-LARGE_CELLS = {
-    "int": st.one_of(st.sampled_from(EDGE_INTS), st.integers(-2 ** 63, 2 ** 63 - 1),
-                     st.integers(-2 ** 70, 2 ** 70)),
-    "float": st.one_of(st.sampled_from(EDGE_FLOATS), st.floats()),
-    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
-    "np.float64": st.floats().map(np.float64),
-    "np.float32": st.floats(width=32).map(np.float32),
-    "str": st.text(st.characters(blacklist_categories=("Cc", "Cs")), max_size=8),
-}
-
-
-@st.composite
-def large_tables(draw):
-    """Tables just above ARRAY_ROWS: drawn rows, repeated."""
-    kinds = draw(st.lists(st.sampled_from(sorted(LARGE_CELLS)), min_size=1, max_size=5))
-    rows = draw(st.lists(st.tuples(*(LARGE_CELLS[k] for k in kinds)), min_size=1,
-                         max_size=8))
-    size = tables.ARRAY_ROWS + draw(st.integers(0, 3))
-    return [f"c{k}" for k in range(len(kinds))], (rows * size)[:size]
-
-
 @settings(max_examples=60, deadline=None)
-@given(table=large_tables())
+@given(table=columns_tables(st.integers(tables.ARRAY_ROWS, tables.ARRAY_ROWS + 3)))
 def test_large_tables_equal_the_cell_by_cell_writer(table):
-    header, rows = table
-    assert_same_text(tables.table_text(header, rows), reference_table_text(header, rows))
-    doc = {"tables": {"t": {"header": header, "rows": rows}}}
-    assert_same_text(tables.json_text(doc), reference_json_text(doc))
+    assert_tables_print_as_cell_by_cell(*table)
 
 
 @pytest.mark.parametrize("make", [
@@ -377,9 +413,10 @@ def test_large_tables_equal_the_cell_by_cell_writer(table):
                                tables.ARRAY_ROWS + 1])
 def test_cells_the_writers_cannot_print_raise_on_both_sides_of_the_threshold(make, n):
     rows = make(n)
-    with pytest.raises(TypeError):
-        str(tables.table_text(["a", "b"], rows))
-    # JSON writes such rows cell by cell, and raises where the reference does
+    with pytest.raises(TypeError, match="Columns"):
+        tables.table_text(["a", "b"], rows)
+    # JSON writes a document's lists cell by cell at any length, and raises
+    # where the reference does
     doc = {"rows": rows}
     try:
         expected = reference_json_text(doc)
@@ -399,18 +436,13 @@ def test_large_tables_of_columns_and_of_rows_print_alike():
     re[::19] = np.nan
     columns = tables.Columns(np.arange(n) - 5, re, g.random(n))
     rows = list(columns)
-    assert len(columns) == n and columns[3] == rows[3]
+    assert len(columns) == len(rows) == n
     assert isinstance(rows[0][0], int) and isinstance(rows[0][1], float)
     header = ["n", "re", "p"]
     assert_same_text(tables.table_text(header, columns), reference_table_text(header, rows))
     doc = {"t": {"header": header, "rows": columns}}
     assert_same_text(tables.json_text(doc),
                      reference_json_text({"t": {"header": header, "rows": rows}}))
-
-
-def test_a_str_cell_holding_nul_takes_the_row_template():
-    rows = [("a\x00b", 1.5)] * (tables.ARRAY_ROWS + 1)
-    assert_same_text(tables.table_text(["s", "x"], rows), reference_table_text(["s", "x"], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -573,6 +605,19 @@ def test_texts_are_handed_over_a_block_at_a_time():
     assert len(text) == sum(map(len, blocks))
     assert_same_text(b"".join(blocks).decode(), reference_json_text(
         {"a": reference, "b": {"rows": reference}, "c": [0.5]}) + "\n")
+    # below ARRAY_ROWS the row template hands the rows over as one block
+    small = tables.Columns(np.arange(3), [0.5, math.inf, -0.0])
+    reference = list(small)
+    text = tables.table_text(["n", "x"], small)
+    blocks = []
+    text.write(blocks.append)
+    assert blocks == [b"n,x\n", b"0,0.5\n1,inf\n2,-0\n"]
+    text = tables.json_text({"a": small})
+    blocks = []
+    text.write(blocks.append)
+    assert blocks == [b'{\n  "a": [\n', b'    [0, 0.5],\n    [1, "inf"],\n    [2, -0]',
+                      b"\n  ]\n}"]
+    assert_same_text(b"".join(blocks).decode(), reference_json_text({"a": reference}))
 
 
 def test_len_of_a_text_counts_its_utf8_bytes():
@@ -584,8 +629,14 @@ def test_len_of_a_text_counts_its_utf8_bytes():
 def test_a_text_that_fails_before_its_first_byte_leaves_the_file_as_it_was(tmp_path):
     path = tmp_path / "t.csv"
     path.write_bytes(b"old\n")
+    rows = spread_columns()
+    # a header that cannot be encoded, and a document whose first piece
+    # cannot be serialized
+    with pytest.raises(UnicodeEncodeError):
+        tables.write_text(str(path), tables.table_text(["n", "lone \ud800"], rows))
+    assert path.read_bytes() == b"old\n"
     with pytest.raises(TypeError):
-        tables.write_text(str(path), tables.table_text(["a"], [(True,)]))
+        tables.write_text(str(path), tables.json_text({"when": object(), "rows": rows}))
     assert path.read_bytes() == b"old\n"
 
 
