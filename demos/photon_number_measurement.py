@@ -29,7 +29,7 @@ def main():
     for label, spec in inputs:
         cfg = tuned_cascade(n_top=args.n_top, tau=1e-3, chi_t=0.1, alpha=20.0,
                             eta=0.4, samples=args.samples, rng_seed=args.seed)
-        est = estimate_photon_distribution(spec, args.n_top, cfg)
+        est = estimate_photon_distribution(spec, cfg)
         print(f"\n=== {label}  ({args.samples} preparations, seed {args.seed}) ===")
         print("   n   estimate   +-ci     analytic")
         for n in range(args.n_top + 1):

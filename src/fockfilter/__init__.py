@@ -13,12 +13,10 @@ from .cascade import (
     CascadeConfig,
     CascadeStage,
     DistributionEstimate,
-    MeasurementRecord,
     derive_seeds,
     estimate_photon_distribution,
     first_on_distribution,
     response_matrix,
-    run_cascade_trial,
     tuned_cascade,
     uniforms,
 )
@@ -45,14 +43,12 @@ from .fock import (
     StateSpec,
     analytic_distribution,
     choose_cutoff,
-    displace,
     displacement_margin,
     displacement_matrix,
     fidelity_to_pure,
     make_state,
     photon_distribution,
     purity,
-    state_metrics,
     trace_distance,
     validate_density_matrix,
 )
@@ -62,25 +58,22 @@ from .tomography import (
     TomographyPlan,
     default_gamma_abs,
     measure_distributions,
-    phase_fourier,
-    project_psd,
     reconstruct,
 )
 
 __all__ = [
     "__version__",
-    "CascadeConfig", "CascadeStage", "DistributionEstimate", "MeasurementRecord",
-    "derive_seeds", "estimate_photon_distribution", "first_on_distribution",
-    "response_matrix", "run_cascade_trial", "tuned_cascade", "uniforms",
+    "CascadeConfig", "CascadeStage", "DistributionEstimate", "derive_seeds",
+    "estimate_photon_distribution", "first_on_distribution", "response_matrix",
+    "tuned_cascade", "uniforms",
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",
     "filter_pass_asymptotic", "superposition_synthesis_check",
     "CutoffError", "NumericalError", "PhotonDistribution", "StateSpec",
-    "analytic_distribution", "choose_cutoff", "displace", "displacement_margin",
+    "analytic_distribution", "choose_cutoff", "displacement_margin",
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",
-    "purity", "state_metrics", "trace_distance", "validate_density_matrix",
+    "purity", "trace_distance", "validate_density_matrix",
     "MonteCarloBackend", "ReconstructionResult", "TomographyPlan",
-    "default_gamma_abs", "measure_distributions", "phase_fourier", "project_psd",
-    "reconstruct",
+    "default_gamma_abs", "measure_distributions", "reconstruct",
 ]

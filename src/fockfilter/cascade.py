@@ -19,9 +19,8 @@ S[K] @ d.  Trial i clicks first at the smallest k with u(seed, i, k) <
 q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks, which only
 bound memory.  Where the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB)
 the later q_k are undefined, and a trial that would reach them raises
-NumericalError.  The trial walk keeps full density matrices and serves as
-the independent reference; its records match the sampler's unless a
-uniform falls within the few ulps by which the two q_k differ (see tests).
+NumericalError.  The tests check R against an independent walk of full
+conditional states, one trial at a time.
 """
 
 from dataclasses import dataclass
@@ -29,13 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import CavityParams, cavity_amplitudes
-from .filtering import ProbeDetector, filter_pass, MIN_OUTCOME_PROB, _folded_exponents
+from .filtering import ProbeDetector, MIN_OUTCOME_PROB, _folded_exponents
 from . import fock
 
 UPDATE_RULES = ("exact", "good_cavity")
 
-# Completeness |p_on + p_off - trace| beyond this aborts the trial; it also
-# bounds the input trace and e^G of the response matrix.
+# Largest completeness error tolerated: it bounds the input trace and e^G of
+# the response matrix.
 TRACE_DRIFT_TOL = 1e-6
 
 # Trials sampled per block; bounds the (trials, stages) uniform array.
@@ -109,10 +108,10 @@ class CascadeStage:
 class CascadeConfig:
     """Stage list, sample count, RNG seed and the conditional update rule.
 
-    update_rule "exact" evolves the full conditional state through every
-    stage; "good_cavity" uses the tau << chi_t projections (ON -> |n_k><n_k|,
-    OFF -> diagonal with n_k removed).  A trial stops at its first click,
-    which is all the distribution estimate records.
+    update_rule "exact" takes each stage's click probabilities from the full
+    filter pass; "good_cavity" from the tau << chi_t projections (ON ->
+    |n_k><n_k|, OFF -> diagonal with n_k removed).  A trial stops at its
+    first click, which is all the distribution estimate records.
     """
 
     stages: tuple
@@ -146,73 +145,6 @@ def tuned_cascade(n_top, tau, chi_t, alpha, eta, samples, rng_seed,
                          update_rule=update_rule)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """Per-stage ON/OFF bits of one trial and the first-ON stage index.
-
-    The outcome tuple stops at the click, so it contains at most one ON;
-    first_on is None when no stage fired.
-    """
-
-    outcomes: tuple
-    first_on: int | None
-
-
-def _stage_update(state, stage, rule):
-    """(p_on, state_on, p_off, state_off) for one stage on `state`.
-
-    Probabilities are raw traces, so p_on + p_off equals the trace of the
-    input state — the completeness check that catches drift mid-cascade.
-    """
-    if rule == "exact":
-        res = filter_pass(state, stage.cavity, stage.probe)
-        return res.p_on, res.state_on, res.p_off, res.state_off
-    # good-cavity projections: a click collapses onto |n_k><n_k|, silence
-    # removes the n_k component and drops coherences
-    nk, d = stage.target_n, state.diagonal()
-    p_on = float(d[nk].real) if nk < d.size else 0.0
-    p_off = d.sum().real - p_on
-    on = off = None
-    if p_on >= MIN_OUTCOME_PROB:
-        on = np.zeros(state.shape, dtype=complex)
-        on[nk, nk] = 1.0
-    if p_off >= MIN_OUTCOME_PROB:
-        off = np.diag(np.where(np.arange(d.size) == nk, 0.0, d.real) / p_off).astype(complex)
-    return p_on, on, p_off, off
-
-
-def _check_completeness(drift, k, stage):
-    """Raise NumericalError unless drift = |p_on + p_off - 1| is within TRACE_DRIFT_TOL."""
-    # written so that NaN fails: a non-finite p_on or p_off makes drift non-finite
-    if not drift <= TRACE_DRIFT_TOL:
-        raise fock.NumericalError(
-            f"cascade aborted at stage {k} (target n={stage.target_n}): "
-            f"probability completeness drifted by {drift:.3e} > {TRACE_DRIFT_TOL:g}")
-
-
-def run_cascade_trial(rho, cfg, trial):
-    """One Monte Carlo walk, for trial index `trial`; one uniform per stage.
-
-    Stage k clicks when u(cfg.rng_seed, trial, k) < p_on, the same uniform
-    the estimator gives that trial.  The walk stops at the first click; the
-    conditional state after each OFF feeds the next stage.  Raises NumericalError if probability
-    completeness drifts past 1e-6 (or turns non-finite) at any stage or the
-    drawn outcome has no conditional state.
-    """
-    u = uniforms(cfg.rng_seed, [trial], len(cfg.stages))[0]
-    state = np.asarray(rho, dtype=complex)
-    for k, stage in enumerate(cfg.stages):
-        p_on, _, p_off, state_off = _stage_update(state, stage, cfg.update_rule)
-        _check_completeness(abs(p_on + p_off - 1.0), k, stage)
-        if u[k] < p_on:
-            return MeasurementRecord(outcomes=(0,) * k + (1,), first_on=k)
-        if state_off is None:
-            raise fock.NumericalError(
-                f"cascade stage {k}: drew an outcome of probability < {MIN_OUTCOME_PROB:g}")
-        state = state_off
-    return MeasurementRecord(outcomes=(0,) * len(cfg.stages), first_on=None)
-
-
 def response_matrix(cfg, dim):
     """First-click matrix R (K x dim) and all-OFF survival S ((K + 1) x dim).
 
@@ -243,7 +175,11 @@ def response_matrix(cfg, dim):
     on = np.exp(G)
     drift = np.abs(on - 1.0).max(axis=1)
     k = int(np.argmax(~(drift <= TRACE_DRIFT_TOL)))  # the first failing stage, else 0
-    _check_completeness(drift[k], k, stages[k])
+    # written so that NaN fails: a non-finite e^G makes the drift non-finite
+    if not drift[k] <= TRACE_DRIFT_TOL:
+        raise fock.NumericalError(
+            f"cascade aborted at stage {k} (target n={stages[k].target_n}): "
+            f"probability completeness drifted by {drift[k]:.3e} > {TRACE_DRIFT_TOL:g}")
     S = np.exp(np.cumsum(np.vstack([np.zeros(dim), G_off.real]), axis=0))
     return (on - np.exp(G_off)).real * S[:-1], S
 
@@ -270,7 +206,7 @@ def _first_on_chain(d, R, S):
 
 def first_on_distribution(rho, cfg):
     """Analytic first-ON distribution: (R @ d, S[K] @ d) for d = diag(rho)."""
-    d = np.asarray(rho, dtype=complex).diagonal()
+    d = fock._square_matrix(rho).diagonal()
     return _first_on_chain(d, *response_matrix(cfg, d.size))[1:]
 
 
@@ -297,8 +233,8 @@ class DistributionEstimate(fock.PhotonDistribution):
     at 1/samples).  theory: the input state's distribution on the same bins.
     expected: the analytic first-ON distribution (what the estimator
     converges to).  all_off: fraction of trials with no click at any stage,
-    with its analytic counterpart in all_off_expected.  preparations counts
-    signal preparations consumed (one per trial: a trial stops at its click).
+    with its analytic counterpart in all_off_expected.  Each of the samples
+    trials consumes one signal preparation: a trial stops at its click.
     """
 
     theory: np.ndarray | None = None
@@ -307,27 +243,29 @@ class DistributionEstimate(fock.PhotonDistribution):
     all_off: float = 0.0
     all_off_expected: float = 0.0
     samples: int = 0
-    preparations: int = 0
 
 
-def estimate_photon_distribution(spec, n_top, cfg):
-    """Estimate p_n for n = 0..n_top by Monte Carlo over the cascade.
+def estimate_photon_distribution(spec, cfg):
+    """Estimate p_n for n = 0..K-1 by Monte Carlo over the K stages of cfg.
 
     `spec` may be a StateSpec or a prepared density matrix.  The stages must
-    be tuned to 0..n_top in order.  The click probabilities q_k come from
+    be tuned to 0..K-1 in order.  The click probabilities q_k come from
     response_matrix; trial i draws u(cfg.rng_seed, i, k), so the counts
-    depend on nothing else.
+    depend on nothing else.  theory has K entries, zero past a matrix's
+    dimension.
     """
+    K = len(cfg.stages)
     targets = tuple(s.target_n for s in cfg.stages)
-    if targets != tuple(range(n_top + 1)):
-        raise ValueError(f"stages must cover 0..{n_top} in order, got targets {targets}")
+    if targets != tuple(range(K)):
+        raise ValueError(f"stages must be tuned to 0..{K - 1} in order, got targets {targets}")
 
     if isinstance(spec, fock.StateSpec):
         rho = fock.make_state(spec)
-        theory = fock.analytic_distribution(spec, n_top)
+        theory = fock.analytic_distribution(spec, K - 1)
     else:
-        rho = np.asarray(spec, dtype=complex)
-        theory = fock.photon_distribution(rho).values[:n_top + 1]
+        rho = fock._square_matrix(spec)
+        theory = fock.photon_distribution(rho).values[:K]
+        theory = np.pad(theory, (0, K - len(theory)))
 
     d = rho.diagonal()
     R, S = response_matrix(cfg, d.size)
@@ -353,4 +291,4 @@ def _estimate(d, theory, R, S, seed, samples):
     return DistributionEstimate(
         values=p_hat, ci=ci, theory=theory, expected=expected,
         counts=counts[:K], all_off=counts[K] / samples,
-        all_off_expected=residual, samples=samples, preparations=samples)
+        all_off_expected=residual, samples=samples)

@@ -364,7 +364,7 @@ def _run_measure_pn(params):
         alpha=complex(*params["alpha"]), eta=params["eta"],
         samples=params["samples"], rng_seed=params["seed"],
         update_rule=params["update_rule"])
-    est = estimate_photon_distribution(spec, params["n_top"], cfg)
+    est = estimate_photon_distribution(spec, cfg)
     # the no-click bucket keeps the histogram normalized; reported as n = -1
     off_ci = max(math.sqrt(est.all_off * (1.0 - est.all_off) / est.samples),
                  1.0 / est.samples)
@@ -375,7 +375,7 @@ def _run_measure_pn(params):
     return {
         "summary": {
             "samples": est.samples,
-            "preparations": est.preparations,
+            "preparations": est.samples,  # one per trial: a trial stops at its click
             "all_off": est.all_off,
             "all_off_expected": est.all_off_expected,
             "seed": params["seed"],

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, mode_amplitudes, resonant_components
+from .cavity import mode_amplitudes, resonant_components
 from . import fock
 
 # Conditioning on an outcome less likely than this returns no state at all.
@@ -121,7 +121,7 @@ def filter_pass(rho, cav, probe):
     and mirrored, so both states are Hermitian bit for bit, with a real
     diagonal, whatever rounding rho's upper triangle carries.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = fock._square_matrix(rho)
     dim = rho.shape[0]
     rows, cols, diagonal = fock._lower_triangle(dim)
     G, G_off = _element_exponents(cav, probe, dim - 1)
@@ -157,7 +157,7 @@ def filter_pass_asymptotic(rho, cav, probe, n_star):
     n_star is explicit (not inferred from psi/chi_t) so detuned cavities
     remain testable; validity of the expansion is the caller's concern.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = fock._square_matrix(rho)
     dim = rho.shape[0]
     if not (0 <= n_star < dim):
         raise ValueError(f"n_star = {n_star} outside state support [0, {dim - 1}]")
@@ -205,7 +205,7 @@ def superposition_synthesis_check(rho, cav, probe):
     superposition of the resonant components, while input states without
     coherences keep purity < 1.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = fock._square_matrix(rho)
     resonant = resonant_components(cav, rho.shape[0] - 1)
     if len(resonant) < 2:
         raise ValueError(

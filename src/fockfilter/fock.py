@@ -1,7 +1,7 @@
 """Truncated Fock-space numerics.
 
-State constructors (number / coherent / thermal / squeezed vacuum),
-displacement operators, photon distributions and state metrics.  Every state
+State constructors (number / coherent / thermal / squeezed vacuum), the
+displacement matrix, photon distributions and state metrics.  Every state
 is a complex density matrix nu on the truncated basis {|0>, ..., |N>}:
 Hermitian, unit trace, positive semidefinite.  Matrices returned by the
 constructors are Hermitian bit for bit (each upper cell the conjugate of its
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TAIL = 1e-10
+# the largest cutoff a state may have, chosen or given
 CUTOFF_CEILING = 4096
 # choose_cutoff scans levels 0 .. n_max for each n_max in turn
 _CUTOFF_PREFIXES = (63, 255, 1023, CUTOFF_CEILING)
@@ -164,6 +165,9 @@ def choose_cutoff(spec, tail=DEFAULT_TAIL):
     if not (0.0 < tail < 0.1):
         raise ValueError(f"tail tolerance must lie in (0, 0.1), got {tail}")
     if spec.kind == "number":
+        if spec.n > CUTOFF_CEILING:
+            raise CutoffError(f"number state |{spec.n}> needs cutoff {spec.n} > "
+                              f"{CUTOFF_CEILING}", required=spec.n)
         return spec.n
     # p_n and its cumulative sum are the same on every prefix of the levels,
     # so growing prefixes find the cutoff of the full scan without paying
@@ -214,7 +218,8 @@ def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):
     With cutoff=None the cutoff comes from choose_cutoff(spec, tail).  With an
     explicit cutoff the analytic tail beyond it must still be below `tail`,
     otherwise CutoffError names the required N.  Pass tail=None together with
-    an explicit cutoff to request a deliberate hard truncation.
+    an explicit cutoff to request a deliberate hard truncation.  A cutoff
+    above CUTOFF_CEILING, chosen or given, raises CutoffError.
     """
     if cutoff is None:
         if tail is None:
@@ -224,6 +229,8 @@ def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):
         cutoff = int(cutoff)
         if cutoff < 0:
             raise ValueError("cutoff must be >= 0")
+        if cutoff > CUTOFF_CEILING:
+            raise CutoffError(f"cutoff {cutoff} exceeds the ceiling {CUTOFF_CEILING}")
         if spec.kind == "number" and spec.n > cutoff:
             raise CutoffError(
                 f"number state |{spec.n}> does not fit below cutoff {cutoff}; "
@@ -283,6 +290,14 @@ def _hermitian(lower, dim):
     out = out.reshape(dim, dim)
     out.setflags(write=False)
     return out
+
+
+def _square_matrix(rho):
+    """rho as a complex array; ValueError unless it is a square matrix."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    return rho
 
 
 def photon_distribution(rho):
@@ -459,40 +474,6 @@ def _check_leak(lost, gamma, work, max_lost):
             required=2 * work)
 
 
-def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
-    """D(gamma) rho D(gamma)^+ computed at an enlarged working cutoff.
-
-    The product is built at N_work = N + margin (default margin
-    ceil(2|gamma|^2) + 10) and cropped to n_out rows/columns; n_out=0 keeps
-    the input dimension, n_out=None returns the full working-cutoff matrix.
-    If more than max_lost probability leaks past the working cutoff the
-    margin was insufficient and a CutoffError names the required cutoff.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    if n_out == 0:
-        n_out = dim
-    if margin is None:
-        margin = displacement_margin(gamma)
-    work = dim + int(margin) if n_out is None else max(dim, n_out) + int(margin)
-    D = displacement_matrix(gamma, work)
-    big = np.zeros((work, work), dtype=complex)
-    big[:dim, :dim] = rho
-    out = D @ big @ D.conj().T
-    if not np.isfinite(out).all():
-        raise NumericalError(
-            f"displacement by |gamma|={abs(gamma):.4g} gave non-finite elements; "
-            "the input state is not finite")
-    # a unitary displacement preserves the trace, so any deficit relative to
-    # the input trace is probability pushed past the working cutoff
-    _check_leak(np.trace(rho).real - np.trace(out).real, gamma, work, max_lost)
-    if n_out is not None:
-        out = out[:n_out, :n_out]
-    out = np.ascontiguousarray(out)
-    out.setflags(write=False)
-    return out
-
-
 def purity(rho):
     """Tr(rho^2), computed as the squared Frobenius norm of a Hermitian rho."""
     return float(np.vdot(rho, rho).real)
@@ -510,15 +491,6 @@ def trace_distance(a, b):
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
-def state_metrics(a, b):
-    """purity(a), fidelity of a to the pure state b, and trace_distance(a, b)."""
-    return {
-        "purity": purity(a),
-        "fidelity_to_pure": fidelity_to_pure(a, b),
-        "trace_distance": trace_distance(a, b),
-    }
-
-
 def _pad_pair(a, b):
     """Zero-pad the smaller of two square matrices to the larger dimension."""
     da, db = a.shape[0], b.shape[0]
@@ -532,20 +504,25 @@ def _pad_pair(a, b):
     return out_a, out_b
 
 
-def validate_density_matrix(rho, herm_tol=1e-12, trace_tol=1e-10, psd_tol=-1e-9):
+# validate_density_matrix: largest |nu - nu^+|, largest |trace - 1| and the
+# smallest eigenvalue tolerated
+HERMITIAN_TOL = 1e-12
+TRACE_TOL = 1e-10
+PSD_TOL = -1e-9
+
+
+def validate_density_matrix(rho):
     """Raise ValueError unless rho is Hermitian, unit-trace and PSD.
 
-    Eigenvalues in (psd_tol, 0) are tolerated as-is, never clamped.
+    Eigenvalues in (PSD_TOL, 0) are tolerated as-is, never clamped.
     """
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    rho = _square_matrix(rho)
     herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-    if herm > herm_tol:
-        raise ValueError(f"not Hermitian: max |nu - nu^+| = {herm:.3e} > {herm_tol:g}")
+    if herm > HERMITIAN_TOL:
+        raise ValueError(f"not Hermitian: max |nu - nu^+| = {herm:.3e} > {HERMITIAN_TOL:g}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {trace_tol:g}")
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lo < psd_tol:
-        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < {psd_tol:g}")
+    if lo < PSD_TOL:
+        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < {PSD_TOL:g}")

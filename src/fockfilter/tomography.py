@@ -69,7 +69,6 @@ class MonteCarloBackend:
     probe: ProbeDetector
     samples: int
     rng_seed: int
-    update_rule: str = "exact"
 
     def __post_init__(self):
         self._cascade(0)  # CavityParams and CascadeConfig check the fields
@@ -79,7 +78,7 @@ class MonteCarloBackend:
         return tuned_cascade(
             n_top=n_top, tau=self.tau, chi_t=self.chi_t,
             alpha=self.probe.alpha, eta=self.probe.eta, samples=self.samples,
-            rng_seed=self.rng_seed, update_rule=self.update_rule)
+            rng_seed=self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -188,12 +187,12 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
     """diag(D(g_j) nu D(g_j)^+) with g_j = gamma_abs e^{i phases[j]}, one row per phase.
 
     Rows run over the whole working cutoff dim + margin + max(0, n_rows - dim),
-    built from one displacement matrix.  Each row passes the guards of
-    fock.displace and fock.photon_distribution: finite, at most 1e-6
-    leaked past the working cutoff, real, nonnegative (tiny negatives
-    clamped) and summing to at most 1.
+    built from one displacement matrix.  Each row must be finite and leak at
+    most 1e-6 past the working cutoff, and passes the guards of
+    fock.photon_distribution: real, nonnegative (tiny negatives clamped) and
+    summing to at most 1.
     """
-    nu = np.asarray(nu, dtype=complex)
+    nu = fock._square_matrix(nu)
     dim = nu.shape[0]
     # the working space must cover both the displacement margin and the rows
     work = dim + fock.displacement_margin(gamma_abs) + max(0, n_rows - dim)
@@ -242,18 +241,6 @@ def measure_distributions(nu, plan):
                       for p, seed in zip(P, seeds)])
 
 
-def phase_fourier(P_matrix, s):
-    """s-th phase-Fourier component: (1/N_phi) sum_j e^{+i s phi_j} P[j, :].
-
-    Rows of P_matrix follow the uniform grid phi_j = 2 pi j / N_phi.  The +
-    sign makes the component equal sum_m A_{m+s,m,n}(|gamma|) nu_{m+s,m},
-    i.e. it isolates the s-th lower diagonal of nu.
-    """
-    P_matrix = np.asarray(P_matrix)
-    n_phi = P_matrix.shape[0]
-    return (np.exp(1j * s * uniform_phase_grid(n_phi)) @ P_matrix) / n_phi
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     """Reconstructed nu plus per-diagonal least-squares diagnostics.
@@ -281,6 +268,8 @@ def reconstruct(plan, measured):
     rows n = 0..n_rows-1; s < 0 follows by Hermitian symmetry.
     """
     measured = np.asarray(measured, dtype=float)
+    if measured.ndim != 2:
+        raise ValueError(f"measured must be a (phase, n) matrix, got shape {measured.shape}")
     if measured.shape[0] != plan.n_phases:
         raise ValueError(
             f"measured has {measured.shape[0]} phase rows, plan has {plan.n_phases}")
@@ -336,18 +325,3 @@ def reconstruct(plan, measured):
         nu_hat=nu_hat, residual_norms=tuple(residuals.tolist()),
         condition_numbers=tuple(conditions.tolist()), trace=trace, flags=tuple(flags))
 
-
-def project_psd(nu):
-    """Optional post-step: clip negative eigenvalues and renormalize.
-
-    Off by default everywhere — applying it makes residuals uninterpretable,
-    so callers must opt in.
-    """
-    w, v = np.linalg.eigh(np.asarray(nu, dtype=complex))
-    w = np.clip(w, 0.0, None)
-    if w.sum() <= 0.0:
-        raise fock.NumericalError("state has no positive weight to keep")
-    out = (v * w) @ v.conj().T
-    out /= np.trace(out).real
-    out.setflags(write=False)
-    return out

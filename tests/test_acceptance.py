@@ -17,7 +17,7 @@ from fockfilter.cavity import CavityParams
 from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
                                   superposition_synthesis_check)
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan,
-                                   measure_distributions, phase_fourier, reconstruct)
+                                   measure_distributions, reconstruct)
 
 RESULTS = []
 
@@ -82,7 +82,7 @@ def test_criterion_3_monte_carlo_photon_statistics():
         for seed in range(seeds):
             cfg = tuned_cascade(n_top=n_top, tau=1e-3, chi_t=0.1, alpha=20.0,
                                 eta=0.4, samples=samples, rng_seed=seed)
-            est = estimate_photon_distribution(spec, n_top, cfg)
+            est = estimate_photon_distribution(spec, cfg)
             hits += int(np.sum(np.abs(est.values - est.theory) <= 3.0 * est.ci))
         fractions[name] = hits / (seeds * (n_top + 1))
     # squeezed odd components: the analytic cascade leakage itself sits

@@ -7,10 +7,11 @@ from numpy.testing import assert_allclose
 
 from fockfilter import cascade, filtering, fock
 from fockfilter.cascade import (CascadeConfig, CascadeStage, estimate_photon_distribution,
-                                first_on_distribution, response_matrix, run_cascade_trial,
-                                tuned_cascade, uniforms)
+                                first_on_distribution, response_matrix, tuned_cascade,
+                                uniforms)
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, ProbeDetector
+from reference import run_cascade_trial, stage_update
 
 # Gap allowed between q_k from the response matrix and from a walk of full
 # states.  Largest relative gap measured over 12000 random cascades (1-6
@@ -49,9 +50,8 @@ def test_single_stage_on_target_always_clicks():
                              probe=probe),),
         samples=10, rng_seed=0)
     for i in range(10):
-        rec = run_cascade_trial(rho, cfg, i)
-        assert rec.outcomes == (1,)
-        assert rec.first_on == 0
+        # the walk stops at its first click: the only stage is ON
+        assert run_cascade_trial(rho, cfg, i) == 0
 
 
 def test_vacuum_fires_the_first_stage():
@@ -64,10 +64,9 @@ def test_vacuum_fires_the_first_stage():
 def test_trial_records_off_prefix():
     rho = fock.make_state(fock.StateSpec.number(3), cutoff=8)
     cfg = fig3_cascade()
-    rec = run_cascade_trial(rho, cfg, 42)
-    # stages 0..2 are off-resonant for |3>, so the click lands at stage 3
-    assert rec.first_on == 3
-    assert rec.outcomes == (0, 0, 0, 1)
+    # stages 0..2 are off-resonant for |3>, so they are OFF and the click
+    # lands at stage 3, where the walk stops
+    assert run_cascade_trial(rho, cfg, 42) == 3
 
 
 def test_first_on_matches_input_distribution_in_good_cavity_regime():
@@ -83,17 +82,17 @@ def test_first_on_matches_input_distribution_in_good_cavity_regime():
 
 def test_estimator_is_consistent():
     spec = fock.StateSpec.coherent(np.sqrt(2.0))
-    est = estimate_photon_distribution(spec, 8, fig3_cascade(samples=100_000))
+    est = estimate_photon_distribution(spec, fig3_cascade(samples=100_000))
     sigma = np.sqrt(est.expected * (1 - est.expected) / est.samples)
     assert np.all(np.abs(est.values - est.expected) < 4 * np.maximum(sigma, 1e-5))
-    assert est.preparations == 100_000
+    assert est.samples == 100_000
 
 
 def test_estimator_reproducible_and_seed_sensitive():
     spec = fock.StateSpec.thermal(1.0)
-    a = estimate_photon_distribution(spec, 8, fig3_cascade(samples=1500, seed=7))
-    b = estimate_photon_distribution(spec, 8, fig3_cascade(samples=1500, seed=7))
-    c = estimate_photon_distribution(spec, 8, fig3_cascade(samples=1500, seed=8))
+    a = estimate_photon_distribution(spec, fig3_cascade(samples=1500, seed=7))
+    b = estimate_photon_distribution(spec, fig3_cascade(samples=1500, seed=7))
+    c = estimate_photon_distribution(spec, fig3_cascade(samples=1500, seed=8))
     assert_allclose(a.values, b.values)
     assert not np.array_equal(a.counts, c.counts)
 
@@ -104,11 +103,11 @@ def test_estimator_matches_trial_level_walk():
     rho = fock.make_state(spec)
     for rule in cascade.UPDATE_RULES:
         cfg = fig3_cascade(samples=200, seed=11, rule=rule)
-        est = estimate_photon_distribution(spec, 8, cfg)
+        est = estimate_photon_distribution(spec, cfg)
         counts = np.zeros(10, dtype=int)
         for i in range(200):
-            rec = run_cascade_trial(rho, cfg, i)
-            counts[rec.first_on if rec.first_on is not None else 9] += 1
+            first = run_cascade_trial(rho, cfg, i)
+            counts[first if first is not None else 9] += 1
         assert np.array_equal(est.counts, counts[:9]), rule
         assert est.all_off == pytest.approx(counts[9] / 200)
 
@@ -116,7 +115,7 @@ def test_estimator_matches_trial_level_walk():
 def test_estimator_independent_of_chunk_size():
     spec = fock.StateSpec.squeezed_vacuum(1.0)
     cfg = fig3_cascade(samples=3000)
-    est = estimate_photon_distribution(spec, 8, cfg)
+    est = estimate_photon_distribution(spec, cfg)
     q = off_chain_q(fock.make_state(spec), cfg)
     for chunk in (1, 7, cascade.CHUNK_TRIALS):
         counts = cascade._count_first_on(q, cfg.rng_seed, cfg.samples, chunk)
@@ -144,7 +143,7 @@ def test_uniforms_reject_negative_trials():
 
 def test_confidence_floor():
     spec = fock.StateSpec.number(2)
-    est = estimate_photon_distribution(spec, 4, fig3_cascade(n_top=4, samples=500))
+    est = estimate_photon_distribution(spec, fig3_cascade(n_top=4, samples=500))
     assert np.all(est.ci >= 1 / 500 - 1e-15)
     # the earlier stages leak ~2% in total for |2> at these parameters
     assert est.values[2] >= 0.95
@@ -180,9 +179,27 @@ def test_config_validation():
 
 def test_estimator_requires_contiguous_targets():
     spec = fock.StateSpec.thermal(1.0)
-    cfg = fig3_cascade(n_top=5)
-    with pytest.raises(ValueError):
-        estimate_photon_distribution(spec, 8, cfg)
+    stages = fig3_cascade(n_top=5).stages
+    for bad in (stages[1:], stages[::-1], stages[:2] + stages[3:]):
+        cfg = CascadeConfig(stages=bad, samples=10, rng_seed=0)
+        with pytest.raises(ValueError, match="tuned to 0..[0-9]+ in order"):
+            estimate_photon_distribution(spec, cfg)
+
+
+def test_theory_of_a_matrix_below_the_cascade_is_padded_with_zeros():
+    # a 4-level state on the 9 stages of fig3: one theory entry per stage
+    rho = fock.make_state(fock.StateSpec.number(2), cutoff=3, tail=None)
+    est = estimate_photon_distribution(rho, fig3_cascade(samples=100))
+    assert len(est.theory) == len(est.values) == 9
+    assert list(est.theory) == [0.0, 0.0, 1.0] + [0.0] * 6
+
+
+def test_estimator_rejects_a_non_square_matrix():
+    cfg = fig3_cascade(samples=10)
+    with pytest.raises(ValueError, match="square"):
+        estimate_photon_distribution(np.eye(2, 3), cfg)
+    with pytest.raises(ValueError, match="square"):
+        first_on_distribution(np.eye(2, 3) / 2, cfg)
 
 
 def test_trace_drift_aborts_trial():
@@ -200,14 +217,14 @@ def test_non_finite_state_aborts_walk_and_estimate(rule):
     with pytest.raises(fock.NumericalError):
         run_cascade_trial(rho, cfg, 0)
     with pytest.raises(fock.NumericalError):
-        estimate_photon_distribution(rho, 8, cfg)
+        estimate_photon_distribution(rho, cfg)
 
 
 def full_matrix_chain(rho, cfg):
     """q_k from walking full conditional states along the all-OFF path."""
     state, q = np.asarray(rho, dtype=complex), []
     for stage in cfg.stages:
-        p_on, _, _, state = cascade._stage_update(state, stage, cfg.update_rule)
+        p_on, _, _, state = stage_update(state, stage, cfg.update_rule)
         q.append(p_on)
     return np.array(q)
 
@@ -231,12 +248,12 @@ def test_all_off_residual_where_a_click_is_nearly_certain():
     cfg = fig3_cascade()
     state, all_off, walk_expected = np.asarray(rho, dtype=complex), 1.0, []
     for stage in cfg.stages:
-        p_on, _, p_off, state = cascade._stage_update(state, stage, "exact")
+        p_on, _, p_off, state = stage_update(state, stage, "exact")
         walk_expected.append(all_off * p_on)
         all_off *= p_off
     assert all_off == pytest.approx(3.11e-70, rel=1e-3)
     expected, residual = first_on_distribution(rho, cfg)
-    est = estimate_photon_distribution(spec, 8, cfg)
+    est = estimate_photon_distribution(spec, cfg)
     for got_expected, got_residual in ((expected, residual),
                                        (est.expected, est.all_off_expected)):
         assert got_residual == pytest.approx(all_off, rel=1e-10, abs=0)
@@ -248,7 +265,7 @@ def test_input_trace_drift_aborts_estimate(rule):
     rho = 0.5 * fock.make_state(fock.StateSpec.thermal(1.0))
     cfg = fig3_cascade(samples=100, rule=rule)
     with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
-        estimate_photon_distribution(rho, 8, cfg)
+        estimate_photon_distribution(rho, cfg)
     with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
         first_on_distribution(rho, cfg)
 
@@ -261,7 +278,7 @@ def test_dead_all_off_path_clicks_every_trial_before_it_dies(rule):
     spec = fock.StateSpec.number(3)
     cfg = tuned_cascade(n_top=8, tau=1e-5, chi_t=0.1, alpha=100.0, eta=1.0,
                         samples=100, rng_seed=0, update_rule=rule)
-    est = estimate_photon_distribution(spec, 8, cfg)
+    est = estimate_photon_distribution(spec, cfg)
     assert est.counts[3] == est.samples == 100
     assert est.all_off == 0
     expected, residual = first_on_distribution(fock.make_state(spec), cfg)
@@ -291,7 +308,7 @@ def test_the_states_a_trial_walks_through_are_exactly_hermitian(rule):
     state = fock.make_state(fock.StateSpec.coherent(complex(1.1, -0.9)), cutoff=30, tail=None)
     cfg = fig3_cascade(rule=rule)
     for stage in cfg.stages:
-        p_on, state_on, p_off, state_off = cascade._stage_update(state, stage, rule)
+        p_on, state_on, p_off, state_off = stage_update(state, stage, rule)
         for s in (state_on, state_off):
             if s is not None:
                 assert np.array_equal(s, s.conj().T)
@@ -350,7 +367,7 @@ def test_response_matrix_matches_full_state_walk(random_state, rule, targets, di
     number[n, n] = 1.0
     counts = np.zeros(K + 1)
     for trial in range(TRIALS):
-        first = run_cascade_trial(number, cfg, trial).first_on
+        first = run_cascade_trial(number, cfg, trial)
         counts[K if first is None else first] += 1
     p = np.clip(np.append(R[:, n], S[K, n]), 0.0, 1.0)
     sigma = np.maximum(np.sqrt(p * (1.0 - p) / TRIALS), 1.0 / TRIALS)
@@ -361,6 +378,6 @@ def test_estimate_accepts_prepared_matrix():
     spec = fock.StateSpec.coherent(1.0)
     rho = fock.make_state(spec)
     cfg = fig3_cascade(n_top=4, samples=800)
-    from_spec = estimate_photon_distribution(spec, 4, cfg)
-    from_rho = estimate_photon_distribution(rho, 4, cfg)
+    from_spec = estimate_photon_distribution(spec, cfg)
+    from_rho = estimate_photon_distribution(rho, cfg)
     assert np.array_equal(from_spec.counts, from_rho.counts)

@@ -13,7 +13,7 @@ import warnings
 
 import pytest
 
-from fockfilter import _arraytext, cli, tables
+from fockfilter import _arraytext, cli, fock, tables
 
 
 def run(tmp_path, *argv):
@@ -82,6 +82,15 @@ def test_measure_pn_histogram_has_no_click_row(tmp_path):
     assert [r[0] for r in rows] == [str(n) for n in range(9)] + ["-1"]
     total = sum(float(r[1]) for r in rows)
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_measure_pn_summary_counts_one_preparation_per_trial(tmp_path):
+    code, out = run(tmp_path, "measure-pn", "--preset", "fig3-coherent",
+                    "--format", "structured")
+    assert code == 0
+    summary = json.loads((out / "results.json").read_text())["summary"]
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert summary["preparations"] == summary["samples"] == config["samples"] == 2000
 
 
 def test_tomography_preset(tmp_path):
@@ -267,6 +276,19 @@ def test_numerical_failure_exits_3(tmp_path):
     }))
     code, _ = run(tmp_path, "synthesize", "--config", str(cfg))
     assert code == 3
+
+
+def test_state_above_the_cutoff_ceiling_exits_3(tmp_path, capsys):
+    # asserted first, so that without the ceiling the run below, which would
+    # allocate the triangle of a 100001-level state, never starts
+    with pytest.raises(fock.CutoffError):
+        fock.choose_cutoff(fock.StateSpec.number(fock.CUTOFF_CEILING + 1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"state": {"kind": "number", "n": 100000},
+                               "tau": 1e-3, "chi_t": 0.1}))
+    code, _ = run(tmp_path, "measure-pn", "--config", str(cfg))
+    assert code == 3
+    assert f"> {fock.CUTOFF_CEILING}" in capsys.readouterr().err
 
 
 def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):

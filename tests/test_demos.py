@@ -1,6 +1,8 @@
 """Every narrative demo under demos/ runs to the end with small arguments,
-and every name the package root exports resolves."""
+the package root exports exactly the public names below and each resolves,
+and no library module imports from the tests."""
 
+import ast
 import runpy
 import sys
 from pathlib import Path
@@ -9,7 +11,23 @@ import pytest
 
 import fockfilter
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
+
+# the public API: what the CLI, the demos and the README examples need
+PUBLIC = [
+    "CascadeConfig", "CascadeStage", "CavityParams", "CutoffError", "DistributionEstimate",
+    "FilterResult", "MonteCarloBackend", "NumericalError", "PhotonDistribution",
+    "ProbeDetector", "ReconstructionResult", "StateSpec", "SuperpositionReport",
+    "TomographyPlan", "analytic_distribution", "cavity_amplitudes", "choose_cutoff",
+    "default_gamma_abs", "derive_seeds", "displacement_margin", "displacement_matrix",
+    "estimate_photon_distribution", "fidelity_to_pure", "filter_pass",
+    "filter_pass_asymptotic", "first_on_distribution", "make_state",
+    "measure_distributions", "mode_amplitudes", "photon_distribution", "purity",
+    "reconstruct", "resonant_components", "response_matrix",
+    "superposition_synthesis_check", "total_phase", "trace_distance",
+    "transmission_profile", "tuned_cascade", "uniforms", "validate_density_matrix",
+]
 
 ARGS = {
     "density_matrix_tomography.py": ["--max-fock", "3", "--samples", "200"],
@@ -33,6 +51,21 @@ def test_demo_runs(name, monkeypatch, capsys):
 
 
 def test_every_exported_name_resolves():
-    assert len(set(fockfilter.__all__)) == len(fockfilter.__all__)
+    assert len(PUBLIC) == 41
+    assert sorted(fockfilter.__all__) == sorted(["__version__", *PUBLIC])
     for name in fockfilter.__all__:
         assert hasattr(fockfilter, name), name
+
+
+def test_no_library_module_imports_from_the_tests():
+    test_modules = {p.stem for p in (ROOT / "tests").glob("*.py")} | {"tests"}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in test_modules, f"{path} imports {name}"

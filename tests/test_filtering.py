@@ -152,6 +152,16 @@ def test_non_finite_state_raises(random_state, bad):
         filter_pass(rho, cav, probe)
 
 
+def test_passes_reject_a_non_square_state():
+    cav, probe = CavityParams.tuned(1, 1e-3, 0.1), ProbeDetector(alpha=20.0, eta=0.4)
+    with pytest.raises(ValueError, match="square"):
+        filter_pass(np.eye(2, 3), cav, probe)
+    with pytest.raises(ValueError, match="square"):
+        filter_pass_asymptotic(np.eye(2, 3), cav, probe, 1)
+    with pytest.raises(ValueError, match="square"):
+        filtering.superposition_synthesis_check(np.eye(2, 3), cav, probe)
+
+
 def test_click_probability_grows_with_detector_efficiency(coherent_input):
     p = [filter_pass(coherent_input, fig2_cavity(2e-4),
                      ProbeDetector(alpha=20.0, eta=eta)).p_on

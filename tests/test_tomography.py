@@ -14,7 +14,8 @@ from fockfilter import fock, tomography
 from fockfilter.cascade import derive_seeds, estimate_photon_distribution, tuned_cascade
 from fockfilter.filtering import ProbeDetector
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                                   measure_distributions, phase_fourier, reconstruct)
+                                   measure_distributions, reconstruct)
+from reference import displace, phase_fourier
 
 
 def plan_for(max_fock, gamma_abs=1.0, n_rows=None, backend="exact"):
@@ -86,7 +87,7 @@ def test_forward_model_equals_per_phase_displacement(random_state, dim, seed, ga
                           n_rows=dim + extra_rows)
     margin = fock.displacement_margin(gamma_abs) + max(0, plan.n_rows - dim)
     try:
-        expect = [fock.photon_distribution(fock.displace(
+        expect = [fock.photon_distribution(displace(
             nu, gamma_abs * cmath.exp(1j * phi), n_out=None, margin=margin)).values
             for phi in plan.phases]
     except fock.CutoffError:
@@ -378,6 +379,14 @@ def test_reconstruct_shape_validation():
         reconstruct(plan, np.ones((plan.n_phases + 1, plan.n_rows)))
     with pytest.raises(ValueError):
         reconstruct(plan, np.ones((plan.n_phases, plan.n_rows - 1)))
+    for shape in ((plan.n_phases,), (plan.n_phases, plan.n_rows, 1)):
+        with pytest.raises(ValueError, match=r"\(phase, n\) matrix"):
+            reconstruct(plan, np.ones(shape))
+
+
+def test_forward_model_rejects_a_non_square_state():
+    with pytest.raises(ValueError, match="square"):
+        measure_distributions(np.eye(2, 3), plan_for(1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -427,14 +436,6 @@ def test_plan_integer_fields_take_numpy_integers():
     assert all(type(v) is int for v in (plan.n_phases, plan.max_fock, plan.n_rows))
 
 
-def test_project_psd_clips_negative_eigenvalues():
-    nu = np.diag([1.1, -0.1]).astype(complex)
-    fixed = tomography.project_psd(nu)
-    w = np.linalg.eigvalsh(fixed)
-    assert w.min() >= -1e-15
-    assert np.trace(fixed).real == pytest.approx(1.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo backend
 
@@ -477,11 +478,11 @@ def test_mc_phase_j_is_seeded_with_its_derived_seed():
     P = measure_distributions(rho, plan)
     margin = fock.displacement_margin(plan.gamma_abs) + max(0, plan.n_rows - len(rho))
     for j in (0, 3):
-        displaced = fock.displace(rho, plan.gamma_abs * cmath.exp(1j * plan.phases[j]),
-                                  n_out=None, margin=margin)
+        displaced = displace(rho, plan.gamma_abs * cmath.exp(1j * plan.phases[j]),
+                             n_out=None, margin=margin)
         cfg = tuned_cascade(n_top=plan.n_rows - 1, tau=1e-4, chi_t=0.1, alpha=20.0, eta=0.8,
                             samples=300, rng_seed=int(derive_seeds(7, [j])[0]))
-        one = estimate_photon_distribution(np.diag(displaced.diagonal()), plan.n_rows - 1, cfg)
+        one = estimate_photon_distribution(np.diag(displaced.diagonal()), cfg)
         assert np.array_equal(P[j], one.values)
 
 
@@ -491,9 +492,6 @@ def test_backend_validation():
     with pytest.raises(ValueError):
         mc_backend(100, seed=-3)
     probe = ProbeDetector(alpha=20.0, eta=0.8)
-    with pytest.raises(ValueError, match="update_rule"):
-        MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=probe, samples=10, rng_seed=0,
-                          update_rule="bogus")
     with pytest.raises(ValueError, match="tau"):
         MonteCarloBackend(tau=1.0, chi_t=0.1, probe=probe, samples=10, rng_seed=0)
     with pytest.raises(ValueError, match="chi_t"):
