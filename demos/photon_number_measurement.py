@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from fockfilter import StateSpec, estimate_photon_distribution, tuned_cascade
+from fockfilter import CascadeConfig, ProbeDetector, StateSpec, estimate_photon_distribution
 
 
 def main():
@@ -27,8 +27,9 @@ def main():
         ("thermal, <n> = 1", StateSpec.thermal(1.0)),
     ]
     for label, spec in inputs:
-        cfg = tuned_cascade(n_top=args.n_top, tau=1e-3, chi_t=0.1, alpha=20.0,
-                            eta=0.4, samples=args.samples, rng_seed=args.seed)
+        cfg = CascadeConfig(n_top=args.n_top, tau=1e-3, chi_t=0.1,
+                            probe=ProbeDetector(alpha=20.0, eta=0.4),
+                            samples=args.samples, rng_seed=args.seed)
         est = estimate_photon_distribution(spec, cfg)
         print(f"\n=== {label}  ({args.samples} preparations, seed {args.seed}) ===")
         print("   n   estimate   +-ci     analytic")

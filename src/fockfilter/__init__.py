@@ -11,13 +11,11 @@ __version__ = "0.1.0"
 
 from .cascade import (
     CascadeConfig,
-    CascadeStage,
     DistributionEstimate,
     derive_seeds,
     estimate_photon_distribution,
     first_on_distribution,
     response_matrix,
-    tuned_cascade,
     uniforms,
 )
 from .cavity import (
@@ -63,9 +61,9 @@ from .tomography import (
 
 __all__ = [
     "__version__",
-    "CascadeConfig", "CascadeStage", "DistributionEstimate", "derive_seeds",
+    "CascadeConfig", "DistributionEstimate", "derive_seeds",
     "estimate_photon_distribution", "first_on_distribution", "response_matrix",
-    "tuned_cascade", "uniforms",
+    "uniforms",
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",

@@ -1,9 +1,10 @@
 """Cascaded Fock filters: Monte Carlo photon-number measurement.
 
-A chain of cavities tuned to n_0, n_1, n_2, ... probes the signal one Fock
-component at a time; the stage index of the first detector click samples
-(up to a small off-resonant leak) the photon distribution of the input
-state.
+A chain of cavities tuned to n = 0, 1, 2, ..., n_top probes the signal one
+Fock component at a time; the stage index of the first detector click
+samples (up to a small off-resonant leak) the photon distribution of the
+input state.  All stages share tau, chi_t and the probe, so a CascadeConfig
+is those parameters, the sample count, the seed and the update rule.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): the uniform that decides stage k of trial i is a
@@ -87,45 +88,34 @@ def uniforms(seed, trials, n_stages):
 
 
 @dataclass(frozen=True)
-class CascadeStage:
-    """One filter in the chain, tuned to click on Fock component target_n."""
-
-    target_n: int
-    cavity: CavityParams
-    probe: ProbeDetector
-
-    def __post_init__(self):
-        if self.target_n < 0:
-            raise ValueError("target_n must be >= 0")
-        detune = abs(self.cavity.psi - self.cavity.chi_t * self.target_n)
-        if detune > 1e-12:
-            raise ValueError(
-                f"stage tuned to n={self.target_n} but psi - chi_t*n = {detune:.3e} "
-                "(must vanish within 1e-12)")
-
-
-@dataclass(frozen=True)
 class CascadeConfig:
-    """Stage list, sample count, RNG seed and the conditional update rule.
+    """The paper's photon-number counter: n_top + 1 filters, stage k tuned to n = k.
 
-    update_rule "exact" takes each stage's click probabilities from the full
-    filter pass; "good_cavity" from the tau << chi_t projections (ON ->
-    |n_k><n_k|, OFF -> diagonal with n_k removed).  A trial stops at its
-    first click, which is all the distribution estimate records.
+    Every stage shares the beam-splitter transmissivity tau, the Kerr phase
+    chi_t and the probe; stage k has psi_k = chi_t * k.  samples trials are
+    seeded by rng_seed.  update_rule "exact" takes each stage's click
+    probabilities from the full filter pass; "good_cavity" from the tau <<
+    chi_t projections (ON -> |k><k|, OFF -> diagonal with k removed).  A
+    trial stops at its first click, which is all the distribution estimate
+    records.  n_top, samples and rng_seed must be integers (not bools);
+    CavityParams checks tau, chi_t and the top stage's phase chi_t * n_top.
     """
 
-    stages: tuple
+    n_top: int
+    tau: float
+    chi_t: float
+    probe: ProbeDetector
     samples: int
     rng_seed: int
     update_rule: str = "exact"
 
     def __post_init__(self):
-        object.__setattr__(self, "stages", tuple(self.stages))
-        if not self.stages:
+        fock._integer_fields(self, "n_top", "samples", "rng_seed")
+        if not isinstance(self.probe, ProbeDetector):
+            raise ValueError(f"probe must be a ProbeDetector, got {self.probe!r}")
+        if self.n_top < 0:
             raise ValueError("cascade needs at least one stage")
-        targets = [s.target_n for s in self.stages]
-        if len(set(targets)) != len(targets):
-            raise ValueError(f"stage targets must be pairwise distinct, got {targets}")
+        CavityParams.tuned(self.n_top, self.tau, self.chi_t)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (0 <= self.rng_seed < 2 ** 64):
@@ -133,53 +123,41 @@ class CascadeConfig:
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"update_rule must be one of {UPDATE_RULES}")
 
-
-def tuned_cascade(n_top, tau, chi_t, alpha, eta, samples, rng_seed,
-                  update_rule="exact"):
-    """Cascade with one stage per Fock component 0..n_top, shared parameters."""
-    probe = ProbeDetector(alpha=alpha, eta=eta)
-    stages = tuple(
-        CascadeStage(target_n=k, cavity=CavityParams.tuned(k, tau, chi_t), probe=probe)
-        for k in range(n_top + 1))
-    return CascadeConfig(stages=stages, samples=samples, rng_seed=rng_seed,
-                         update_rule=update_rule)
+    @property
+    def stages(self):
+        """The photon number each stage is tuned to: range(n_top + 1)."""
+        return range(self.n_top + 1)
 
 
 def response_matrix(cfg, dim):
     """First-click matrix R (K x dim) and all-OFF survival S ((K + 1) x dim).
 
     R[k, n] = P(first click at stage k | n photons) and S[k, n] = P(no click
-    before stage k | n photons), for the K stages of cfg; neither depends on
-    the state.  With each stage's diagonal exponents G, G_off from
-    filtering._folded_exponents, f = e^G - e^G_off, S[k] = exp(sum_{j<k} G_off,j)
-    summed in log space (a product of 1 - f cancels where a click is nearly
-    certain), and R = f S[:-1].  The good-cavity rule has G = 0 and G_off =
-    -inf at each stage's target.  Raises NumericalError when e^G leaves 1 by
-    more than TRACE_DRIFT_TOL or is not finite.
+    before stage k | n photons), for the K = n_top + 1 stages of cfg;
+    neither depends on the state.  Stage k sees n photons at the phase
+    chi_t * k - chi_t * n.  With each stage's diagonal exponents G, G_off
+    from filtering._folded_exponents, f = e^G - e^G_off, S[k] = exp(sum_{j<k}
+    G_off,j) summed in log space (a product of 1 - f cancels where a click
+    is nearly certain), and R = f S[:-1].  The good-cavity rule has G = 0
+    and G_off = -inf at each stage's target.  Raises NumericalError when e^G
+    leaves 1 by more than TRACE_DRIFT_TOL or is not finite.
     """
-    n, stages = np.arange(dim), cfg.stages
-
-    def column(values):
-        return np.array(list(values))[:, None]
-
+    n, k = np.arange(dim), np.arange(cfg.n_top + 1)[:, None]
     if cfg.update_rule == "exact":
-        kappa, sigma = cavity_amplitudes(
-            column(s.cavity.psi for s in stages) - column(s.cavity.chi_t for s in stages) * n,
-            column(s.cavity.tau for s in stages))
+        kappa, sigma = cavity_amplitudes(cfg.chi_t * k - cfg.chi_t * n, cfg.tau)
         G, G_off = _folded_exponents(kappa * kappa.conj(), sigma * sigma.conj(),
-                                     column(abs(s.probe.alpha) ** 2 for s in stages),
-                                     column(s.probe.eta for s in stages))
+                                     abs(cfg.probe.alpha) ** 2, cfg.probe.eta)
     else:
-        G = np.zeros((len(stages), dim))
-        G_off = np.where(n == column(s.target_n for s in stages), -np.inf, 0.0)
+        G = np.zeros((len(k), dim))
+        G_off = np.where(n == k, -np.inf, 0.0)
     on = np.exp(G)
     drift = np.abs(on - 1.0).max(axis=1)
-    k = int(np.argmax(~(drift <= TRACE_DRIFT_TOL)))  # the first failing stage, else 0
+    first = int(np.argmax(~(drift <= TRACE_DRIFT_TOL)))  # the first failing stage, else 0
     # written so that NaN fails: a non-finite e^G makes the drift non-finite
-    if not drift[k] <= TRACE_DRIFT_TOL:
+    if not drift[first] <= TRACE_DRIFT_TOL:
         raise fock.NumericalError(
-            f"cascade aborted at stage {k} (target n={stages[k].target_n}): "
-            f"probability completeness drifted by {drift[k]:.3e} > {TRACE_DRIFT_TOL:g}")
+            f"cascade aborted at stage {first} (target n={first}): "
+            f"probability completeness drifted by {drift[first]:.3e} > {TRACE_DRIFT_TOL:g}")
     S = np.exp(np.cumsum(np.vstack([np.zeros(dim), G_off.real]), axis=0))
     return (on - np.exp(G_off)).real * S[:-1], S
 
@@ -246,19 +224,15 @@ class DistributionEstimate(fock.PhotonDistribution):
 
 
 def estimate_photon_distribution(spec, cfg):
-    """Estimate p_n for n = 0..K-1 by Monte Carlo over the K stages of cfg.
+    """Estimate p_n for n = 0..n_top by Monte Carlo over the stages of cfg.
 
-    `spec` may be a StateSpec or a prepared density matrix.  The stages must
-    be tuned to 0..K-1 in order.  The click probabilities q_k come from
-    response_matrix; trial i draws u(cfg.rng_seed, i, k), so the counts
-    depend on nothing else.  theory has K entries, zero past a matrix's
-    dimension.
+    `spec` may be a StateSpec or a prepared density matrix.  Stage k is
+    tuned to n = k, so the first click samples p_n directly.  The click
+    probabilities q_k come from response_matrix; trial i draws
+    u(cfg.rng_seed, i, k), so the counts depend on nothing else.  theory
+    has n_top + 1 entries, zero past a matrix's dimension.
     """
-    K = len(cfg.stages)
-    targets = tuple(s.target_n for s in cfg.stages)
-    if targets != tuple(range(K)):
-        raise ValueError(f"stages must be tuned to 0..{K - 1} in order, got targets {targets}")
-
+    K = cfg.n_top + 1
     if isinstance(spec, fock.StateSpec):
         rho = fock.make_state(spec)
         theory = fock.analytic_distribution(spec, K - 1)

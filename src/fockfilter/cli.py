@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__, fock, tables
-from .cascade import estimate_photon_distribution, tuned_cascade
+from .cascade import CascadeConfig, estimate_photon_distribution
 from .cavity import CavityParams, resonant_components, transmission_profile
 from .filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from .fock import NumericalError, StateSpec
@@ -359,10 +359,9 @@ def _run_superposition(params):
 
 def _run_measure_pn(params):
     spec = _build_state(params["state"])
-    cfg = tuned_cascade(
+    cfg = CascadeConfig(
         n_top=params["n_top"], tau=params["tau"], chi_t=params["chi_t"],
-        alpha=complex(*params["alpha"]), eta=params["eta"],
-        samples=params["samples"], rng_seed=params["seed"],
+        probe=_build_probe(params), samples=params["samples"], rng_seed=params["seed"],
         update_rule=params["update_rule"])
     est = estimate_photon_distribution(spec, cfg)
     # the no-click bucket keeps the histogram normalized; reported as n = -1

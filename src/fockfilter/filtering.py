@@ -78,8 +78,8 @@ def _folded_exponents(kk, ss, a2, eta):
     G     = |a|^2 (kk + ss - 1)          (unconditional)
     G_off = G - eta |a|^2 ss             (OFF outcome)
 
-    a2 = |a|^2 and eta are numbers or arrays that broadcast against kk.
-    Both exponents have real part <= 0; the ON factor is e^G - e^G_off.
+    a2 = |a|^2 and eta are numbers.  Both exponents have real part <= 0;
+    the ON factor is e^G - e^G_off.
     """
     G = a2 * (kk + ss - 1.0)
     return G, G - eta * a2 * ss

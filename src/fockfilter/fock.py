@@ -300,13 +300,28 @@ def _square_matrix(rho):
     return rho
 
 
+def _integer_fields(obj, *names):
+    """Set each named field of the frozen dataclass obj to its int value.
+
+    ValueError for a bool or anything that is not an int or numpy integer
+    (1.5, 2.0, "3"); numpy integers become ints, so no numpy integer
+    arithmetic follows.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 def photon_distribution(rho):
     """Diagonal of a density matrix as a PhotonDistribution.
 
-    Validates that the diagonal is real (imag residue <= 1e-12) and clamps
-    negative entries above -1e-12 to 0; anything worse raises.
+    Validates that rho is square and its diagonal real (imag residue <=
+    1e-12), and clamps negative entries above -1e-12 to 0; anything worse
+    raises ValueError.
     """
-    return PhotonDistribution(values=_checked_probabilities(np.diagonal(rho)))
+    return PhotonDistribution(values=_checked_probabilities(np.diagonal(_square_matrix(rho))))
 
 
 def _checked_probabilities(diag):
@@ -476,23 +491,26 @@ def _check_leak(lost, gamma, work, max_lost):
 
 def purity(rho):
     """Tr(rho^2), computed as the squared Frobenius norm of a Hermitian rho."""
+    rho = _square_matrix(rho)
     return float(np.vdot(rho, rho).real)
 
 
 def fidelity_to_pure(rho, pure_rho):
     """Tr(rho |psi><psi|) for a pure reference state given as |psi><psi|."""
-    a, b = _pad_pair(np.asarray(rho), np.asarray(pure_rho))
+    a, b = _pad_pair(rho, pure_rho)
     return float(np.vdot(b, a).real)
 
 
 def trace_distance(a, b):
     """(1/2) sum |eig(a - b)| for Hermitian a, b (zero-padded to equal dims)."""
-    a, b = _pad_pair(np.asarray(a), np.asarray(b))
+    a, b = _pad_pair(a, b)
     return float(0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum())
 
 
 def _pad_pair(a, b):
-    """Zero-pad the smaller of two square matrices to the larger dimension."""
+    """Two square matrices as complex arrays, the smaller zero-padded to the
+    dimension of the larger; ValueError unless both are square."""
+    a, b = _square_matrix(a), _square_matrix(b)
     da, db = a.shape[0], b.shape[0]
     if da == db:
         return a, b

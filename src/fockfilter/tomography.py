@@ -49,7 +49,7 @@ import numpy as np
 
 from . import fock
 from .filtering import ProbeDetector
-from .cascade import _estimate, derive_seeds, response_matrix, tuned_cascade
+from .cascade import CascadeConfig, _estimate, derive_seeds, response_matrix
 
 CONDITION_FLAG_LIMIT = 1e12
 TRACE_BAND = (0.9, 1.1)
@@ -71,14 +71,12 @@ class MonteCarloBackend:
     rng_seed: int
 
     def __post_init__(self):
-        self._cascade(0)  # CavityParams and CascadeConfig check the fields
+        self._cascade(0)  # CascadeConfig checks the fields
 
     def _cascade(self, n_top):
         """Cascade of stages 0..n_top with this backend's fields."""
-        return tuned_cascade(
-            n_top=n_top, tau=self.tau, chi_t=self.chi_t,
-            alpha=self.probe.alpha, eta=self.probe.eta, samples=self.samples,
-            rng_seed=self.rng_seed)
+        return CascadeConfig(n_top=n_top, tau=self.tau, chi_t=self.chi_t, probe=self.probe,
+                             samples=self.samples, rng_seed=self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,7 @@ class TomographyPlan:
     def __post_init__(self):
         if not (self.gamma_abs > 0.0 and math.isfinite(self.gamma_abs)):
             raise ValueError(f"gamma_abs must be finite and > 0, got {self.gamma_abs}")
-        for name in ("max_fock", "n_phases", "n_rows"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))  # no numpy integer arithmetic
+        fock._integer_fields(self, "max_fock", "n_phases", "n_rows")
         if self.max_fock < 0:
             raise ValueError("max_fock must be >= 0")
         if self.n_phases < 2 * self.max_fock + 1:
@@ -235,9 +229,10 @@ def measure_distributions(nu, plan):
     backend, rows = plan.backend, plan.n_rows
     if backend == "exact":
         return P[:, :rows].copy()
-    R, S = response_matrix(backend._cascade(rows - 1), P.shape[1])
-    seeds = derive_seeds(backend.rng_seed, range(plan.n_phases))
-    return np.vstack([_estimate(p, p[:rows], R, S, int(seed), backend.samples).values
+    cfg = backend._cascade(rows - 1)
+    R, S = response_matrix(cfg, P.shape[1])
+    seeds = derive_seeds(cfg.rng_seed, range(plan.n_phases))
+    return np.vstack([_estimate(p, p[:rows], R, S, int(seed), cfg.samples).values
                       for p, seed in zip(P, seeds)])
 
 

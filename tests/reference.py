@@ -10,22 +10,23 @@ import numpy as np
 
 from fockfilter import fock
 from fockfilter.cascade import TRACE_DRIFT_TOL, uniforms
+from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, filter_pass
 from fockfilter.tomography import uniform_phase_grid
 
 
-def stage_update(state, stage, rule):
-    """(p_on, state_on, p_off, state_off) for one stage on `state`.
+def stage_update(state, cfg, nk):
+    """(p_on, state_on, p_off, state_off) for the stage of cfg tuned to n = nk.
 
     Probabilities are raw traces, so p_on + p_off equals the trace of the
     input state — the completeness check that catches drift mid-cascade.
     """
-    if rule == "exact":
-        res = filter_pass(state, stage.cavity, stage.probe)
+    if cfg.update_rule == "exact":
+        res = filter_pass(state, CavityParams.tuned(nk, cfg.tau, cfg.chi_t), cfg.probe)
         return res.p_on, res.state_on, res.p_off, res.state_off
     # good-cavity projections: a click collapses onto |n_k><n_k|, silence
     # removes the n_k component and drops coherences
-    nk, d = stage.target_n, state.diagonal()
+    d = state.diagonal()
     p_on = float(d[nk].real) if nk < d.size else 0.0
     p_off = d.sum().real - p_on
     on = off = None
@@ -47,10 +48,10 @@ def run_cascade_trial(rho, cfg, trial):
     (or turns non-finite) at any stage or the drawn outcome has no
     conditional state.
     """
-    u = uniforms(cfg.rng_seed, [trial], len(cfg.stages))[0]
+    u = uniforms(cfg.rng_seed, [trial], cfg.n_top + 1)[0]
     state = np.asarray(rho, dtype=complex)
-    for k, stage in enumerate(cfg.stages):
-        p_on, _, p_off, state_off = stage_update(state, stage, cfg.update_rule)
+    for k in range(cfg.n_top + 1):
+        p_on, _, p_off, state_off = stage_update(state, cfg, k)
         drift = abs(p_on + p_off - 1.0)
         if not drift <= TRACE_DRIFT_TOL:  # NaN fails too
             raise fock.NumericalError(f"walk stage {k}: completeness drifted by {drift:.3e}")

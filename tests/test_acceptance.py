@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fockfilter import fock
-from fockfilter.cascade import estimate_photon_distribution, tuned_cascade
+from fockfilter.cascade import CascadeConfig, estimate_photon_distribution
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
                                   superposition_synthesis_check)
@@ -30,6 +30,7 @@ def check(criterion, ok, detail):
 
 
 FIG2_PROBE = ProbeDetector(alpha=20.0, eta=0.8)
+FIG3_PROBE = ProbeDetector(alpha=20.0, eta=0.4)
 
 
 def fig2_input():
@@ -80,15 +81,15 @@ def test_criterion_3_monte_carlo_photon_statistics():
     for name, spec in specs.items():
         hits = 0
         for seed in range(seeds):
-            cfg = tuned_cascade(n_top=n_top, tau=1e-3, chi_t=0.1, alpha=20.0,
-                                eta=0.4, samples=samples, rng_seed=seed)
+            cfg = CascadeConfig(n_top=n_top, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,
+                                samples=samples, rng_seed=seed)
             est = estimate_photon_distribution(spec, cfg)
             hits += int(np.sum(np.abs(est.values - est.theory) <= 3.0 * est.ci))
         fractions[name] = hits / (seeds * (n_top + 1))
     # squeezed odd components: the analytic cascade leakage itself sits
     # below the 3-sigma resolution of a 2000-sample histogram
     sq = fock.make_state(specs["squeezed"])
-    cfg = tuned_cascade(n_top=n_top, tau=1e-3, chi_t=0.1, alpha=20.0, eta=0.4,
+    cfg = CascadeConfig(n_top=n_top, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,
                         samples=samples, rng_seed=0)
     from fockfilter.cascade import first_on_distribution
     leak, _ = first_on_distribution(sq, cfg)
@@ -209,7 +210,7 @@ def test_criterion_7_invariant_suite(random_state):
     from fockfilter.cascade import first_on_distribution
     for seed in range(5):
         rho = random_state(9, seed=100 + seed)
-        cfg = tuned_cascade(n_top=8, tau=1e-3, chi_t=0.1, alpha=20.0, eta=0.4,
+        cfg = CascadeConfig(n_top=8, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,
                             samples=1, rng_seed=0)
         probs, _ = first_on_distribution(rho, cfg)
         dev = np.max(np.abs(probs - np.diagonal(rho).real))

@@ -1,14 +1,16 @@
 """Cascaded filters: trial walks, first-ON statistics, the MC estimator."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fockfilter import cascade, filtering, fock
-from fockfilter.cascade import (CascadeConfig, CascadeStage, estimate_photon_distribution,
-                                first_on_distribution, response_matrix, tuned_cascade,
-                                uniforms)
+from fockfilter.cascade import (CascadeConfig, estimate_photon_distribution,
+                                first_on_distribution, response_matrix, uniforms)
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, ProbeDetector
 from reference import run_cascade_trial, stage_update
@@ -23,8 +25,11 @@ Q_RTOL = 1e-13
 Q_ATOL = 1e-30
 
 
+FIG3_PROBE = ProbeDetector(alpha=20.0, eta=0.4)
+
+
 def fig3_cascade(n_top=8, samples=2000, seed=0, rule="exact"):
-    return tuned_cascade(n_top=n_top, tau=1e-3, chi_t=0.1, alpha=20.0, eta=0.4,
+    return CascadeConfig(n_top=n_top, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,
                          samples=samples, rng_seed=seed, update_rule=rule)
 
 
@@ -43,12 +48,8 @@ def test_fock_input_clicks_at_its_own_stage():
 
 
 def test_single_stage_on_target_always_clicks():
-    rho = fock.make_state(fock.StateSpec.number(1), cutoff=4)
-    probe = ProbeDetector(alpha=20.0, eta=0.4)
-    cfg = CascadeConfig(
-        stages=(CascadeStage(target_n=1, cavity=CavityParams.tuned(1, 1e-3, 0.1),
-                             probe=probe),),
-        samples=10, rng_seed=0)
+    rho = fock.make_state(fock.StateSpec.number(0), cutoff=4)
+    cfg = fig3_cascade(n_top=0, samples=10)
     for i in range(10):
         # the walk stops at its first click: the only stage is ON
         assert run_cascade_trial(rho, cfg, i) == 0
@@ -158,32 +159,38 @@ def test_good_cavity_rule_agrees_with_exact():
     assert 0.5 * np.abs(exact - proj).sum() < 0.02
 
 
-def test_config_validation():
-    probe = ProbeDetector(alpha=20.0, eta=0.4)
-    stage = CascadeStage(target_n=1, cavity=CavityParams.tuned(1, 1e-3, 0.1),
-                         probe=probe)
-    with pytest.raises(ValueError):
-        CascadeConfig(stages=(), samples=10, rng_seed=0)
-    with pytest.raises(ValueError):
-        CascadeConfig(stages=(stage, stage), samples=10, rng_seed=0)
-    with pytest.raises(ValueError):
-        CascadeConfig(stages=(stage,), samples=0, rng_seed=0)
-    with pytest.raises(ValueError):
-        CascadeConfig(stages=(stage,), samples=10, rng_seed=-1)
-    with pytest.raises(ValueError):
-        CascadeConfig(stages=(stage,), samples=10, rng_seed=0, update_rule="fast")
-    with pytest.raises(ValueError):
-        # stage detuned from its declared target
-        CascadeStage(target_n=2, cavity=CavityParams.tuned(1, 1e-3, 0.1), probe=probe)
+FIG3_FIELDS = dict(n_top=8, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE, samples=10, rng_seed=0)
 
 
-def test_estimator_requires_contiguous_targets():
-    spec = fock.StateSpec.thermal(1.0)
-    stages = fig3_cascade(n_top=5).stages
-    for bad in (stages[1:], stages[::-1], stages[:2] + stages[3:]):
-        cfg = CascadeConfig(stages=bad, samples=10, rng_seed=0)
-        with pytest.raises(ValueError, match="tuned to 0..[0-9]+ in order"):
-            estimate_photon_distribution(spec, cfg)
+@pytest.mark.parametrize("field, value, message", [
+    ("n_top", -1, "at least one stage"),
+    ("tau", 1.0, "tau must lie"),
+    ("tau", float("nan"), "tau must lie"),
+    ("chi_t", 0.0, "chi_t must be finite"),
+    ("chi_t", float("inf"), "chi_t must be finite"),
+    # chi_t itself is fine, but the top stage's phase chi_t * 8 overflows
+    ("chi_t", 1e308, "psi must be finite"),
+    ("probe", 20.0, "probe must be a ProbeDetector"),
+    ("samples", 0, "samples must be >= 1"),
+    ("rng_seed", -1, "64-bit"),
+    ("rng_seed", 2 ** 64, "64-bit"),
+    ("update_rule", "fast", "update_rule must be one of"),
+])
+def test_config_validation(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        CascadeConfig(**{**FIG3_FIELDS, field: value})
+
+
+@pytest.mark.parametrize("field", ["n_top", "samples", "rng_seed"])
+def test_integer_fields_refuse_bools_and_non_integral_values(field):
+    # a float seed used to run as its integer part, and a float sample count
+    # died inside the sampler with a TypeError
+    for value in (True, 1.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CascadeConfig(**{**FIG3_FIELDS, field: value})
+    # numpy integers are integers, and become ints
+    cfg = CascadeConfig(**{**FIG3_FIELDS, field: np.int64(3)})
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
 
 
 def test_theory_of_a_matrix_below_the_cascade_is_padded_with_zeros():
@@ -223,8 +230,8 @@ def test_non_finite_state_aborts_walk_and_estimate(rule):
 def full_matrix_chain(rho, cfg):
     """q_k from walking full conditional states along the all-OFF path."""
     state, q = np.asarray(rho, dtype=complex), []
-    for stage in cfg.stages:
-        p_on, _, _, state = stage_update(state, stage, cfg.update_rule)
+    for k in range(cfg.n_top + 1):
+        p_on, _, _, state = stage_update(state, cfg, k)
         q.append(p_on)
     return np.array(q)
 
@@ -247,8 +254,8 @@ def test_all_off_residual_where_a_click_is_nearly_certain():
     rho = fock.make_state(spec)
     cfg = fig3_cascade()
     state, all_off, walk_expected = np.asarray(rho, dtype=complex), 1.0, []
-    for stage in cfg.stages:
-        p_on, _, p_off, state = stage_update(state, stage, "exact")
+    for k in range(cfg.n_top + 1):
+        p_on, _, p_off, state = stage_update(state, cfg, k)
         walk_expected.append(all_off * p_on)
         all_off *= p_off
     assert all_off == pytest.approx(3.11e-70, rel=1e-3)
@@ -276,7 +283,8 @@ def test_dead_all_off_path_clicks_every_trial_before_it_dies(rule):
     # reaches the later stages, whose q is undefined; tau = 1e-5 keeps the
     # exact rule's off-resonant clicks at stages 0-2 below 1.4e-4 per trial
     spec = fock.StateSpec.number(3)
-    cfg = tuned_cascade(n_top=8, tau=1e-5, chi_t=0.1, alpha=100.0, eta=1.0,
+    cfg = CascadeConfig(n_top=8, tau=1e-5, chi_t=0.1,
+                        probe=ProbeDetector(alpha=100.0, eta=1.0),
                         samples=100, rng_seed=0, update_rule=rule)
     est = estimate_photon_distribution(spec, cfg)
     assert est.counts[3] == est.samples == 100
@@ -307,8 +315,8 @@ def test_trial_reaching_a_dead_stage_raises():
 def test_the_states_a_trial_walks_through_are_exactly_hermitian(rule):
     state = fock.make_state(fock.StateSpec.coherent(complex(1.1, -0.9)), cutoff=30, tail=None)
     cfg = fig3_cascade(rule=rule)
-    for stage in cfg.stages:
-        p_on, state_on, p_off, state_off = stage_update(state, stage, rule)
+    for k in range(cfg.n_top + 1):
+        p_on, state_on, p_off, state_off = stage_update(state, cfg, k)
         for s in (state_on, state_off):
             if s is not None:
                 assert np.array_equal(s, s.conj().T)
@@ -316,40 +324,37 @@ def test_the_states_a_trial_walks_through_are_exactly_hermitian(rule):
         state = state_off
 
 
-def exponent_drift(stage, dim):
-    """|e^G(n, n) - 1| of a full filter pass at this stage: its own completeness error."""
-    G, _ = filtering._element_exponents(stage.cavity, stage.probe, dim - 1)
+def exponent_drift(cfg, k, dim):
+    """|e^G(n, n) - 1| of a full filter pass at stage k: its own completeness error."""
+    cav = CavityParams.tuned(k, cfg.tau, cfg.chi_t)
+    G, _ = filtering._element_exponents(cav, cfg.probe, dim - 1)
     return np.abs(np.exp(G[fock._lower_triangle(dim)[2]]) - 1.0)
 
 
-STAGE = st.tuples(st.floats(1e-4, 0.5), st.floats(0.05, 3.0), st.floats(0.0, 99.99),
-                  st.floats(-np.pi, np.pi), st.floats(0.05, 1.0))
 TRIALS = 200
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rule=st.sampled_from(cascade.UPDATE_RULES),
-       targets=st.lists(st.integers(0, 15), min_size=1, max_size=6, unique=True),
+@given(rule=st.sampled_from(cascade.UPDATE_RULES), n_top=st.integers(0, 5),
+       tau=st.floats(1e-4, 0.5), chi_t=st.floats(0.05, 3.0), a=st.floats(0.0, 99.99),
+       arg=st.floats(-np.pi, np.pi), eta=st.floats(0.05, 1.0),
        dim=st.integers(1, 14), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
-def test_response_matrix_matches_full_state_walk(random_state, rule, targets, dim, seed,
-                                                 data):
-    # every stage has its own tau, chi_t, alpha and eta; targets are distinct,
-    # in any order and with gaps, and may lie beyond the cutoff
-    params = data.draw(st.lists(STAGE, min_size=len(targets), max_size=len(targets)))
-    stages = tuple(
-        CascadeStage(target_n=t, cavity=CavityParams.tuned(t, tau, chi_t),
-                     probe=ProbeDetector(alpha=a * np.exp(1j * arg), eta=eta))
-        for t, (tau, chi_t, a, arg, eta) in zip(targets, params))
-    cfg = CascadeConfig(stages=stages, samples=TRIALS, rng_seed=seed, update_rule=rule)
+def test_response_matrix_matches_full_state_walk(random_state, rule, n_top, tau, chi_t, a,
+                                                 arg, eta, dim, seed, data):
+    # the stages share tau, chi_t, alpha and eta; the top ones may lie
+    # beyond the cutoff
+    cfg = CascadeConfig(n_top=n_top, tau=tau, chi_t=chi_t,
+                        probe=ProbeDetector(alpha=a * np.exp(1j * arg), eta=eta),
+                        samples=TRIALS, rng_seed=seed, update_rule=rule)
     R, S = response_matrix(cfg, dim)
-    K = len(stages)
+    K = n_top + 1
     assert R.shape == (K, dim) and S.shape == (K + 1, dim)
 
     # each column is a distribution over first clicks and no click; it sums
     # to 1 up to the completeness error the stages' own full passes show
     drift = np.zeros(dim) if rule == "good_cavity" else sum(
-        exponent_drift(stage, dim) for stage in stages)
+        exponent_drift(cfg, k, dim) for k in range(K))
     assert np.all(R >= 0.0)
     assert np.all(np.abs(R.sum(axis=0) + S[K] - 1.0) <= 1e-12 + drift)
 
@@ -381,3 +386,33 @@ def test_estimate_accepts_prepared_matrix():
     from_spec = estimate_photon_distribution(spec, cfg)
     from_rho = estimate_photon_distribution(rho, cfg)
     assert np.array_equal(from_spec.counts, from_rho.counts)
+
+
+def load_tracing():
+    """bench/tracing.py, imported from its file as the benchmark imports it."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("rule", cascade.UPDATE_RULES)
+def test_the_benchmark_tracer_reads_the_estimate_and_its_config(rule):
+    # the traced benchmark counts stages, trials and draws from the estimator's
+    # `cfg` argument and result; a renamed field would fail only a traced run
+    tracing = load_tracing()
+    cfg = fig3_cascade(n_top=5, samples=300, seed=3, rule=rule)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        est = cascade.estimate_photon_distribution(fock.StateSpec.thermal(1.0), cfg)
+    finally:
+        tracer.uninstall()
+    assert cascade.estimate_photon_distribution is estimate_photon_distribution
+    [counts] = [span[5] for span in tracer.spans
+                if tracer.names[span[0]] == "cascade.estimate_photon_distribution"]
+    assert counts == tracing.HOOKS["cascade.estimate_photon_distribution"]({"cfg": cfg}, est)
+    all_off = est.samples - int(est.counts.sum())
+    draws = sum((k + 1) * int(c) for k, c in enumerate(est.counts)) + 6 * all_off
+    assert counts == {"trials": 300, "draws": draws, "stages": 6, "exact": rule == "exact"}

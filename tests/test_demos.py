@@ -1,8 +1,9 @@
-"""Every narrative demo under demos/ runs to the end with small arguments,
-the package root exports exactly the public names below and each resolves,
-and no library module imports from the tests."""
+"""Every narrative demo under demos/ and every python example of README.md
+runs to the end, the package root exports exactly the public names below
+and each resolves, and no library module imports from the tests."""
 
 import ast
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -13,10 +14,12 @@ import fockfilter
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+# the fenced python blocks of README.md, in order
+README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
 
 # the public API: what the CLI, the demos and the README examples need
 PUBLIC = [
-    "CascadeConfig", "CascadeStage", "CavityParams", "CutoffError", "DistributionEstimate",
+    "CascadeConfig", "CavityParams", "CutoffError", "DistributionEstimate",
     "FilterResult", "MonteCarloBackend", "NumericalError", "PhotonDistribution",
     "ProbeDetector", "ReconstructionResult", "StateSpec", "SuperpositionReport",
     "TomographyPlan", "analytic_distribution", "cavity_amplitudes", "choose_cutoff",
@@ -26,7 +29,7 @@ PUBLIC = [
     "measure_distributions", "mode_amplitudes", "photon_distribution", "purity",
     "reconstruct", "resonant_components", "response_matrix",
     "superposition_synthesis_check", "total_phase", "trace_distance",
-    "transmission_profile", "tuned_cascade", "uniforms", "validate_density_matrix",
+    "transmission_profile", "uniforms", "validate_density_matrix",
 ]
 
 ARGS = {
@@ -50,8 +53,19 @@ def test_demo_runs(name, monkeypatch, capsys):
     assert capsys.readouterr().out.strip()
 
 
+def test_readme_has_its_three_examples():
+    assert len(README_EXAMPLES) == 3
+
+
+@pytest.mark.parametrize("index", range(len(README_EXAMPLES)))
+def test_readme_example_runs(index, capsys):
+    code = compile(README_EXAMPLES[index], f"README.md python block {index}", "exec")
+    exec(code, {"__name__": "__main__"})
+    assert capsys.readouterr().out.strip()
+
+
 def test_every_exported_name_resolves():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 39
     assert sorted(fockfilter.__all__) == sorted(["__version__", *PUBLIC])
     for name in fockfilter.__all__:
         assert hasattr(fockfilter, name), name

@@ -459,3 +459,20 @@ def test_validate_density_matrix_rejects_violations():
     bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
         fock.validate_density_matrix(bad)
+
+
+@pytest.mark.parametrize("metric", [
+    fock.purity,
+    fock.photon_distribution,
+    lambda m: fock.trace_distance(m, np.eye(2) / 2),
+    lambda m: fock.trace_distance(np.eye(2) / 2, m),
+    lambda m: fock.fidelity_to_pure(m, np.diag([1.0, 0.0])),
+    lambda m: fock.fidelity_to_pure(np.diag([1.0, 0.0]), m),
+], ids=["purity", "photon_distribution", "trace_distance", "trace_distance_reference",
+        "fidelity_to_pure", "fidelity_to_pure_reference"])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_state_metrics_reject_a_non_square_array(metric, shape):
+    # purity(np.eye(2, 3)) used to return 2.0 and photon_distribution a
+    # distribution; the other two failed inside numpy
+    with pytest.raises(ValueError, match="square"):
+        metric(np.ones(shape) / 4)

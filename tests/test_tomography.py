@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.stats import poisson
 
 from fockfilter import fock, tomography
-from fockfilter.cascade import derive_seeds, estimate_photon_distribution, tuned_cascade
+from fockfilter.cascade import CascadeConfig, derive_seeds, estimate_photon_distribution
 from fockfilter.filtering import ProbeDetector
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
                                    measure_distributions, reconstruct)
@@ -480,7 +480,8 @@ def test_mc_phase_j_is_seeded_with_its_derived_seed():
     for j in (0, 3):
         displaced = displace(rho, plan.gamma_abs * cmath.exp(1j * plan.phases[j]),
                              n_out=None, margin=margin)
-        cfg = tuned_cascade(n_top=plan.n_rows - 1, tau=1e-4, chi_t=0.1, alpha=20.0, eta=0.8,
+        cfg = CascadeConfig(n_top=plan.n_rows - 1, tau=1e-4, chi_t=0.1,
+                            probe=ProbeDetector(alpha=20.0, eta=0.8),
                             samples=300, rng_seed=int(derive_seeds(7, [j])[0]))
         one = estimate_photon_distribution(np.diag(displaced.diagonal()), cfg)
         assert np.array_equal(P[j], one.values)
@@ -496,5 +497,17 @@ def test_backend_validation():
         MonteCarloBackend(tau=1.0, chi_t=0.1, probe=probe, samples=10, rng_seed=0)
     with pytest.raises(ValueError, match="chi_t"):
         MonteCarloBackend(tau=1e-4, chi_t=-0.1, probe=probe, samples=10, rng_seed=0)
+    with pytest.raises(ValueError, match="probe must be a ProbeDetector"):
+        MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=None, samples=10, rng_seed=0)
+
+
+@pytest.mark.parametrize("field", ["samples", "rng_seed"])
+def test_backend_integer_fields_refuse_bools_and_non_integral_values(field):
+    # samples=10.5 used to pass and fail in the sampler; rng_seed=1.5 ran as seed 1
+    for value in (True, 10.5, 10.0, "10"):
+        fields = {"samples": 10, "rng_seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+                              **fields)
     with pytest.raises(ValueError):
         plan_for(2, backend="turbo")
