@@ -97,8 +97,9 @@ class CascadeConfig:
     probabilities from the full filter pass; "good_cavity" from the tau <<
     chi_t projections (ON -> |k><k|, OFF -> diagonal with k removed).  A
     trial stops at its first click, which is all the distribution estimate
-    records.  n_top, samples and rng_seed must be integers (not bools);
-    CavityParams checks tau, chi_t and the top stage's phase chi_t * n_top.
+    records.  n_top, samples and rng_seed must be integers (not bools), and
+    n_top at most fock.CUTOFF_CEILING; CavityParams checks tau, chi_t and
+    the top stage's phase chi_t * n_top.
     """
 
     n_top: int
@@ -115,6 +116,8 @@ class CascadeConfig:
             raise ValueError(f"probe must be a ProbeDetector, got {self.probe!r}")
         if self.n_top < 0:
             raise ValueError("cascade needs at least one stage")
+        if self.n_top > fock.CUTOFF_CEILING:
+            raise ValueError(f"n_top = {self.n_top} exceeds the ceiling {fock.CUTOFF_CEILING}")
         CavityParams.tuned(self.n_top, self.tau, self.chi_t)
         if self.samples < 1:
             raise ValueError("samples must be >= 1")

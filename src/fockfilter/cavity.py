@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fock import CUTOFF_CEILING
+
 
 @dataclass(frozen=True)
 class CavityParams:
@@ -74,13 +76,17 @@ def mode_amplitudes(params, n_max):
     return cavity_amplitudes(total_phase(np.arange(n_max + 1), params), params.tau)
 
 
+def _check_n_max(n_max):
+    if not 0 <= n_max <= CUTOFF_CEILING:
+        raise ValueError(f"n_max must lie in 0..{CUTOFF_CEILING}, got {n_max}")
+
+
 def transmission_profile(params, n_max):
     """|sigma_n|^2 for n = 0..n_max from the explicit lineshape formula.
 
     |sigma_n|^2 = [1 + 4 (1-tau)/tau^2 sin^2((psi - chi_t n)/2)]^{-1}
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     phi = total_phase(np.arange(n_max + 1), params)
     s2 = np.sin(phi / 2.0) ** 2
     return 1.0 / (1.0 + 4.0 * (1.0 - params.tau) / params.tau ** 2 * s2)
@@ -104,8 +110,7 @@ def resonant_components(params, n_max):
     whose transmission exceeds that of a photon half a photon off a center.
     A detuned cavity (non-integer n*) may yield an empty list.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+    _check_n_max(n_max)
     period = 2.0 * math.pi / params.chi_t
     if period < 1.0:
         return list(range(n_max + 1))

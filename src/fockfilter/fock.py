@@ -425,7 +425,7 @@ def _laguerre_rows(g_abs, dim):
     a = np.arange(dim)
     lf = _log_factorials(dim - 1)
     log_g = math.log(g_abs)
-    log_first = _log_first_row(g_abs, dim)
+    log_first = a * log_g - 0.5 * lf - 0.5 * x
     bits = None
     if log_first.min() < -_FLOOR:
         log_top = a * log_g - lf + 0.5 * (lf[-1] - lf[::-1])
@@ -454,24 +454,6 @@ def _laguerre_rows(g_abs, dim):
         if bits is not None:
             np.ldexp(E[1:], -bits, out=E[1:])
     return rows[1:]
-
-
-def _log_first_row(g_abs, dim):
-    """log E[0, a] = a log|g| - log(a!) / 2 - |g|^2 / 2 for a = 0 .. dim - 1."""
-    return (np.arange(dim) * math.log(g_abs) - 0.5 * _log_factorials(dim - 1)
-            - 0.5 * (g_abs * g_abs))
-
-
-def _is_leading_block(g_abs, dim):
-    """Whether displacement_matrix(g_abs, dim) is, bit for bit, the leading
-    dim x dim block of displacement_matrix(g_abs, work) for every work > dim.
-
-    It is when _laguerre_rows lifts no column at dim: each column runs its
-    own recurrence, and a larger dim lifts no column a < dim whose first
-    entry is above e^-_FLOOR.  Where dim itself lifts, the lift of a column
-    depends on dim, and entries below ~1e-300 can differ.
-    """
-    return g_abs == 0.0 or _log_first_row(g_abs, dim).min() >= -_FLOOR
 
 
 def displacement_margin(gamma):

@@ -29,13 +29,12 @@ backend reads P directly; the Monte Carlo backend samples each phase's
 counts from one cascade response matrix per plan, applied to that phase's
 displaced diagonal.
 
-A plan builds D once.  reconstruct needs D at max(n_rows, M + 1), and that
-is bit for bit the leading block of the matrix measure_distributions built
-at its working cutoff (fock._is_leading_block says where the identity
-holds).  measure_distributions keeps its matrix and the reconstruct after
-it reads that block; a reconstruct of another |gamma| (a measured.csv) or
-one where the identity does not hold builds its own.  reconstruct releases
-the kept matrix, so at most one is alive.  Each K_s is built once, in the
+A plan fixes its working space, n_rows plus the displacement margin of
+|gamma| levels, when it is made, and builds its one D(|gamma|) on that
+space on first use; it keeps D for as long as the plan lives.
+measure_distributions reads all of D and reconstruct its leading
+n_rows x (M + 1) block, so a reconstruct after a measure and one on a fresh
+plan (a measured.csv) use the same bits.  Each K_s is built once, in the
 solve loop, which holds the lstsq of each s and the product of K_s with its
 solution; residual norms, condition numbers, flags and the lower-triangle
 store follow it, over all s at once.
@@ -87,7 +86,9 @@ class TomographyPlan:
     one grid on which the phase DFT separates the diagonals; it needs at
     least 2M + 1 points.  max_fock (M) is the highest signal Fock component
     assumed populated; n_rows photon-number rows enter each least-squares
-    system.
+    system.  The phases number at most 2 fock.CUTOFF_CEILING + 1, and the
+    working cutoff n_rows - 1 + displacement_margin(|gamma|) lies at or
+    below fock.CUTOFF_CEILING, or CutoffError says so.
     """
 
     gamma_abs: float
@@ -106,12 +107,25 @@ class TomographyPlan:
             raise ValueError(
                 f"{self.n_phases} phases cannot separate diagonals up to "
                 f"s = {self.max_fock}; need at least {2 * self.max_fock + 1}")
+        if self.n_phases > 2 * fock.CUTOFF_CEILING + 1:
+            raise ValueError(f"n_phases = {self.n_phases} > {2 * fock.CUTOFF_CEILING + 1}")
         if self.n_rows < self.max_fock + 1:
             raise ValueError(
                 f"n_rows = {self.n_rows} underdetermines the s = 0 system; "
                 f"need >= max_fock + 1 = {self.max_fock + 1}")
         if not (self.backend == "exact" or isinstance(self.backend, MonteCarloBackend)):
             raise ValueError('backend must be "exact" or a MonteCarloBackend')
+        # levels of the working space: the rows (n_rows >= M + 1) and the margin
+        work = self.n_rows + fock.displacement_margin(self.gamma_abs)
+        if work - 1 > fock.CUTOFF_CEILING:
+            raise fock.CutoffError(f"working cutoff {work - 1} of n_rows = {self.n_rows} and "
+                                   f"gamma_abs = {self.gamma_abs:g} > {fock.CUTOFF_CEILING}")
+        object.__setattr__(self, "_work", work)
+
+    @functools.cached_property
+    def _D(self):
+        """The real D(|gamma|) on the working space, built on first use."""
+        return fock.displacement_matrix(self.gamma_abs, self._work)
 
     @property
     def phases(self):
@@ -127,28 +141,6 @@ def uniform_phase_grid(n_phi):
 def default_gamma_abs(mean_photons):
     """Default displacement modulus sqrt(<n> + 1) of the nominal signal."""
     return math.sqrt(mean_photons + 1.0)
-
-
-# (|gamma|, D(|gamma|)) that measure_distributions built for its plan, kept
-# for the reconstruct that follows it: at most one matrix is alive
-_last_displacement = (None, None)
-
-
-def _displacement(gamma_abs, dim, keep):
-    """A real D(|gamma|) of dim x dim or larger whose leading dim x dim block
-    is fock.displacement_matrix(gamma_abs, dim) bit for bit: the kept matrix
-    when it is, a new one otherwise.  With `keep` it is kept for the next
-    call; without, none is."""
-    global _last_displacement
-    last_gamma, D = _last_displacement
-    _last_displacement = (None, None)
-    if not (last_gamma == gamma_abs and len(D) >= dim
-            and (len(D) == dim or fock._is_leading_block(gamma_abs, dim))):
-        D = None  # freed before the new one is built
-        D = fock.displacement_matrix(gamma_abs, dim)
-    if keep:
-        _last_displacement = (gamma_abs, D)
-    return D
 
 
 @functools.lru_cache(maxsize=4)
@@ -177,20 +169,21 @@ def _diagonal_kernel(D, s, n_rows, dim):
     return D[:n_rows, s:dim] * D[:n_rows, :dim - s]
 
 
-def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
-    """diag(D(g_j) nu D(g_j)^+) with g_j = gamma_abs e^{i phases[j]}, one row per phase.
+def _displaced_probabilities(nu, plan):
+    """diag(D(g_j) nu D(g_j)^+) with g_j = |gamma| e^{i phi_j}, one row per phase.
 
-    Rows run over the whole working cutoff dim + margin + max(0, n_rows - dim),
-    built from one displacement matrix.  Each row must be finite and leak at
-    most 1e-6 past the working cutoff, and passes the guards of
+    Rows run over the plan's whole working space, from its displacement
+    matrix; nu must have max_fock + 1 levels.  Each row must be finite and
+    leak at most 1e-6 past the working cutoff, and passes the guards of
     fock.photon_distribution: real, nonnegative (tiny negatives clamped) and
     summing to at most 1.
     """
     nu = fock._square_matrix(nu)
     dim = nu.shape[0]
-    # the working space must cover both the displacement margin and the rows
-    work = dim + fock.displacement_margin(gamma_abs) + max(0, n_rows - dim)
-    D = _displacement(gamma_abs, work, keep=True)
+    if dim != plan.max_fock + 1:
+        raise ValueError(f"state has {dim} levels, plan needs max_fock + 1 = "
+                         f"{plan.max_fock + 1}")
+    D, work, gamma_abs, phases = plan._D, plan._work, plan.gamma_abs, plan.phases
     rows, cols, bounds, _ = _diagonals(dim)
     # the lower diagonals, and the upper ones too, so that a non-Hermitian nu
     # shows as an imaginary residue instead of being symmetrised away: real
@@ -219,13 +212,14 @@ def _displaced_probabilities(nu, gamma_abs, phases, n_rows):
 
 
 def measure_distributions(nu, plan):
-    """Distribution matrix P[j, n] over the plan's phase grid (rows = phases).
+    """Distribution matrix P[j, n] over the plan's phase grid (rows = phases)
+    of a state nu of max_fock + 1 levels.
 
     The exact backend returns the displaced diagonals; a MonteCarloBackend
     instead estimates each from a cascade of n_rows filters, phase j seeded
     with derive_seeds(rng_seed, [j]), all phases sharing one response matrix.
     """
-    P = _displaced_probabilities(nu, plan.gamma_abs, plan.phases, plan.n_rows)
+    P = _displaced_probabilities(nu, plan)
     backend, rows = plan.backend, plan.n_rows
     if backend == "exact":
         return P[:, :rows].copy()
@@ -278,7 +272,7 @@ def reconstruct(plan, measured):
                          f"(phase {plan.phases[j]:.6g}, n = {n})")
     M = plan.max_fock
     rows = plan.n_rows
-    D = _displacement(plan.gamma_abs, max(rows, M + 1), keep=False)
+    D = plan._D
     _, _, bounds, order = _diagonals(M + 1)
     # every phase-Fourier component s = 0..M in one product, as real and
     # imaginary parts: every kernel K_s is real, so each s is a real

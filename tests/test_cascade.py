@@ -164,6 +164,8 @@ FIG3_FIELDS = dict(n_top=8, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE, samples=10, r
 
 @pytest.mark.parametrize("field, value, message", [
     ("n_top", -1, "at least one stage"),
+    ("n_top", fock.CUTOFF_CEILING + 1, "n_top = 4097 exceeds the ceiling 4096"),
+    ("n_top", 10 ** 9, "n_top = 1000000000 exceeds"),
     ("tau", 1.0, "tau must lie"),
     ("tau", float("nan"), "tau must lie"),
     ("chi_t", 0.0, "chi_t must be finite"),
@@ -179,6 +181,11 @@ FIG3_FIELDS = dict(n_top=8, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE, samples=10, r
 def test_config_validation(field, value, message):
     with pytest.raises(ValueError, match=message):
         CascadeConfig(**{**FIG3_FIELDS, field: value})
+
+
+def test_n_top_reaches_the_cutoff_ceiling():
+    cfg = CascadeConfig(**{**FIG3_FIELDS, "n_top": fock.CUTOFF_CEILING})
+    assert len(cfg.stages) == fock.CUTOFF_CEILING + 1
 
 
 @pytest.mark.parametrize("field", ["n_top", "samples", "rng_seed"])

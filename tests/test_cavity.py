@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from fockfilter import cavity
+from fockfilter import cavity, fock
 
 
 def sigma_direct(phi, tau):
@@ -71,6 +71,16 @@ def test_params_validation():
     # psi and chi_t finite, but n* = psi / chi_t overflows
     with pytest.raises(ValueError, match="n\\*"):
         cavity.CavityParams(tau=0.5, psi=1e308, chi_t=1e-10)
+
+
+@pytest.mark.parametrize("scan", [cavity.transmission_profile, cavity.resonant_components])
+def test_n_max_lies_in_0_to_the_cutoff_ceiling(scan):
+    # chi_t 8 has a period below one photon, where every n up to n_max resonates
+    params = cavity.CavityParams(tau=0.5, psi=0.0, chi_t=8.0)
+    assert len(scan(params, fock.CUTOFF_CEILING)) == fock.CUTOFF_CEILING + 1
+    for n_max in (-1, fock.CUTOFF_CEILING + 1, 10 ** 10):
+        with pytest.raises(ValueError, match="n_max must lie in"):
+            scan(params, n_max)
 
 
 def test_profile_peaks_at_target_and_matches_amplitudes():

@@ -14,6 +14,10 @@ import warnings
 import pytest
 
 from fockfilter import _arraytext, cli, fock, tables
+from fockfilter.cascade import CascadeConfig
+from fockfilter.cavity import CavityParams, transmission_profile
+from fockfilter.filtering import ProbeDetector
+from fockfilter.tomography import TomographyPlan
 
 
 def run(tmp_path, *argv):
@@ -170,8 +174,8 @@ def test_tomography_reads_external_measurements(tmp_path):
     cfg.write_text(json.dumps(manifest["config"]))
     code, second = run(tmp_path / "b", "tomography", "--config", str(cfg))
     assert code == 0
-    assert (first / "reconstruction.csv").read_bytes() \
-        == (second / "reconstruction.csv").read_bytes()
+    for name in ("reconstruction.csv", "residuals.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
 def test_duplicate_measured_rows_exit_2(tmp_path):
@@ -289,6 +293,23 @@ def test_state_above_the_cutoff_ceiling_exits_3(tmp_path, capsys):
     code, _ = run(tmp_path, "measure-pn", "--config", str(cfg))
     assert code == 3
     assert f"> {fock.CUTOFF_CEILING}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("gamma_abs", 1000), ("n_rows", 10 ** 8)])
+def test_plan_above_the_cutoff_ceiling_exits_3(tmp_path, capsys, field, value):
+    # asserted first, so that without the ceiling the run below, which would
+    # build a displacement matrix of millions of levels, never starts
+    with pytest.raises(fock.CutoffError):
+        TomographyPlan(**{**dict(gamma_abs=1.0, n_phases=10, max_fock=2, n_rows=6),
+                          field: value})
+    capsys.readouterr()
+    code, out = run(tmp_path, "tomography", "--config",
+                    write_config(tmp_path, {**VALID["tomography"], field: value}))
+    assert code == 3
+    err = capsys.readouterr().err
+    assert field in err and f"> {fock.CUTOFF_CEILING}" in err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 def test_main_builds_its_parser_once_per_process(tmp_path, monkeypatch):
@@ -507,11 +528,29 @@ REJECTIONS = [
     ("measure-pn", "seed", -1, "seed"),
 ]
 
+# sizes past the ceilings, each of which would allocate gigabytes: the value
+# run, and the library refusal of one past the ceiling, asserted before the
+# run so that without the ceiling the test fails before the CLI allocates
+CEILINGS = {
+    ("measure-pn", "n_top"): (10 ** 9, lambda: CascadeConfig(
+        n_top=fock.CUTOFF_CEILING + 1, tau=1e-3, chi_t=0.1,
+        probe=ProbeDetector(alpha=20.0, eta=0.4), samples=1, rng_seed=0)),
+    ("profile", "n_max"): (10 ** 10, lambda: transmission_profile(
+        CavityParams(tau=0.01, psi=0.1, chi_t=0.1), fock.CUTOFF_CEILING + 1)),
+    ("tomography", "n_phases"): (10 ** 9, lambda: TomographyPlan(
+        gamma_abs=1.0, n_phases=2 * fock.CUTOFF_CEILING + 2, max_fock=2, n_rows=6)),
+}
+REJECTIONS += [(e, f, value, f) for (e, f), (value, _) in CEILINGS.items()]
+
 
 @pytest.mark.parametrize("experiment,field,value,named", REJECTIONS, ids=[
     f"{e}-{f}-{'absent' if v is DROP else json.dumps(v)[:12]}" for e, f, v, _ in REJECTIONS])
 def test_bad_field_exits_2_naming_it_without_files(tmp_path, capsys, experiment, field,
                                                     value, named):
+    past, refuse = CEILINGS.get((experiment, field), (None, None))
+    if refuse is not None and value == past:
+        with pytest.raises(ValueError, match=field):
+            refuse()
     cfg = write_config(tmp_path, edited(VALID[experiment], field, value))
     capsys.readouterr()
     code, out = run(tmp_path, experiment, "--config", cfg)

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 from scipy.stats import poisson
 
-from fockfilter import fock, tomography
+from fockfilter import fock
 from fockfilter.cascade import CascadeConfig, derive_seeds, estimate_photon_distribution
 from fockfilter.filtering import ProbeDetector
 from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
@@ -141,48 +141,31 @@ def result_bytes(result):
 
 
 @pytest.mark.parametrize("max_fock, gamma_abs, n_rows", [
-    (0, 1.0, 1), (3, 1.3, 8), (5, 1e-7, 12), (8, 2.1, 30), (20, 3.0, 42)])
+    (0, 1.0, 1), (3, 1.3, 8), (5, 1e-7, 12), (8, 2.1, 30), (20, 3.0, 42),
+    # the working cutoff lifts columns of D: at |gamma| = 0.01 the first-row
+    # entries of the 511-level matrix fall far below e^-690
+    (3, 0.01, 500)])
 def test_reconstruct_is_the_same_with_a_shared_or_a_new_displacement(
         monkeypatch, random_state, max_fock, gamma_abs, n_rows):
-    monkeypatch.setattr(tomography, "_last_displacement", (None, None))
     built = []
     build = fock.displacement_matrix
     monkeypatch.setattr(fock, "displacement_matrix",
                         lambda gamma, dim: built.append(dim) or build(gamma, dim))
     plan = plan_for(max_fock, gamma_abs=gamma_abs, n_rows=n_rows)
     P = measure_distributions(random_state(max_fock + 1, seed=max_fock), plan)
-    warm = reconstruct(plan, P)  # reads the block measure_distributions built
-    assert len(built) == 1
-    cold = reconstruct(plan, P)  # builds its own
-    assert built[1:] == [max(n_rows, max_fock + 1)]
+    warm = reconstruct(plan, P)  # reads the block of the matrix measure_distributions built
+    assert built == [n_rows + fock.displacement_margin(gamma_abs)]
+    fresh = reconstruct(plan_for(max_fock, gamma_abs=gamma_abs, n_rows=n_rows), P)
     measure_distributions(random_state(2, seed=1), plan_for(1, gamma_abs=gamma_abs + 0.5))
     after_other = reconstruct(plan, P)
-    assert len(built) == 4
-    assert result_bytes(warm) == result_bytes(cold) == result_bytes(after_other)
+    assert len(built) == 3
+    assert result_bytes(warm) == result_bytes(fresh) == result_bytes(after_other)
 
 
-@settings(max_examples=60, deadline=None)
-@given(gamma_abs=st.one_of(st.floats(0.01, 10.0), st.floats(10.0, 45.0)),
-       dim=st.integers(1, 320), extra=st.integers(1, 200))
-def test_displacement_leading_block_identity(gamma_abs, dim, extra):
-    # the identity the shared displacement matrix relies on: where it is
-    # claimed, D at a larger dimension starts with D at dim, bit for bit
-    if fock._is_leading_block(gamma_abs, dim):
-        big = fock.displacement_matrix(gamma_abs, dim + extra)
-        assert np.array_equal(big[:dim, :dim], fock.displacement_matrix(gamma_abs, dim))
-
-
-def test_leading_block_identity_holds_for_plans_and_not_where_columns_are_lifted():
-    # every plan of the CLI's default shape up to max_fock 60 at 0.1 <= |gamma|
-    # <= 12 shares its matrix: the smallest first-row log is at an end of
-    # that range
-    for max_fock in range(61):
-        for gamma_abs in (0.1, 1.0, default_gamma_abs(max_fock), 12.0):
-            assert fock._is_leading_block(gamma_abs, 2 * max_fock + 2)
-    # |gamma| = 0.01 at dim 500 lifts columns, and entries near 1e-300 differ
-    assert not fock._is_leading_block(0.01, 500)
-    big = fock.displacement_matrix(0.01, 511)
-    assert not np.array_equal(big[:500, :500], fock.displacement_matrix(0.01, 500))
+@pytest.mark.parametrize("levels", [1, 3, 5])
+def test_forward_model_needs_a_state_of_max_fock_plus_one_levels(random_state, levels):
+    with pytest.raises(ValueError, match=r"plan needs max_fock \+ 1 = 4"):
+        measure_distributions(random_state(levels, seed=0), plan_for(3))
 
 
 def test_forward_model_rejects_non_finite_state():
@@ -411,6 +394,22 @@ def test_plan_validation():
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=2)
     with pytest.raises(ValueError):
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=8, backend="fast")
+
+
+def test_plan_sizes_stop_at_the_cutoff_ceiling():
+    top = fock.CUTOFF_CEILING
+    fields = dict(gamma_abs=1.0, n_phases=7, max_fock=3, n_rows=8)
+    TomographyPlan(**{**fields, "n_phases": 2 * top + 1})
+    with pytest.raises(ValueError, match="n_phases = 8194 > 8193"):
+        TomographyPlan(**{**fields, "n_phases": 2 * top + 2})
+    # the working cutoff is n_rows - 1 + the displacement margin
+    margin = fock.displacement_margin(1.0)
+    TomographyPlan(**{**fields, "n_rows": top + 1 - margin})
+    TomographyPlan(**{**fields, "gamma_abs": 45.0})
+    for change in ({"n_rows": top + 2 - margin}, {"n_rows": 10 ** 8},
+                   {"gamma_abs": 45.2}, {"gamma_abs": 1000.0}):
+        with pytest.raises(fock.CutoffError, match=f"> {top}"):
+            TomographyPlan(**{**fields, **change})
 
 
 @pytest.mark.parametrize("field, value", [
