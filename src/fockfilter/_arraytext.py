@@ -17,27 +17,29 @@ significant, is character k: 4 ASCII digits come from one lookup of a
 "0.000" prefix, 17 digits with the dot moved in by a one-byte shift) plus a
 fourth for the exponent when a cell of the table may need one.  Each cell is
 a fixed-width slot padded with NUL.  Digits are formed for magnitudes, once
-per distinct one: a density matrix whose |re| and |im| are symmetric forms
-them for its lower triangle only, a float column of runs of one magnitude
-(the phase of a phi,n,p table, repeated over its n) once per run, an int
-column whose values span fewer numbers than it has rows (an index column)
-for that span only, and each cell is gathered from those slots and takes its
-own sign.  Equal floats can differ in sign (0.0 and -0.0) and NaN equals
-nothing, so a run is of equal magnitudes and a NaN is a run of its own.
-The digits formed once are formed in the first digit call, and a column of
-runs does not count toward the rows whose digits one call forms: the cost is
-per numpy call, not per cell.  The text is assembled in blocks of
-BLOCK_CELLS // (float columns) rows whatever the runs, which bounds its
-memory; a call forms the digits of a whole number of blocks.  The slots of a
-block of rows are written into one row buffer per table, whose head,
-separators and tail are filled once, and its bytes lose their NULs in one
-`bytes.translate` and go to the sink as they are formed: a table in
-writing holds one block of text, its digit slots and, for a mirrored
-density matrix, the slots of its triangle.
+per distinct one: a density matrix whose |re| and |im| are symmetric shares
+the digits of its lower triangle, a float column of runs of one magnitude
+(the phase of a phi,n,p table, repeated over its n) those of one cell per
+run, an int column whose values span fewer numbers than it has rows (an
+index column) is printed from the slots of that span, and each cell is
+gathered from those slots and takes its own sign.  Equal floats can differ
+in sign (0.0 and -0.0) and NaN equals nothing, so a run is of equal
+magnitudes and a NaN is a run of its own.
+
+The text is assembled in blocks of BLOCK_CELLS cells of the float columns
+that form their own digits, or of BLOCK_CELLS rows when every float column
+shares its digits; the cost is per numpy call, not per cell, so each block
+forms its digits in one call, and the first block's call also forms the
+shared digits, which later blocks gather from its slots.  The slots of a
+block are written into one row buffer per table, whose head, separators
+and tail are filled once, and its bytes lose their NULs in one
+`bytes.translate` and go to the sink as they are formed: a table in writing
+holds one block of text, its digit slots and those of the first block's
+call.
 
 Cost on a 2-vCPU VM: forming the digits of 2048 magnitudes takes ~0.3-0.5
-ms, and assembling a block of 1024 rows of a density matrix from its slots
-~0.15 ms, most of it the `bytes.translate`; a 121×121 density matrix prints
+ms, and assembling 1024 rows of a density matrix from its slots ~0.15 ms,
+most of it the `bytes.translate`; a 121×121 density matrix prints
 in about half the time it took when every cell formed its own digits.  A
 phi,n,p table of 1932 rows (max_fock 20) forms its digits in one call and
 prints in ~0.7 of the time it took when it formed those of every phase cell,
@@ -51,9 +53,9 @@ import numpy as np
 
 from .tables import FLOAT
 
-# Float magnitudes whose digits are formed at once (~240 bytes of
-# temporaries each), which bounds the memory a block holds to ~0.5 MB; a
-# mirrored density matrix also holds the 32-byte slots of its triangle.
+# Float cells of a block, and float magnitudes whose digits are formed at
+# once (~240 bytes of temporaries each, ~0.5 MB in all); the first block's
+# call also holds the 24- or 32-byte slots of the shared digits.
 BLOCK_CELLS = 2048
 # A float column whose runs of one magnitude are this many rows long on
 # average forms its digits once per run.
@@ -290,18 +292,17 @@ def _runs(a):
 
 
 def _source(column, mirror):
-    """(lanes, run, values, index) of a float column: `_lanes` of its
-    magnitudes, whether it is a column of runs, and the cells `values` whose
-    digits it forms once, row i taking those of values[index[i]]: one cell
-    per run, or the mirror's cells.  values and index are None for a column
-    that forms its digits group by group."""
+    """(lanes, values, index) of a float column: `_lanes` of its magnitudes,
+    and the cells `values` whose digits it shares, row i taking those of
+    values[index[i]]: one cell per run, or the mirror's cells.  values and
+    index are None for a column that forms its digits block by block."""
     a = np.abs(column)
     lanes, run = _lanes(a), _runs(a)
     if run is not None:
-        return lanes, True, column[run[1]], run[0]
+        return lanes, column[run[1]], run[0]
     if mirror is not None:
-        return lanes, False, column[mirror[0]], mirror[1]
-    return lanes, False, None, None
+        return lanes, column[mirror[0]], mirror[1]
+    return lanes, None, None
 
 
 def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=None):
@@ -313,27 +314,24 @@ def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=Non
     Digits are formed once per distinct magnitude and gathered.  `mirror` is
     None or (cells, slot): the float cells of rows `cells` hold every
     magnitude of the float columns, and row i's are those of row
-    cells[slot[i]], so their digits are formed once, for those rows.  A float
-    column of runs of one magnitude (a phase repeated over rows) forms its
-    digits once per run.  Digits formed once are formed in the first digit
-    call; every other float column forms those of a group of blocks in one
-    call per group.  Each cell takes its sign from its own value, and a cell
-    the array path leaves to %.17g is printed from its own value.  An int
-    column whose values span fewer numbers than it has rows is printed from
-    the slots of that span.
+    cells[slot[i]], so their digits are shared, formed for those rows only.
+    A float column of runs of one magnitude (a phase repeated over rows)
+    shares the digits of one cell per run.  A block holds BLOCK_CELLS cells
+    of the float columns that form their digits block by block, or
+    BLOCK_CELLS rows when every float column shares its digits, and forms
+    its digits in one call; the first block's call also forms the shared
+    digits, which later blocks gather from its slots.  A mirrored density
+    matrix's block is 2048 rows of text, ~150 KB.  Each cell takes its sign
+    from its own value, and a cell the array path leaves to %.17g is printed
+    from its own value.  An int column whose values span fewer numbers than
+    it has rows is printed from the slots of that span.
     """
     n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
     sources = [_source(c, mirror) for c in floats]
     lanes = max([3] + [source[0] for source in sources])
-    runs = sum(source[1] for source in sources)
-    sources = [source[2:] for source in sources]  # (values, index) of each
-    # rows whose text is assembled at once, and rows whose digits are formed
-    # in one call, a whole number of blocks: a run column takes no part in
-    # the digit work
-    step = max(1, min(n, BLOCK_CELLS // max(1, len(floats))))
-    group = step * (max(1, len(floats)) // max(1, len(floats) - runs))
-    identity = np.arange(step)
+    spread = [c for c, (_, values, _) in zip(floats, sources) if values is None]
+    step = max(1, min(n, BLOCK_CELLS // max(1, len(spread))))
 
     # one row buffer per table, whose head, separators and tail are filled once
     text = [np.frombuffer(p.encode(), np.uint8) for p in (head, sep, tail)]
@@ -357,41 +355,34 @@ def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=Non
     for k, piece in enumerate(text[:1] + [text[1]] * (len(columns) - 1) + text[2:]):
         matrix[:, at[2 * k]:at[2 * k + 1]] = piece
 
-    table = slow = once = None  # once: the slots and slow marks formed once
+    # the shared digits join the first block's call, each column's at its
+    # offset after the block's own
+    shared, offsets, end = [], [], step * len(spread)
+    for _, values, _ in sources:
+        offsets.append(end)
+        if values is not None:
+            shared.append(values)
+            end += len(values)
+
     for start in range(0, n, step):
         block = slice(start, start + step)
         rows = matrix[:min(step, n - start)]
-        if start % group == 0:  # the digits of rows start .. start + group - 1
-            first, formed = start, min(group, n - start)
-            parts = [c[start:start + group] for c, (values, _) in zip(floats, sources)
-                     if values is None]
-            base = formed * len(parts)
-            if once is None:
-                # the digits formed once join the first call, each column's
-                # at its offset after `base`
-                offsets, end = [], 0
-                for values, _ in sources:
-                    offsets.append(end)
-                    if values is not None:
-                        parts.append(values)
-                        end += len(values)
-            if parts:
-                table, slow = _magnitude_slots(parts, lanes)
-            if once is None:  # kept apart from the first group's own slots
-                once = tuple(x[base:].copy() if base and x is not None else x
-                             for x in (table, slow))
+        parts = [c[block] for c in spread] + (shared if start == 0 else [])
+        table, slow = _magnitude_slots(parts, lanes) if parts else (None, None)
+        if start == 0:
+            kept = table, slow  # later blocks gather the shared digits from these
         f = b = 0
         for k, (column, span) in enumerate(zip(columns, spans)):
             part = rows[:, at[2 * k + 1]:at[2 * k + 2]]
             x = column[block]
             if span is None:  # a float column: its slots, the sign of each cell
-                values, index = sources[f]
+                _, values, index = sources[f]
                 if values is None:
                     slots, marks = table, slow
-                    index = identity[:len(rows)] + (start - first + b * formed)
+                    index = np.arange(b * len(rows), (b + 1) * len(rows))
                     b += 1
                 else:
-                    slots, marks = once
+                    slots, marks = kept
                     index = index[block] + offsets[f]
                 f += 1
                 part[...] = slots.take(index, axis=0)

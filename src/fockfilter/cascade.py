@@ -233,7 +233,8 @@ def estimate_photon_distribution(spec, cfg):
     tuned to n = k, so the first click samples p_n directly.  The click
     probabilities q_k come from response_matrix; trial i draws
     u(cfg.rng_seed, i, k), so the counts depend on nothing else.  theory
-    has n_top + 1 entries, zero past a matrix's dimension.
+    has n_top + 1 entries, zero past a matrix's dimension.  A matrix whose
+    diagonal is not finite raises NumericalError, as the drift guard would.
     """
     K = cfg.n_top + 1
     if isinstance(spec, fock.StateSpec):
@@ -241,6 +242,8 @@ def estimate_photon_distribution(spec, cfg):
         theory = fock.analytic_distribution(spec, K - 1)
     else:
         rho = fock._square_matrix(spec)
+        if not np.isfinite(rho.diagonal()).all():
+            raise fock.NumericalError("cascade input: the state's diagonal is not finite")
         theory = fock.photon_distribution(rho).values[:K]
         theory = np.pad(theory, (0, K - len(theory)))
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import CUTOFF_CEILING
+from .fock import _check_n_max
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,6 @@ def total_phase(n, params):
 def mode_amplitudes(params, n_max):
     """(kappa_n, sigma_n) arrays for photon numbers 0..n_max."""
     return cavity_amplitudes(total_phase(np.arange(n_max + 1), params), params.tau)
-
-
-def _check_n_max(n_max):
-    if not 0 <= n_max <= CUTOFF_CEILING:
-        raise ValueError(f"n_max must lie in 0..{CUTOFF_CEILING}, got {n_max}")
 
 
 def transmission_profile(params, n_max):

@@ -529,8 +529,8 @@ def emit_results(result, cfg):
     else:
         doc = {"experiment": result["experiment"], "summary": result["summary"],
                "tables": result["tables"]}
-        texts["results.json"] = tables.json_text(doc) + "\n"
-    texts["manifest.json"] = tables.json_text(manifest_dict(cfg)) + "\n"
+        texts["results.json"] = tables.json_text(doc)
+    texts["manifest.json"] = tables.json_text(manifest_dict(cfg))
     files = tables.open_in_place([os.path.join(out, name) for name in texts])
     try:
         written = [tables.write_text(fh, text) for fh, text in zip(files, texts.values())]

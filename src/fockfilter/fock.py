@@ -27,21 +27,20 @@ _CUTOFF_PREFIXES = (63, 255, 1023, CUTOFF_CEILING)
 STATE_KINDS = ("number", "coherent", "thermal", "squeezed_vacuum")
 
 
-def _lgammas(size):
-    """log(k!) for k = 0 .. size - 1, one math.lgamma call each."""
-    return np.fromiter(map(math.lgamma, range(1, size + 1)), float, size)
-
-
-# covers every cutoff choose_cutoff can return
-_LOG_FACTORIALS = _lgammas(CUTOFF_CEILING + 1)
+# log(k!) for k = 0 .. CUTOFF_CEILING, which bounds every size here
+_LOG_FACTORIALS = np.fromiter(map(math.lgamma, range(1, CUTOFF_CEILING + 2)), float,
+                              CUTOFF_CEILING + 1)
 _LOG_FACTORIALS.setflags(write=False)
 
 
 def _log_factorials(n_max):
-    """log(k!) for k = 0 .. n_max."""
-    if n_max < _LOG_FACTORIALS.size:
-        return _LOG_FACTORIALS[:n_max + 1]
-    return _lgammas(n_max + 1)
+    """log(k!) for k = 0 .. n_max, n_max <= CUTOFF_CEILING."""
+    return _LOG_FACTORIALS[:n_max + 1]
+
+
+def _check_n_max(n_max):
+    if not 0 <= n_max <= CUTOFF_CEILING:
+        raise ValueError(f"n_max must lie in 0..{CUTOFF_CEILING}, got {n_max}")
 
 
 class NumericalError(RuntimeError):
@@ -124,7 +123,9 @@ def analytic_distribution(spec, n_max):
 
     number: delta at n.  coherent: Poisson(|amp|^2).  thermal: geometric.
     squeezed vacuum: even-n two-photon expansion, exactly zero on odd n.
+    ValueError unless n_max lies in 0..CUTOFF_CEILING.
     """
+    _check_n_max(n_max)
     n = np.arange(n_max + 1)
     if spec.kind == "number":
         p = np.zeros(n_max + 1)
@@ -317,9 +318,9 @@ def _integer_fields(obj, *names):
 def photon_distribution(rho):
     """Diagonal of a density matrix as a PhotonDistribution.
 
-    Validates that rho is square and its diagonal real (imag residue <=
-    1e-12), and clamps negative entries above -1e-12 to 0; anything worse
-    raises ValueError.
+    Validates that rho is square and its diagonal finite and real (imag
+    residue <= 1e-12), and clamps negative entries above -1e-12 to 0;
+    anything worse raises ValueError.
     """
     return PhotonDistribution(values=_checked_probabilities(np.diagonal(_square_matrix(rho))))
 
@@ -328,28 +329,31 @@ def _checked_probabilities(diag):
     """Real, clamped, read-only probabilities from density-matrix diagonals.
 
     `diag` is one diagonal or a stack of them, one per row.  Each must be
-    real to 1e-12, have no entry below -1e-12 (entries above it are clamped
-    to 0) and sum to at most 1 + 1e-10; otherwise ValueError says so, naming
-    the worst row of a stack.
+    finite, real to 1e-12, have no entry below -1e-12 (entries above it are
+    clamped to 0) and sum to at most 1 + 1e-10; otherwise ValueError says
+    so, naming the worst row of a stack.
     """
     diag = np.asarray(diag)
-    p = diag.real.copy()
 
     def row(per_row):
         return f" in row {int(np.argmax(per_row))}" if diag.ndim == 2 else ""
 
+    finite = np.isfinite(diag).all(axis=-1)
+    if not np.all(finite):
+        raise ValueError(f"density-matrix diagonal{row(~finite)} has a non-finite entry")
+    p = diag.real.copy()
     if diag.size:
         imag = np.abs(diag.imag).max(axis=-1)
-        if np.max(imag) > 1e-12:
+        if not np.max(imag) <= 1e-12:
             raise ValueError(f"density-matrix diagonal{row(imag)} has imaginary "
                              "residue > 1e-12")
         low = p.min(axis=-1)
-        if np.min(low) < -1e-12:
+        if not np.min(low) >= -1e-12:
             raise ValueError(f"diagonal entry {np.min(low):.3e}{row(-low)} below -1e-12; "
                              "not a state")
     p[p < 0.0] = 0.0
     total = p.sum(axis=-1)
-    if np.max(total) > 1.0 + 1e-10:
+    if not np.max(total) <= 1.0 + 1e-10:
         raise ValueError(f"probabilities{row(total)} sum to {np.max(total):.12f} "
                          "> 1 + 1e-10")
     p.setflags(write=False)
@@ -364,13 +368,14 @@ def displacement_matrix(gamma, dim):
       n >= k:  <n|D|k> = e^{i (n-k) theta} E[k, n-k]
       n <  k:  <n|D|k> = e^{i (n-k) theta} (-1)^{k-n} E[n, k-n].
     E comes from a three-term recurrence in m (see _laguerre_rows), O(dim^2)
-    in all, and a real gamma >= 0 gives a real matrix.  Raises
-    NumericalError when an element is not finite: past |g| ~ 52 a column
-    spans more than the float range.
+    in all, and a real gamma >= 0 gives a real matrix.  Raises ValueError
+    unless dim lies in 1..CUTOFF_CEILING + 1, and NumericalError when an
+    element is not finite: past |g| ~ 52 a column spans more than the float
+    range.
     """
     dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not 1 <= dim <= CUTOFF_CEILING + 1:
+        raise ValueError(f"dim must lie in 1..{CUTOFF_CEILING + 1}, got {dim}")
     gamma = complex(gamma)
     g_abs = abs(gamma)
     if g_abs == 0.0:
@@ -512,17 +517,19 @@ PSD_TOL = -1e-9
 
 
 def validate_density_matrix(rho):
-    """Raise ValueError unless rho is Hermitian, unit-trace and PSD.
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD.
 
     Eigenvalues in (PSD_TOL, 0) are tolerated as-is, never clamped.
     """
     rho = _square_matrix(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite cell")
     herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-    if herm > HERMITIAN_TOL:
+    if not herm <= HERMITIAN_TOL:
         raise ValueError(f"not Hermitian: max |nu - nu^+| = {herm:.3e} > {HERMITIAN_TOL:g}")
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
     lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lo < PSD_TOL:
+    if not lo >= PSD_TOL:
         raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < {PSD_TOL:g}")

@@ -7,9 +7,10 @@ stdlib encoder cannot be told how to print floats.
 
 `table_text` and `json_text` return a `Text`, which forms its bytes as it is
 written: each block goes to the file (or to any sink) as soon as it is
-formed, so writing holds one block of text, plus for a mirrored density
-matrix the digit slots of its triangle, and never a whole file.  str() of a
-`Text` runs the same writer into a buffer.
+formed, so writing holds one block of text, plus the digit slots its blocks
+share (for a mirrored density matrix, those of its triangle), and never a
+whole file.  `write_text` writes a `Text` into a file from `open_in_place`,
+and str() of a `Text` runs the same writer into a buffer.
 
 Every table is a `Columns`, its rows held as int64 and float64 numpy
 columns: an int cell prints with %d and a float cell with %.17g, exactly as
@@ -32,6 +33,9 @@ columns, a block of rows at a time, because one %.17g costs ~1 µs
   `density_matrix_rows` marks (|re| and |im| symmetric bit for bit), once
   per mirror pair; for a float column of runs of one magnitude (a phase
   repeated over rows), once per run; for an index column, once per value.
+- A block holds 2048 float cells of the columns that form their own digits,
+  or 2048 rows when every float column shares its digits, and forms its
+  digits in one call; the first block's call also forms the shared ones.
 
 The output bytes are those of the row template; the tests compare the array
 path with %.17g and %d cell by cell.  JSON gathers the small pieces around
@@ -110,9 +114,8 @@ class Text:
     `write(sink)` forms the text and hands its UTF-8 bytes to `sink` (a
     binary file's write, say) one block at a time, in order; a formatting
     error is raised from there.  len() is the number of bytes the last write
-    handed over (a text never written is formed once to count them), str()
-    forms the text into one string, and `text + s` is a Text that writes the
-    str s after it.
+    handed over (a text never written is formed once to count them), and
+    str() forms the text into one string.
     """
 
     __slots__ = ("_form", "_size")
@@ -141,17 +144,6 @@ class Text:
         blocks = []
         self.write(blocks.append)
         return b"".join(blocks).decode("utf-8")
-
-    def __add__(self, other):
-        if not isinstance(other, str):
-            return NotImplemented
-        after = other.encode("utf-8")
-
-        def form(sink):
-            self._form(sink)
-            sink(after)
-
-        return Text(form)
 
 
 def table_text(header, rows):
@@ -227,8 +219,8 @@ def _lower_mirror(dim):
 
 
 def json_text(obj):
-    """Deterministic JSON, as a `Text`: dict insertion order kept, floats via
-    %.17g.
+    """Deterministic JSON, as a `Text` that ends in a newline: dict insertion
+    order kept, floats via %.17g.
 
     A list of numbers is written on one line, a `Columns` one row per line
     by the row writer, and any other list one item per line.  A non-finite
@@ -239,10 +231,11 @@ def json_text(obj):
 
 
 def _write_json(obj, sink):
-    """Hand `obj` as JSON to sink: its pieces are gathered and handed over as
-    one block before each table and at the end."""
+    """Hand `obj` as JSON and a newline to sink: its pieces are gathered and
+    handed over as one block before each table and at the end."""
     pieces = []
     _json(obj, "", pieces, sink)
+    pieces.append("\n")
     sink("".join(pieces).encode("utf-8"))
 
 
@@ -310,37 +303,30 @@ def _json_str(s):
     return encode_basestring(s)
 
 
-def write_text(path, text):
-    """Write `text`, a str or a `Text`, as UTF-8 to `path`, in place; returns
-    path.
+def write_text(fh, text):
+    """Write the `Text` `text` as UTF-8 to `fh`, a binary file from
+    `open_in_place`, from its start, and close it; returns fh's name.
 
-    `path` is a path, or a binary file from `open_in_place`, which is written
-    from its start and closed.  A `Text` is formed as it is written, each
-    block going to the file as soon as it is formed, so no whole-file string
-    is ever built.  The file is overwritten from its start and cut to the
-    new length, never truncated to zero first: on ext4 an O_TRUNC open frees
-    the old blocks and flushes the file again on close, which made the
-    tables layer of a rerun that rewrites three small files cost 0.99 ms
-    instead of 0.30 ms (2-vCPU VM, ext4 mounted with discard).  The write is
-    not atomic.  When formatting or writing raises part way, the file is cut
-    at the bytes that reached it, closed, and the error re-raised, so it
-    holds a prefix of the new text and none of the old tail; a file that was
-    handed no byte is left as it was.
+    The text is formed as it is written, each block going to the file as
+    soon as it is formed, so no whole-file string is ever built.  The file
+    is overwritten from its start and cut to the new length, never truncated
+    to zero first: on ext4 an O_TRUNC open frees the old blocks and flushes
+    the file again on close, which made the tables layer of a rerun that
+    rewrites three small files cost 0.99 ms instead of 0.30 ms (2-vCPU VM,
+    ext4 mounted with discard).  The write is not atomic.  When formatting
+    or writing raises part way, the file is cut at the bytes that reached
+    it, closed, and the error re-raised, so it holds a prefix of the new
+    text and none of the old tail; a file that was handed no byte is left as
+    it was.
     """
-    if isinstance(path, (str, bytes, os.PathLike)):
-        write_text(open_in_place([path])[0], text)
-        return path
-    with path:
+    with fh:
         try:
-            if isinstance(text, Text):
-                text.write(path.write)
-            else:
-                path.write(text.encode("utf-8"))
+            text.write(fh.write)
         except BaseException:
-            _cut(path)
+            _cut(fh)
             raise
-        path.truncate()
-    return path.name
+        fh.truncate()
+    return fh.name
 
 
 def _cut(fh):

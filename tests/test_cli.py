@@ -936,7 +936,8 @@ def test_writing_a_large_state_table_holds_no_whole_file(ladder, tmp_path):
     path = str(tmp_path / "state_0.csv")
 
     def write():
-        tables.write_text(path, tables.table_text(table["header"], table["rows"]))
+        [fh] = tables.open_in_place([path])
+        tables.write_text(fh, tables.table_text(table["header"], table["rows"]))
 
     write()
     size = os.path.getsize(path)

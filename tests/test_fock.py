@@ -110,9 +110,26 @@ def test_spec_validation():
 
 
 def test_log_factorials_match_gammaln():
-    # 5000 reaches past the precomputed table
-    n = np.arange(5001)
-    assert_allclose(fock._log_factorials(5000), gammaln(n + 1), rtol=2e-15, atol=0)
+    # the whole precomputed table, which every size here stays within
+    n = np.arange(fock.CUTOFF_CEILING + 1)
+    assert_allclose(fock._log_factorials(fock.CUTOFF_CEILING), gammaln(n + 1), rtol=2e-15,
+                    atol=0)
+
+
+def test_a_displacement_past_the_cutoff_ceiling_is_refused():
+    top = fock.CUTOFF_CEILING
+    # without the ceiling, dim top + 2 builds ~0.5 GB before the test fails
+    for dim in (top + 2, 0):
+        with pytest.raises(ValueError, match=f"dim must lie in 1..{top + 1}, got {dim}"):
+            fock.displacement_matrix(0.5, dim)
+
+
+def test_an_analytic_distribution_past_the_cutoff_ceiling_is_refused():
+    top, spec = fock.CUTOFF_CEILING, fock.StateSpec.coherent(1.0)
+    for n_max in (top + 1, -1):
+        with pytest.raises(ValueError, match=f"n_max must lie in 0..{top}, got {n_max}"):
+            fock.analytic_distribution(spec, n_max)
+    assert len(fock.analytic_distribution(spec, top)) == top + 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,11 +448,31 @@ def test_photon_distribution_clamps_tiny_negatives():
     assert p[1] == 0.0
 
 
-def test_photon_distribution_rejects_bad_diagonal():
+NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "nan_imag": 1j * np.nan,
+              "inf_imag": 1j * np.inf}
+
+
+def with_cell(rho, cell, value):
+    rho = np.array(rho, dtype=complex)
+    rho[cell] = value
+    return rho
+
+
+@pytest.mark.parametrize("rho", [
+    np.diag([1.0, -1e-9]).astype(complex),
+    np.diag([1.0, 1e-6j]),
+    *(with_cell(np.diag([0.0, 1.0, 0.0]), (0, 0), v) for v in NON_FINITE.values()),
+    np.full((3, 3), np.nan, dtype=complex),
+], ids=["negative", "imaginary", *(f"{k}_diagonal" for k in NON_FINITE), "all_nan"])
+def test_photon_distribution_rejects_bad_diagonal(rho):
     with pytest.raises(ValueError):
-        fock.photon_distribution(np.diag([1.0, -1e-9]).astype(complex))
-    with pytest.raises(ValueError):
-        fock.photon_distribution(np.diag([1.0, 1e-6j]))
+        fock.photon_distribution(rho)
+
+
+def test_a_non_finite_stack_row_is_named():
+    stack = np.array([[0.5, 0.5], [0.5, np.nan], [0.25, 0.25]])
+    with pytest.raises(ValueError, match="diagonal in row 1 has a non-finite entry"):
+        fock._checked_probabilities(stack)
 
 
 @pytest.mark.parametrize("spec", [
@@ -449,16 +486,20 @@ def test_states_satisfy_density_matrix_invariants(spec):
     fock.validate_density_matrix(rho)  # hermitian, unit trace, PSD
 
 
-def test_validate_density_matrix_rejects_violations():
-    with pytest.raises(ValueError, match="square"):
-        fock.validate_density_matrix(np.eye(2, 3))
-    with pytest.raises(ValueError):
-        fock.validate_density_matrix(np.array([[1.0, 1e-6], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(ValueError):
-        fock.validate_density_matrix(np.diag([0.7, 0.7]).astype(complex))
-    bad = np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex)
-    with pytest.raises(ValueError):
-        fock.validate_density_matrix(bad)
+@pytest.mark.parametrize("rho,match", [
+    (np.eye(2, 3), "square"),
+    (np.array([[1.0, 1e-6], [0.0, 0.0]], dtype=complex), "Hermitian"),
+    (np.diag([0.7, 0.7]).astype(complex), "trace"),
+    (np.array([[0.5, 0.6], [0.6, 0.5]], dtype=complex), "PSD"),
+    *((with_cell(np.diag([0.0, 1.0, 0.0]), cell, v), "non-finite")
+      for cell in ((0, 0), (0, 2)) for v in NON_FINITE.values()),
+    (np.full((3, 3), np.nan, dtype=complex), "non-finite"),
+], ids=["non_square", "non_hermitian", "trace", "not_psd",
+        *(f"{k}_{where}" for where in ("diagonal", "off_diagonal") for k in NON_FINITE),
+        "all_nan"])
+def test_validate_density_matrix_rejects_violations(rho, match):
+    with pytest.raises(ValueError, match=match):
+        fock.validate_density_matrix(rho)
 
 
 @pytest.mark.parametrize("metric", [

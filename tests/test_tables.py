@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockfilter import _arraytext, tables
+from fockfilter import _arraytext, fock, tables, tomography
 
 
 def assert_same_text(text, reference):
@@ -55,21 +55,26 @@ def reference_table_text(header, rows):
     return "\n".join(lines) + "\n"
 
 
-def reference_json_text(obj, indent=0):
+def reference_json_text(obj):
+    """The document of obj: its JSON value and a newline."""
+    return reference_json_value(obj) + "\n"
+
+
+def reference_json_value(obj, indent=0):
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = ",\n".join(f'{inner}{reference_json_scalar(k)}: '
-                           f'{reference_json_text(v, indent + 1)}' for k, v in obj.items())
+                           f'{reference_json_value(v, indent + 1)}' for k, v in obj.items())
         return "{\n" + items + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj):
             return "[" + ", ".join(reference_json_scalar(v) for v in obj) + "]"
-        items = ",\n".join(f"{inner}{reference_json_text(v, indent + 1)}" for v in obj)
+        items = ",\n".join(f"{inner}{reference_json_value(v, indent + 1)}" for v in obj)
         return "[\n" + items + "\n" + pad + "]"
     return reference_json_scalar(obj)
 
@@ -232,7 +237,7 @@ def test_empty_table():
     assert_same_text(tables.table_text(["n", "p"], empty), "n,p\n")
     for rows in ([], empty):
         assert str(tables.json_text({"header": ["n"], "rows": rows})) \
-            == '{\n  "header": [\n    "n"\n  ],\n  "rows": []\n}'
+            == '{\n  "header": [\n    "n"\n  ],\n  "rows": []\n}\n'
 
 
 @pytest.mark.parametrize("make", [
@@ -257,7 +262,7 @@ def test_density_matrix_rows_equal_the_double_loop(make):
 def test_json_strings_escape_control_characters(text):
     encoded = str(tables.json_text({text: [text]}))
     assert json.loads(encoded) == {text: [text]}
-    assert_same_text(tables.json_text(text), json.dumps(text, ensure_ascii=False))
+    assert_same_text(tables.json_text(text), json.dumps(text, ensure_ascii=False) + "\n")
     if not any(ord(c) < 0x20 for c in text):
         assert encoded == reference_json_text({text: [text]})
 
@@ -272,30 +277,39 @@ def test_read_csv_names_the_line_of_a_ragged_row(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# write_text rewrites a file in place and cuts it to the new length
+# write_text rewrites a file from open_in_place in place and cuts it to the
+# new length
 
-@pytest.mark.parametrize("old,new", [("n,p\n0,0.25\n1,0.75\n", "n,p\n0,1\n"),
-                                     ("n,p\n0,1\n", "n,p\n0,0.25\n1,µ\r\n")])
+def write_file(path, text):
+    """Write the `Text` text to path as the CLI writes an output file."""
+    [fh] = tables.open_in_place([str(path)])
+    return tables.write_text(fh, text)
+
+
+@pytest.mark.parametrize("old,new", [
+    ([0.25, 0.75], [1.0]),
+    ([1.0], [0.25, math.inf, -0.0]),
+])
 def test_write_text_rewrite_leaves_exactly_the_new_bytes(tmp_path, old, new):
     path = tmp_path / "t.csv"
-    assert tables.write_text(str(path), old) == str(path)
-    assert path.read_bytes() == old.encode("utf-8")
-    tables.write_text(str(path), new)
-    assert path.read_bytes() == new.encode("utf-8")
+    for values in (old, new):
+        text = tables.table_text(["n", "µ"], tables.Columns(np.arange(len(values)), values))
+        assert write_file(path, text) == str(path)
+        assert path.read_bytes() == str(text).encode("utf-8")
 
 
 def test_write_text_new_file_mode_follows_the_umask(tmp_path):
     previous = os.umask(0o027)
     try:
-        tables.write_text(str(tmp_path / "t.csv"), "x\n")
+        write_file(tmp_path / "t.csv", tables.json_text([0.5]))
     finally:
         os.umask(previous)
     assert stat.S_IMODE(os.stat(tmp_path / "t.csv").st_mode) == 0o666 & ~0o027
 
 
-def test_write_text_to_a_directory_raises_oserror(tmp_path):
+def test_opening_a_directory_in_place_raises_oserror(tmp_path):
     with pytest.raises(OSError):
-        tables.write_text(str(tmp_path), "x\n")
+        tables.open_in_place([str(tmp_path)])
 
 
 def test_write_text_closes_the_file_when_the_write_fails(tmp_path, monkeypatch):
@@ -307,7 +321,7 @@ def test_write_text_closes_the_file_when_the_write_fails(tmp_path, monkeypatch):
         # an unclosed file warns when collected; as an error it reaches the hook
         warnings.simplefilter("error", ResourceWarning)
         with pytest.raises(UnicodeEncodeError):
-            tables.write_text(str(path), "lone surrogate \ud800\n")
+            write_file(path, tables.json_text(["lone surrogate \ud800"]))
         gc.collect()
     assert unraised == []
     assert path.read_bytes() == b"old\n"
@@ -577,6 +591,50 @@ def test_edge_cells_inside_runs_print_from_their_own_value(edge):
     assert_printed_as_cell_by_cell([phi, np.linspace(-1.0, 1.0, n)], [np.arange(n)])
 
 
+def state_rows(cutoff):
+    """The table of a coherent state as the CLI writes a state."""
+    rho = fock.make_state(fock.StateSpec.coherent(3.0 + 1.0j), cutoff=cutoff, tail=None)
+    return tables.density_matrix_rows(rho)
+
+
+def measured_rows(max_fock):
+    """The phi,n,p table of an exact tomography run as the CLI builds it, at
+    the CLI's default n_phases and n_rows."""
+    plan = tomography.TomographyPlan(gamma_abs=1.0, n_phases=2 * max_fock + 6,
+                                     max_fock=max_fock, n_rows=2 * max_fock + 2)
+    truth = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=max_fock, tail=None)
+    P = tomography.measure_distributions(truth, plan)
+    return tables.Columns(np.repeat(plan.phases, plan.n_rows),
+                          np.tile(np.arange(plan.n_rows), plan.n_phases), P.ravel())
+
+
+@pytest.mark.parametrize("make,size,rows,cells,blocks", [
+    # every float cell shares its digits: the triangle's 2 x 7381 cells in
+    # the first block's call, then blocks of BLOCK_CELLS rows
+    (state_rows, 120, 121 * 121, [2048] * 7 + [426], 8),
+    # the 1932 cells of p and the 46 phases in one call, one block
+    (measured_rows, 20, 46 * 42, [1978], 1),
+    # 2048 cells of p and the 86 phases, then blocks of 2048 cells of p
+    (measured_rows, 40, 86 * 82, [2048, 86, 2048, 2048, 908], 4),
+])
+def test_digit_calls_and_blocks_of_the_cli_tables(monkeypatch, make, size, rows, cells, blocks):
+    table = make(size)
+    header = [f"c{k}" for k in range(len(table.columns))]
+    assert len(table) == rows
+    calls, form = [], _arraytext._float_slots
+
+    def counted(a, lanes):
+        calls.append(len(a))
+        return form(a, lanes)
+
+    monkeypatch.setattr(_arraytext, "_float_slots", counted)
+    handed = []
+    tables.table_text(header, table).write(handed.append)
+    assert calls == cells
+    assert len(handed) == 1 + blocks  # the header, then the blocks of rows
+    assert_same_text(b"".join(handed).decode(), reference_table_text(header, table))
+
+
 # ---------------------------------------------------------------------------
 # writing is a stream: each block goes to the file as it is formed, and a
 # failure part way leaves the file a prefix of the new text
@@ -597,14 +655,15 @@ def test_texts_are_handed_over_a_block_at_a_time():
     assert len(blocks) == 1 + 4  # the header, then the blocks of rows
     assert len(text) == sum(map(len, blocks))
     assert_same_text(b"".join(blocks).decode(), reference_table_text(["n", "x"], reference))
-    text = tables.json_text({"a": rows, "b": {"rows": rows}, "c": [0.5]}) + "\n"
+    text = tables.json_text({"a": rows, "b": {"rows": rows}, "c": [0.5]})
     blocks = []
     text.write(blocks.append)
-    # the pieces before each table, its blocks, the pieces after, the newline
-    assert len(blocks) == 1 + 4 + 1 + 4 + 1 + 1
+    # the pieces before each table, its blocks, the pieces after with the
+    # closing newline
+    assert len(blocks) == 1 + 4 + 1 + 4 + 1
     assert len(text) == sum(map(len, blocks))
     assert_same_text(b"".join(blocks).decode(), reference_json_text(
-        {"a": reference, "b": {"rows": reference}, "c": [0.5]}) + "\n")
+        {"a": reference, "b": {"rows": reference}, "c": [0.5]}))
     # below ARRAY_ROWS the row template hands the rows over as one block
     small = tables.Columns(np.arange(3), [0.5, math.inf, -0.0])
     reference = list(small)
@@ -616,14 +675,13 @@ def test_texts_are_handed_over_a_block_at_a_time():
     blocks = []
     text.write(blocks.append)
     assert blocks == [b'{\n  "a": [\n', b'    [0, 0.5],\n    [1, "inf"],\n    [2, -0]',
-                      b"\n  ]\n}"]
+                      b"\n  ]\n}\n"]
     assert_same_text(b"".join(blocks).decode(), reference_json_text({"a": reference}))
 
 
 def test_len_of_a_text_counts_its_utf8_bytes():
     text = tables.json_text({"é": [1, 2.5]})
     assert len(text) == len(str(text).encode()) == len(str(text)) + 1
-    assert len(text + "µ\n") == len(text) + 3
 
 
 def test_a_text_that_fails_before_its_first_byte_leaves_the_file_as_it_was(tmp_path):
@@ -633,10 +691,10 @@ def test_a_text_that_fails_before_its_first_byte_leaves_the_file_as_it_was(tmp_p
     # a header that cannot be encoded, and a document whose first piece
     # cannot be serialized
     with pytest.raises(UnicodeEncodeError):
-        tables.write_text(str(path), tables.table_text(["n", "lone \ud800"], rows))
+        write_file(path, tables.table_text(["n", "lone \ud800"], rows))
     assert path.read_bytes() == b"old\n"
     with pytest.raises(TypeError):
-        tables.write_text(str(path), tables.json_text({"when": object(), "rows": rows}))
+        write_file(path, tables.json_text({"when": object(), "rows": rows}))
     assert path.read_bytes() == b"old\n"
 
 
@@ -662,7 +720,7 @@ def test_a_failure_in_the_second_block_cuts_the_file_after_the_first(tmp_path, m
 
     monkeypatch.setattr(_arraytext, "_float_slots", second_block_fails)
     with pytest.raises(RuntimeError, match="formatting failed"):
-        tables.write_text(str(path), tables.table_text(header, rows))
+        write_file(path, tables.table_text(header, rows))
     left = path.read_bytes()
     assert len(left) < len(full) and full.startswith(left)
     assert left.count(b"\n") == 1 + _arraytext.BLOCK_CELLS
