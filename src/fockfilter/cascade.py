@@ -65,8 +65,10 @@ def derive_seeds(seed, indices):
 
     Substream i is output i + 1 of a SplitMix64 stream seeded by mix(seed),
     so derived seeds are pure functions of (seed, i).  Trials and tomography
-    phases draw their randomness from derived seeds.
+    phases draw their randomness from derived seeds.  seed is an integer in
+    0..2^64 - 1.
     """
+    seed = fock._size(seed, "seed", high=2 ** 64 - 1)
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and idx.min() < 0:
         raise ValueError("substream indices must be >= 0")
@@ -79,8 +81,10 @@ def uniforms(seed, trials, n_stages):
 
     u[i, k] is a pure function of (seed, trials[i], k).  Stage k takes
     output k + 1 of a SplitMix64 stream seeded by the trial's derived seed;
-    the top 53 bits of each output give the double.
+    the top 53 bits of each output give the double.  n_stages is an integer
+    in 0..CUTOFF_CEILING + 1, the most stages a CascadeConfig has.
     """
+    n_stages = fock._size(n_stages, "n_stages", high=fock.CUTOFF_CEILING + 1)
     keys = derive_seeds(seed, trials)
     steps = (np.arange(n_stages, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
     z = _mix(keys[..., None] + steps)
@@ -97,9 +101,9 @@ class CascadeConfig:
     probabilities from the full filter pass; "good_cavity" from the tau <<
     chi_t projections (ON -> |k><k|, OFF -> diagonal with k removed).  A
     trial stops at its first click, which is all the distribution estimate
-    records.  n_top, samples and rng_seed must be integers (not bools), and
-    n_top at most fock.CUTOFF_CEILING; CavityParams checks tau, chi_t and
-    the top stage's phase chi_t * n_top.
+    records.  n_top is an integer in 0..fock.CUTOFF_CEILING, samples one
+    >= 1 and rng_seed one in 0..2^64 - 1 (fock._size); CavityParams checks
+    tau, chi_t and the top stage's phase chi_t * n_top.
     """
 
     n_top: int
@@ -111,18 +115,13 @@ class CascadeConfig:
     update_rule: str = "exact"
 
     def __post_init__(self):
-        fock._integer_fields(self, "n_top", "samples", "rng_seed")
+        object.__setattr__(self, "n_top", fock._size(self.n_top, "n_top"))
+        object.__setattr__(self, "samples", fock._size(self.samples, "samples", 1, None))
+        object.__setattr__(self, "rng_seed",
+                           fock._size(self.rng_seed, "rng_seed", high=2 ** 64 - 1))
         if not isinstance(self.probe, ProbeDetector):
             raise ValueError(f"probe must be a ProbeDetector, got {self.probe!r}")
-        if self.n_top < 0:
-            raise ValueError("cascade needs at least one stage")
-        if self.n_top > fock.CUTOFF_CEILING:
-            raise ValueError(f"n_top = {self.n_top} exceeds the ceiling {fock.CUTOFF_CEILING}")
         CavityParams.tuned(self.n_top, self.tau, self.chi_t)
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if not (0 <= self.rng_seed < 2 ** 64):
-            raise ValueError("rng_seed must be a 64-bit unsigned integer")
         if self.update_rule not in UPDATE_RULES:
             raise ValueError(f"update_rule must be one of {UPDATE_RULES}")
 
@@ -142,9 +141,11 @@ def response_matrix(cfg, dim):
     from filtering._folded_exponents, f = e^G - e^G_off, S[k] = exp(sum_{j<k}
     G_off,j) summed in log space (a product of 1 - f cancels where a click
     is nearly certain), and R = f S[:-1].  The good-cavity rule has G = 0
-    and G_off = -inf at each stage's target.  Raises NumericalError when e^G
+    and G_off = -inf at each stage's target.  dim is an integer in
+    1..fock.CUTOFF_CEILING + 1 (ValueError).  Raises NumericalError when e^G
     leaves 1 by more than TRACE_DRIFT_TOL or is not finite.
     """
+    dim = fock._size(dim, "dim", 1, fock.CUTOFF_CEILING + 1)
     n, k = np.arange(dim), np.arange(cfg.n_top + 1)[:, None]
     if cfg.update_rule == "exact":
         kappa, sigma = cavity_amplitudes(cfg.chi_t * k - cfg.chi_t * n, cfg.tau)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import _check_n_max
+from .fock import _size
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,7 @@ def total_phase(n, params):
 
 def mode_amplitudes(params, n_max):
     """(kappa_n, sigma_n) arrays for photon numbers 0..n_max."""
+    n_max = _size(n_max, "n_max")
     return cavity_amplitudes(total_phase(np.arange(n_max + 1), params), params.tau)
 
 
@@ -81,7 +82,7 @@ def transmission_profile(params, n_max):
 
     |sigma_n|^2 = [1 + 4 (1-tau)/tau^2 sin^2((psi - chi_t n)/2)]^{-1}
     """
-    _check_n_max(n_max)
+    n_max = _size(n_max, "n_max")
     phi = total_phase(np.arange(n_max + 1), params)
     s2 = np.sin(phi / 2.0) ** 2
     return 1.0 / (1.0 + 4.0 * (1.0 - params.tau) / params.tau ** 2 * s2)
@@ -105,7 +106,7 @@ def resonant_components(params, n_max):
     whose transmission exceeds that of a photon half a photon off a center.
     A detuned cavity (non-integer n*) may yield an empty list.
     """
-    _check_n_max(n_max)
+    n_max = _size(n_max, "n_max")
     period = 2.0 * math.pi / params.chi_t
     if period < 1.0:
         return list(range(n_max + 1))

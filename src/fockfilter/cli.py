@@ -52,7 +52,7 @@ class ExperimentConfig:
 # A parser maps a JSON value and the field's dotted name to the canonical value.
 # It checks the JSON type only; the library constructors check ranges.  The
 # seed is the exception: exact tomography writes it to the manifest without
-# handing it to a constructor, so _seed checks its range.
+# handing it to a constructor, so _seed checks its range with fock._size.
 
 
 def _real(value, field):
@@ -75,10 +75,7 @@ def _integer(value, field):
 
 def _seed(value, field):
     """A 64-bit unsigned integer."""
-    value = _integer(value, field)
-    if not 0 <= value < 2 ** 64:
-        raise ValueError(f"{field} must be a 64-bit unsigned integer, got {value}")
-    return value
+    return fock._size(_integer(value, field), field, high=2 ** 64 - 1)
 
 
 def _pair(value, field):

@@ -155,12 +155,12 @@ def filter_pass_asymptotic(rho, cav, probe, n_star):
     pure per-mode phase but is not negligible unless |a|^2 tau << chi_t.
 
     n_star is explicit (not inferred from psi/chi_t) so detuned cavities
-    remain testable; validity of the expansion is the caller's concern.
+    remain testable; it must be an integer level 0..dim - 1 of rho, and
+    validity of the expansion is the caller's concern.
     """
     rho = fock._square_matrix(rho)
     dim = rho.shape[0]
-    if not (0 <= n_star < dim):
-        raise ValueError(f"n_star = {n_star} outside state support [0, {dim - 1}]")
+    n_star = fock._size(n_star, "n_star", high=dim - 1)
     a2 = abs(probe.alpha) ** 2
     c = probe.eta * a2 * cav.tau ** 2 / cav.chi_t ** 2
     idx = np.arange(dim)

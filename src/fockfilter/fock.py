@@ -10,6 +10,11 @@ values.
 
 Factorials are evaluated in log space so that cutoffs beyond n ~ 170 do not
 overflow double precision.
+
+Every size here is a photon number: a cutoff, an n_max, a dimension, a
+number state's n.  Each must be an int or numpy integer (not a bool, not
+2.0) in its range, or ValueError names it; the other modules check their
+sizes the same way, through _size.
 """
 
 import functools
@@ -38,9 +43,22 @@ def _log_factorials(n_max):
     return _LOG_FACTORIALS[:n_max + 1]
 
 
-def _check_n_max(n_max):
-    if not 0 <= n_max <= CUTOFF_CEILING:
-        raise ValueError(f"n_max must lie in 0..{CUTOFF_CEILING}, got {n_max}")
+def _size(value, name, low=0, high=CUTOFF_CEILING):
+    """int(value), for an integer size or index `name` in low..high (high=None:
+    no upper bound).
+
+    ValueError naming `name` for a bool or anything that is not an int or
+    numpy integer (2.0, 2.7, "3"), and for a value out of range.  Numpy
+    integers become ints, so no numpy integer arithmetic follows.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+    return value
 
 
 class NumericalError(RuntimeError):
@@ -49,10 +67,6 @@ class NumericalError(RuntimeError):
 
 class CutoffError(NumericalError):
     """The requested Fock-space cutoff cannot hold the requested state."""
-
-    def __init__(self, message, required=None):
-        super().__init__(message)
-        self.required = required
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,8 @@ class StateSpec:
         if self.kind not in STATE_KINDS:
             raise ValueError(f"unknown state kind {self.kind!r}; expected one of {STATE_KINDS}")
         if self.kind == "number":
-            if int(self.n) != self.n or self.n < 0:
-                raise ValueError(f"number state index must be a nonnegative integer, got {self.n}")
+            # no upper bound here: a number state past the ceiling is a CutoffError
+            object.__setattr__(self, "n", _size(self.n, "n", high=None))
         if self.kind in ("thermal", "squeezed_vacuum"):
             if not (self.mean_n >= 0.0 and math.isfinite(self.mean_n)):
                 raise ValueError(f"mean_n must be finite and >= 0, got {self.mean_n}")
@@ -86,7 +100,7 @@ class StateSpec:
 
     @classmethod
     def number(cls, n):
-        return cls(kind="number", n=int(n))
+        return cls(kind="number", n=n)
 
     @classmethod
     def coherent(cls, amplitude):
@@ -123,9 +137,9 @@ def analytic_distribution(spec, n_max):
 
     number: delta at n.  coherent: Poisson(|amp|^2).  thermal: geometric.
     squeezed vacuum: even-n two-photon expansion, exactly zero on odd n.
-    ValueError unless n_max lies in 0..CUTOFF_CEILING.
+    ValueError unless n_max is an integer in 0..CUTOFF_CEILING.
     """
-    _check_n_max(n_max)
+    n_max = _size(n_max, "n_max")
     n = np.arange(n_max + 1)
     if spec.kind == "number":
         p = np.zeros(n_max + 1)
@@ -168,7 +182,7 @@ def choose_cutoff(spec, tail=DEFAULT_TAIL):
     if spec.kind == "number":
         if spec.n > CUTOFF_CEILING:
             raise CutoffError(f"number state |{spec.n}> needs cutoff {spec.n} > "
-                              f"{CUTOFF_CEILING}", required=spec.n)
+                              f"{CUTOFF_CEILING}")
         return spec.n
     # p_n and its cumulative sum are the same on every prefix of the levels,
     # so growing prefixes find the cutoff of the full scan without paying
@@ -219,23 +233,22 @@ def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):
     With cutoff=None the cutoff comes from choose_cutoff(spec, tail).  With an
     explicit cutoff the analytic tail beyond it must still be below `tail`,
     otherwise CutoffError names the required N.  Pass tail=None together with
-    an explicit cutoff to request a deliberate hard truncation.  A cutoff
-    above CUTOFF_CEILING, chosen or given, raises CutoffError.
+    an explicit cutoff to request a deliberate hard truncation.  A given
+    cutoff must be an integer >= 0 (ValueError); one above CUTOFF_CEILING,
+    chosen or given, raises CutoffError.
     """
     if cutoff is None:
         if tail is None:
             raise ValueError("make_state needs a cutoff or a tail tolerance")
         cutoff = choose_cutoff(spec, tail)
     else:
-        cutoff = int(cutoff)
-        if cutoff < 0:
-            raise ValueError("cutoff must be >= 0")
+        cutoff = _size(cutoff, "cutoff", high=None)
         if cutoff > CUTOFF_CEILING:
             raise CutoffError(f"cutoff {cutoff} exceeds the ceiling {CUTOFF_CEILING}")
         if spec.kind == "number" and spec.n > cutoff:
             raise CutoffError(
                 f"number state |{spec.n}> does not fit below cutoff {cutoff}; "
-                f"requires N >= {spec.n}", required=spec.n)
+                f"requires N >= {spec.n}")
         if tail is not None:
             if not (0.0 < tail < 0.1):
                 raise ValueError(f"tail tolerance must lie in (0, 0.1), got {tail}")
@@ -244,7 +257,7 @@ def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):
                 needed = choose_cutoff(spec, tail)
                 raise CutoffError(
                     f"cutoff {cutoff} leaves tail mass {left_out:.3e} >= {tail:g} "
-                    f"for {spec.kind} state; requires N >= {needed}", required=needed)
+                    f"for {spec.kind} state; requires N >= {needed}")
 
     if spec.kind == "thermal":
         diag = analytic_distribution(spec, cutoff)
@@ -301,20 +314,6 @@ def _square_matrix(rho):
     return rho
 
 
-def _integer_fields(obj, *names):
-    """Set each named field of the frozen dataclass obj to its int value.
-
-    ValueError for a bool or anything that is not an int or numpy integer
-    (1.5, 2.0, "3"); numpy integers become ints, so no numpy integer
-    arithmetic follows.
-    """
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
-
-
 def photon_distribution(rho):
     """Diagonal of a density matrix as a PhotonDistribution.
 
@@ -369,13 +368,11 @@ def displacement_matrix(gamma, dim):
       n <  k:  <n|D|k> = e^{i (n-k) theta} (-1)^{k-n} E[n, k-n].
     E comes from a three-term recurrence in m (see _laguerre_rows), O(dim^2)
     in all, and a real gamma >= 0 gives a real matrix.  Raises ValueError
-    unless dim lies in 1..CUTOFF_CEILING + 1, and NumericalError when an
-    element is not finite: past |g| ~ 52 a column spans more than the float
-    range.
+    unless dim is an integer in 1..CUTOFF_CEILING + 1, and NumericalError
+    when an element is not finite: past |g| ~ 52 a column spans more than
+    the float range.
     """
-    dim = int(dim)
-    if not 1 <= dim <= CUTOFF_CEILING + 1:
-        raise ValueError(f"dim must lie in 1..{CUTOFF_CEILING + 1}, got {dim}")
+    dim = _size(dim, "dim", 1, CUTOFF_CEILING + 1)
     gamma = complex(gamma)
     g_abs = abs(gamma)
     if g_abs == 0.0:
@@ -466,14 +463,15 @@ def displacement_margin(gamma):
     return math.ceil(2 * abs(gamma) ** 2) + 10
 
 
-def _check_leak(lost, gamma, work, max_lost):
-    """CutoffError unless each probability `lost` past the working cutoff is <= max_lost."""
+def _check_leak(lost, gamma, n_rows, margin, max_lost):
+    """CutoffError unless each probability `lost` past the working cutoff, the
+    last of n_rows + margin levels, is <= max_lost."""
     worst = np.max(lost)
     if not worst <= max_lost:
         raise CutoffError(
             f"displacement by |gamma|={abs(gamma):.4g} leaks {worst:.3e} > {max_lost:g} "
-            f"past working cutoff {work - 1}; enlarge margin (requires N >~ {2 * work})",
-            required=2 * work)
+            f"past working cutoff {n_rows + margin - 1}, the last of {n_rows + margin} "
+            f"levels: n_rows {n_rows} + the displacement margin {margin} of |gamma|")
 
 
 def purity(rho):

@@ -86,9 +86,10 @@ class TomographyPlan:
     one grid on which the phase DFT separates the diagonals; it needs at
     least 2M + 1 points.  max_fock (M) is the highest signal Fock component
     assumed populated; n_rows photon-number rows enter each least-squares
-    system.  The phases number at most 2 fock.CUTOFF_CEILING + 1, and the
-    working cutoff n_rows - 1 + displacement_margin(|gamma|) lies at or
-    below fock.CUTOFF_CEILING, or CutoffError says so.
+    system.  max_fock lies in 0..fock.CUTOFF_CEILING, n_phases in
+    0..2 fock.CUTOFF_CEILING + 1 and n_rows is >= 0, all integers
+    (fock._size); the working cutoff n_rows - 1 + displacement_margin(|gamma|)
+    lies at or below fock.CUTOFF_CEILING, or CutoffError says so.
     """
 
     gamma_abs: float
@@ -100,15 +101,15 @@ class TomographyPlan:
     def __post_init__(self):
         if not (self.gamma_abs > 0.0 and math.isfinite(self.gamma_abs)):
             raise ValueError(f"gamma_abs must be finite and > 0, got {self.gamma_abs}")
-        fock._integer_fields(self, "max_fock", "n_phases", "n_rows")
-        if self.max_fock < 0:
-            raise ValueError("max_fock must be >= 0")
+        object.__setattr__(self, "max_fock", fock._size(self.max_fock, "max_fock"))
+        object.__setattr__(self, "n_phases", fock._size(self.n_phases, "n_phases",
+                                                        high=2 * fock.CUTOFF_CEILING + 1))
+        # n_rows has no bound of its own: the working cutoff below bounds it
+        object.__setattr__(self, "n_rows", fock._size(self.n_rows, "n_rows", high=None))
         if self.n_phases < 2 * self.max_fock + 1:
             raise ValueError(
                 f"{self.n_phases} phases cannot separate diagonals up to "
                 f"s = {self.max_fock}; need at least {2 * self.max_fock + 1}")
-        if self.n_phases > 2 * fock.CUTOFF_CEILING + 1:
-            raise ValueError(f"n_phases = {self.n_phases} > {2 * fock.CUTOFF_CEILING + 1}")
         if self.n_rows < self.max_fock + 1:
             raise ValueError(
                 f"n_rows = {self.n_rows} underdetermines the s = 0 system; "
@@ -207,7 +208,8 @@ def _displaced_probabilities(nu, plan):
             "non-finite probabilities; the input state is not finite")
     # the displacement is unitary, so a deficit relative to the input trace
     # is probability pushed past the working cutoff
-    fock._check_leak(np.trace(nu).real - P.real.sum(axis=1), gamma_abs, work, 1e-6)
+    fock._check_leak(np.trace(nu).real - P.real.sum(axis=1), gamma_abs, plan.n_rows,
+                     work - plan.n_rows, 1e-6)
     return fock._checked_probabilities(P)
 
 

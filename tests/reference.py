@@ -71,7 +71,7 @@ def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
     fock.displacement_margin(gamma)) and cropped to n_out rows/columns;
     n_out=0 keeps the input dimension, n_out=None returns the full
     working-cutoff matrix.  If more than max_lost probability leaks past the
-    working cutoff, CutoffError names the required cutoff; a non-finite
+    working cutoff, CutoffError says what that cutoff is made of; a non-finite
     product raises NumericalError.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -80,7 +80,8 @@ def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
         n_out = dim
     if margin is None:
         margin = fock.displacement_margin(gamma)
-    work = dim + int(margin) if n_out is None else max(dim, n_out) + int(margin)
+    rows = dim if n_out is None else max(dim, n_out)
+    work = rows + int(margin)
     D = fock.displacement_matrix(gamma, work)
     big = np.zeros((work, work), dtype=complex)
     big[:dim, :dim] = rho
@@ -89,7 +90,8 @@ def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):
         raise fock.NumericalError(f"displacement by |gamma|={abs(gamma):.4g} is not finite")
     # a unitary displacement preserves the trace, so any deficit relative to
     # the input trace is probability pushed past the working cutoff
-    fock._check_leak(np.trace(rho).real - np.trace(out).real, gamma, work, max_lost)
+    fock._check_leak(np.trace(rho).real - np.trace(out).real, gamma, rows, int(margin),
+                     max_lost)
     return out if n_out is None else out[:n_out, :n_out]
 
 

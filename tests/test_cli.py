@@ -565,6 +565,44 @@ def test_valid_configs_of_the_rejection_table_run(tmp_path, experiment):
     assert code == 0
 
 
+NUMBER = {"kind": "number", "n": 1}
+MONTE_CARLO = {**VALID["tomography"], "backend": "monte_carlo", "samples": 200}
+# every integer field of every experiment: (experiment, config, field, value)
+INTEGER_FIELDS = [
+    ("profile", VALID["profile"], "n_max", 12),
+    ("synthesize", VALID["synthesize"], "cutoff", 12),
+    ("superposition", VALID["superposition"], "cutoff", 12),
+    ("measure-pn", VALID["measure-pn"], "n_top", 6),
+    ("measure-pn", VALID["measure-pn"], "samples", 60),
+    ("measure-pn", VALID["measure-pn"], "seed", 7),
+    ("measure-pn", {**VALID["measure-pn"], "state": NUMBER}, "state.n", 2),
+    ("tomography", MONTE_CARLO, "max_fock", 3),
+    ("tomography", MONTE_CARLO, "n_rows", 9),
+    ("tomography", MONTE_CARLO, "n_phases", 11),
+    ("tomography", MONTE_CARLO, "samples", 300),
+    ("tomography", MONTE_CARLO, "seed", 5),
+]
+
+
+@pytest.mark.parametrize("experiment,config,field,value", INTEGER_FIELDS,
+                         ids=[f"{e}-{f}" for e, _, f, _ in INTEGER_FIELDS])
+def test_integral_json_floats_run_as_their_integers(tmp_path, experiment, config, field,
+                                                    value):
+    # the library refuses 12.0 for a size, so the CLI must hand it 12: a
+    # config written as 12.0 runs, and writes, exactly what 12 does
+    outputs = []
+    for given in (value, float(value)):
+        cfg = write_config(tmp_path / repr(given), edited(config, field, given))
+        code, out = run(tmp_path / repr(given), experiment, "--config", cfg)
+        assert code == 0
+        outputs.append(read_all(out))
+    assert outputs[0] == outputs[1]
+    manifest = json.loads(outputs[1]["manifest.json"])["config"]
+    for key in field.split("."):
+        manifest = manifest[key]
+    assert type(manifest) is int and manifest == value
+
+
 NULLABLE = {
     "profile": ["n_max"],
     "synthesize": ["psi", "alpha", "eta", "cutoff", "state.amplitude"],

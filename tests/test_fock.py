@@ -19,7 +19,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from fockfilter import fock
+from fockfilter import cascade, cavity, filtering, fock
 from reference import displace
 
 
@@ -132,6 +132,61 @@ def test_an_analytic_distribution_past_the_cutoff_ceiling_is_refused():
     assert len(fock.analytic_distribution(spec, top)) == top + 1
 
 
+# every integer size or index of the library but the fields of CascadeConfig,
+# TomographyPlan and MonteCarloBackend, which test_cascade and test_tomography
+# check: the call with a size, the name its refusal gives and a value out of
+# its range
+_CAVITY = cavity.CavityParams(tau=0.01, psi=0.2, chi_t=0.1)
+_RHO = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
+SIZE_ARGUMENTS = {
+    "StateSpec.n": (lambda v: fock.StateSpec(kind="number", n=v), "n", -1),
+    "StateSpec.number": (fock.StateSpec.number, "n", -1),
+    "make_state.cutoff": (lambda v: fock.make_state(fock.StateSpec.coherent(0.5), cutoff=v,
+                                                    tail=None), "cutoff", -1),
+    "analytic_distribution.n_max": (
+        lambda v: fock.analytic_distribution(fock.StateSpec.coherent(0.5), v), "n_max", -1),
+    "displacement_matrix.dim": (lambda v: fock.displacement_matrix(0.5, v), "dim", 0),
+    "mode_amplitudes.n_max": (lambda v: cavity.mode_amplitudes(_CAVITY, v), "n_max",
+                              fock.CUTOFF_CEILING + 1),
+    "transmission_profile.n_max": (lambda v: cavity.transmission_profile(_CAVITY, v),
+                                   "n_max", -1),
+    "resonant_components.n_max": (lambda v: cavity.resonant_components(_CAVITY, v),
+                                  "n_max", -1),
+    "filter_pass_asymptotic.n_star": (lambda v: filtering.filter_pass_asymptotic(
+        _RHO, _CAVITY, filtering.ProbeDetector(alpha=2.0, eta=0.8), v), "n_star", 6),
+    "derive_seeds.seed": (lambda v: cascade.derive_seeds(v, [0, 1]), "seed", 2 ** 64),
+    "uniforms.n_stages": (lambda v: cascade.uniforms(1, [0], v), "n_stages",
+                          fock.CUTOFF_CEILING + 2),
+    "response_matrix.dim": (lambda v: cascade.response_matrix(cascade.CascadeConfig(
+        n_top=4, tau=1e-3, chi_t=0.1, probe=filtering.ProbeDetector(alpha=20.0, eta=0.4),
+        samples=1, rng_seed=0), v), "dim", 0),
+}
+
+
+def _same(a, b):
+    """a and b hold the same values, element for element."""
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+@pytest.mark.parametrize("argument", sorted(SIZE_ARGUMENTS))
+def test_size_arguments_take_integers_in_range_only(argument):
+    # each of these once truncated a float (2.7 ran as 2), took a bool as
+    # 0 or 1, ran past its range or died inside numpy
+    call, name, out_of_range = SIZE_ARGUMENTS[argument]
+    for value in (2.7, 2.0, True, np.bool_(True), "3"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{name} must (lie in|be >=) .*, got {out_of_range}$"):
+        call(out_of_range)
+    # numpy integers are integers, and are used or stored as ints
+    got = call(np.int64(3))
+    assert _same(got, call(3))
+    if isinstance(got, fock.StateSpec):
+        assert type(got.n) is int
+
+
 # ---------------------------------------------------------------------------
 # cutoff choice
 
@@ -216,9 +271,8 @@ def test_choose_cutoff_on_both_sides_of_each_prefix():
 
 def test_make_state_rejects_lossy_cutoff():
     spec = fock.StateSpec.coherent(2.0)
-    with pytest.raises(fock.CutoffError) as err:
+    with pytest.raises(fock.CutoffError, match=f"requires N >= {fock.choose_cutoff(spec)}$"):
         fock.make_state(spec, cutoff=8)
-    assert err.value.required == fock.choose_cutoff(spec)
     # the same cutoff is accepted as a deliberate truncation
     rho = fock.make_state(spec, cutoff=8, tail=None)
     assert rho.shape == (9, 9)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,9 +182,11 @@ def test_forward_model_flags_a_starved_margin(monkeypatch, backend):
     nu = fock.make_state(fock.StateSpec.number(3), cutoff=3)
     plan = plan_for(3, gamma_abs=2.0, n_rows=4,
                     backend=mc_backend(100) if backend == "monte_carlo" else "exact")
-    with pytest.raises(fock.CutoffError) as err:
+    # the message says what the working cutoff is made of
+    with pytest.raises(fock.CutoffError, match=re.escape(
+            "past working cutoff 4, the last of 5 levels: n_rows 4 + the displacement "
+            "margin 1 of |gamma|")):
         measure_distributions(nu, plan)
-    assert err.value.required == 10
 
 
 def test_kernel_reduces_to_identity_at_zero_displacement():
@@ -400,7 +403,7 @@ def test_plan_sizes_stop_at_the_cutoff_ceiling():
     top = fock.CUTOFF_CEILING
     fields = dict(gamma_abs=1.0, n_phases=7, max_fock=3, n_rows=8)
     TomographyPlan(**{**fields, "n_phases": 2 * top + 1})
-    with pytest.raises(ValueError, match="n_phases = 8194 > 8193"):
+    with pytest.raises(ValueError, match="n_phases must lie in 0..8193, got 8194"):
         TomographyPlan(**{**fields, "n_phases": 2 * top + 2})
     # the working cutoff is n_rows - 1 + the displacement margin
     margin = fock.displacement_margin(1.0)
@@ -416,6 +419,9 @@ def test_plan_sizes_stop_at_the_cutoff_ceiling():
     ("n_rows", 12.5), ("n_rows", 12.0), ("n_rows", np.float64(12.0)), ("n_rows", "12"),
     ("max_fock", 5.0), ("max_fock", True), ("max_fock", np.bool_(True)),
     ("n_phases", True), ("n_phases", 13.0), ("n_phases", None),
+    ("n_rows", 2.7), ("n_rows", True), ("n_rows", np.bool_(True)),
+    ("max_fock", 2.7), ("max_fock", "3"),
+    ("n_phases", 2.7), ("n_phases", np.bool_(True)), ("n_phases", "3"),
 ])
 def test_plan_integer_fields_reject_non_integers_and_bools(field, value):
     fields = dict(gamma_abs=1.0, n_phases=13, max_fock=5, n_rows=12)
@@ -503,10 +509,15 @@ def test_backend_validation():
 @pytest.mark.parametrize("field", ["samples", "rng_seed"])
 def test_backend_integer_fields_refuse_bools_and_non_integral_values(field):
     # samples=10.5 used to pass and fail in the sampler; rng_seed=1.5 ran as seed 1
-    for value in (True, 10.5, 10.0, "10"):
+    for value in (True, np.bool_(True), 10.5, 2.7, 10.0, "10"):
         fields = {"samples": 10, "rng_seed": 0, field: value}
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
                               **fields)
+    # numpy integers are integers, and reach the cascade as ints
+    fields = {"samples": 10, "rng_seed": 0, field: np.int64(3)}
+    cfg = MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+                            **fields)._cascade(2)
+    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
     with pytest.raises(ValueError):
         plan_for(2, backend="turbo")
