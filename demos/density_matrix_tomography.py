@@ -3,16 +3,16 @@
 Displace the signal by gamma = |gamma| e^{i phi} over a uniform phase grid,
 record the photon distribution at each phase, Fourier-separate the grid in
 phi, and solve one small least-squares system per matrix diagonal.  The
-exact backend closes the loop to machine precision; a Monte Carlo backend
-(the cascade playing the role of the photon counter) shows the same
-pipeline with realistic sampling noise.
+exact backend closes the loop to machine precision.  The paper's photon
+counter, a CascadeConfig with one stage per photon-number row, then counts
+each phase's photons and shows the same pipeline with sampling noise.
 """
 
 import argparse
 
 import numpy as np
 
-from fockfilter import (MonteCarloBackend, ProbeDetector, StateSpec, TomographyPlan,
+from fockfilter import (CascadeConfig, ProbeDetector, StateSpec, TomographyPlan,
                         make_state, measure_distributions, reconstruct, trace_distance)
 
 
@@ -45,16 +45,18 @@ def main():
           ", ".join(f"<{n + 1}|nu|{n}> = {truth[n + 1, n].real:+.4f}"
                     for n in range(3)))
 
-    plan = TomographyPlan(gamma_abs=1.0, n_phases=2 * M + 6, max_fock=M, n_rows=2 * M + 2)
+    rows = 2 * M + 2
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=2 * M + 6, max_fock=M, n_rows=rows)
     P = measure_distributions(truth, plan)
     print(f"\nmeasured {P.shape[0]} phases x {P.shape[1]} photon rows")
     describe(reconstruct(plan, P), truth, "exact measurement backend")
 
-    backend = MonteCarloBackend(
-        tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+    # stage k of the counter is tuned to n = k: one stage per photon row
+    counter = CascadeConfig(
+        n_top=rows - 1, tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
         samples=args.samples, rng_seed=args.seed)
     noisy_plan = TomographyPlan(gamma_abs=1.0, n_phases=2 * M + 6, max_fock=M,
-                                n_rows=2 * M + 2, backend=backend)
+                                n_rows=rows, backend=counter)
     P_mc = measure_distributions(truth, noisy_plan)
     describe(reconstruct(noisy_plan, P_mc), truth,
              f"cascade counter, {args.samples} samples/phase")

@@ -37,7 +37,6 @@ from .filtering import (
 from .fock import (
     CutoffError,
     NumericalError,
-    PhotonDistribution,
     StateSpec,
     analytic_distribution,
     choose_cutoff,
@@ -51,7 +50,6 @@ from .fock import (
     validate_density_matrix,
 )
 from .tomography import (
-    MonteCarloBackend,
     ReconstructionResult,
     TomographyPlan,
     default_gamma_abs,
@@ -68,10 +66,10 @@ __all__ = [
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",
     "filter_pass_asymptotic", "superposition_synthesis_check",
-    "CutoffError", "NumericalError", "PhotonDistribution", "StateSpec",
+    "CutoffError", "NumericalError", "StateSpec",
     "analytic_distribution", "choose_cutoff", "displacement_margin",
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",
     "purity", "trace_distance", "validate_density_matrix",
-    "MonteCarloBackend", "ReconstructionResult", "TomographyPlan",
-    "default_gamma_abs", "measure_distributions", "reconstruct",
+    "ReconstructionResult", "TomographyPlan", "default_gamma_abs",
+    "measure_distributions", "reconstruct",
 ]

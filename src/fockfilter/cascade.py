@@ -66,12 +66,17 @@ def derive_seeds(seed, indices):
     Substream i is output i + 1 of a SplitMix64 stream seeded by mix(seed),
     so derived seeds are pure functions of (seed, i).  Trials and tomography
     phases draw their randomness from derived seeds.  seed is an integer in
-    0..2^64 - 1.
+    0..2^64 - 1; `indices` (an int, a range, a sequence or an array) holds
+    integers in 0..2^63 - 1, never bools, floats or strings, or ValueError
+    says so.
     """
     seed = fock._size(seed, "seed", high=2 ** 64 - 1)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and idx.min() < 0:
-        raise ValueError("substream indices must be >= 0")
+    idx = np.atleast_1d(indices)
+    # int(): numpy 1.x compares a uint64 with a Python int in float64
+    if idx.size and (idx.dtype.kind not in "iu" or int(idx.min()) < 0
+                     or int(idx.max()) > 2 ** 63 - 1):
+        raise ValueError(f"substream indices must be integers in 0..{2 ** 63 - 1}, "
+                         f"got {indices!r:.60}")
     base = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN)
     return _mix(base + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
 
@@ -208,23 +213,26 @@ def _count_first_on(q, seed, samples, chunk=CHUNK_TRIALS):
 
 
 @dataclass(frozen=True)
-class DistributionEstimate(fock.PhotonDistribution):
+class DistributionEstimate:
     """Monte Carlo photon-distribution estimate with diagnostics.
 
     values/ci: per-bin estimates and 1-sigma binomial half-widths (floored
     at 1/samples).  theory: the input state's distribution on the same bins.
     expected: the analytic first-ON distribution (what the estimator
-    converges to).  all_off: fraction of trials with no click at any stage,
-    with its analytic counterpart in all_off_expected.  Each of the samples
-    trials consumes one signal preparation: a trial stops at its click.
+    converges to).  counts: first clicks per stage.  all_off: fraction of
+    trials with no click at any stage, with its analytic counterpart in
+    all_off_expected.  Each of the samples trials consumes one signal
+    preparation: a trial stops at its click.
     """
 
-    theory: np.ndarray | None = None
-    expected: np.ndarray | None = None
-    counts: np.ndarray | None = None
-    all_off: float = 0.0
-    all_off_expected: float = 0.0
-    samples: int = 0
+    values: np.ndarray
+    ci: np.ndarray
+    theory: np.ndarray
+    expected: np.ndarray
+    counts: np.ndarray
+    all_off: float
+    all_off_expected: float
+    samples: int
 
 
 def estimate_photon_distribution(spec, cfg):
@@ -245,7 +253,7 @@ def estimate_photon_distribution(spec, cfg):
         rho = fock._square_matrix(spec)
         if not np.isfinite(rho.diagonal()).all():
             raise fock.NumericalError("cascade input: the state's diagonal is not finite")
-        theory = fock.photon_distribution(rho).values[:K]
+        theory = fock.photon_distribution(rho)[:K]
         theory = np.pad(theory, (0, K - len(theory)))
 
     d = rho.diagonal()

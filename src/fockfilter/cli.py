@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,7 @@ from .cascade import CascadeConfig, estimate_photon_distribution
 from .cavity import CavityParams, resonant_components, transmission_profile
 from .filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from .fock import NumericalError, StateSpec
-from .tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                         measure_distributions, reconstruct)
+from .tomography import TomographyPlan, default_gamma_abs, measure_distributions, reconstruct
 
 REQUIRED = object()  # the default of a field that has none and must be given
 
@@ -441,14 +440,15 @@ def _run_tomography(params):
     spec = _build_state(params["state"])
     M = params["max_fock"]
     truth = fock.make_state(spec, cutoff=M, tail=None)
-    if params["backend"] == "exact":
-        backend = "exact"
-    else:
-        backend = MonteCarloBackend(
-            **params["cavity"], probe=_build_probe(params),
-            samples=params["samples"], rng_seed=params["seed"])
     plan = TomographyPlan(gamma_abs=params["gamma_abs"], n_phases=params["n_phases"],
-                          max_fock=M, n_rows=params["n_rows"], backend=backend)
+                          max_fock=M, n_rows=params["n_rows"])
+    if params["backend"] == "monte_carlo":
+        # built once the plan has checked n_rows, so a bad n_rows is named as
+        # such and not as the counter's n_top
+        counter = CascadeConfig(n_top=plan.n_rows - 1, **params["cavity"],
+                                probe=_build_probe(params), samples=params["samples"],
+                                rng_seed=params["seed"])
+        plan = replace(plan, backend=counter)
     if params["measurements"] is not None:
         P = _read_measured(params["measurements"], plan)
     else:

@@ -124,14 +124,6 @@ class StateSpec:
         return float(self.mean_n)
 
 
-@dataclass(frozen=True)
-class PhotonDistribution:
-    """Photon-number probabilities p_n, optionally with per-bin half-widths."""
-
-    values: np.ndarray
-    ci: np.ndarray | None = None
-
-
 def analytic_distribution(spec, n_max):
     """Closed-form photon distribution p_0..p_{n_max} of the untruncated state.
 
@@ -315,13 +307,13 @@ def _square_matrix(rho):
 
 
 def photon_distribution(rho):
-    """Diagonal of a density matrix as a PhotonDistribution.
+    """Diagonal of a density matrix as read-only probabilities p_n.
 
     Validates that rho is square and its diagonal finite and real (imag
     residue <= 1e-12), and clamps negative entries above -1e-12 to 0;
     anything worse raises ValueError.
     """
-    return PhotonDistribution(values=_checked_probabilities(np.diagonal(_square_matrix(rho))))
+    return _checked_probabilities(np.diagonal(_square_matrix(rho)))
 
 
 def _checked_probabilities(diag):

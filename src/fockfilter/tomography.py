@@ -25,9 +25,10 @@ K_s[n, m] = D[n, m+s] D[n, m] and B_s = K_s @ diag_s(nu),
 
 at an enlarged working cutoff; each s is one real product of K_s with the
 real and imaginary parts of the s-th lower and upper diagonals.  The exact
-backend reads P directly; the Monte Carlo backend samples each phase's
-counts from one cascade response matrix per plan, applied to that phase's
-displaced diagonal.
+backend reads P directly.  A plan's backend may instead be the paper's
+photon counter, a CascadeConfig with one stage per row: each phase's counts
+are then sampled from that counter's response matrix on the working space,
+applied to the phase's displaced diagonal.
 
 A plan fixes its working space, n_rows plus the displacement margin of
 |gamma| levels, when it is made, and builds its one D(|gamma|) on that
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .filtering import ProbeDetector
 from .cascade import CascadeConfig, _estimate, derive_seeds, response_matrix
 
 CONDITION_FLAG_LIMIT = 1e12
@@ -55,32 +55,8 @@ TRACE_BAND = (0.9, 1.1)
 
 
 @dataclass(frozen=True)
-class MonteCarloBackend:
-    """Measure displaced distributions with a cascade instead of exactly.
-
-    Stage k of the cascade is tuned to n = k with this tau and chi_t.  The
-    cascade of phase j is seeded with derive_seeds(rng_seed, [j]), the mix
-    that also seeds its trials.
-    """
-
-    tau: float
-    chi_t: float
-    probe: ProbeDetector
-    samples: int
-    rng_seed: int
-
-    def __post_init__(self):
-        self._cascade(0)  # CascadeConfig checks the fields
-
-    def _cascade(self, n_top):
-        """Cascade of stages 0..n_top with this backend's fields."""
-        return CascadeConfig(n_top=n_top, tau=self.tau, chi_t=self.chi_t, probe=self.probe,
-                             samples=self.samples, rng_seed=self.rng_seed)
-
-
-@dataclass(frozen=True)
 class TomographyPlan:
-    """Reconstruction plan: |gamma|, phase count, max Fock index M, rows.
+    """Reconstruction plan: |gamma|, phase count, max Fock index M, rows, counter.
 
     The n_phases phases are the uniform grid phi_j = 2 pi j / n_phases, the
     one grid on which the phase DFT separates the diagonals; it needs at
@@ -89,7 +65,9 @@ class TomographyPlan:
     system.  max_fock lies in 0..fock.CUTOFF_CEILING, n_phases in
     0..2 fock.CUTOFF_CEILING + 1 and n_rows is >= 0, all integers
     (fock._size); the working cutoff n_rows - 1 + displacement_margin(|gamma|)
-    lies at or below fock.CUTOFF_CEILING, or CutoffError says so.
+    lies at or below fock.CUTOFF_CEILING, or CutoffError says so.  backend
+    is "exact" or the CascadeConfig that counts the photons: its n_top + 1
+    stages are the n_rows rows, stage k counting row n = k.
     """
 
     gamma_abs: float
@@ -114,8 +92,12 @@ class TomographyPlan:
             raise ValueError(
                 f"n_rows = {self.n_rows} underdetermines the s = 0 system; "
                 f"need >= max_fock + 1 = {self.max_fock + 1}")
-        if not (self.backend == "exact" or isinstance(self.backend, MonteCarloBackend)):
-            raise ValueError('backend must be "exact" or a MonteCarloBackend')
+        if isinstance(self.backend, CascadeConfig):
+            if self.backend.n_top + 1 != self.n_rows:
+                raise ValueError(f"the counter's {self.backend.n_top + 1} stages must be "
+                                 f"the plan's n_rows = {self.n_rows} rows")
+        elif self.backend != "exact":
+            raise ValueError('backend must be "exact" or a CascadeConfig')
         # levels of the working space: the rows (n_rows >= M + 1) and the margin
         work = self.n_rows + fock.displacement_margin(self.gamma_abs)
         if work - 1 > fock.CUTOFF_CEILING:
@@ -131,12 +113,7 @@ class TomographyPlan:
     @property
     def phases(self):
         """The grid phi_j = 2 pi j / n_phases as a tuple of floats."""
-        return tuple(uniform_phase_grid(self.n_phases).tolist())
-
-
-def uniform_phase_grid(n_phi):
-    """The n_phi phases phi_j = 2 pi j / n_phi, j = 0 .. n_phi - 1, as an array."""
-    return 2.0 * math.pi * np.arange(n_phi) / n_phi
+        return tuple((2.0 * math.pi * np.arange(self.n_phases) / self.n_phases).tolist())
 
 
 def default_gamma_abs(mean_photons):
@@ -217,18 +194,18 @@ def measure_distributions(nu, plan):
     """Distribution matrix P[j, n] over the plan's phase grid (rows = phases)
     of a state nu of max_fock + 1 levels.
 
-    The exact backend returns the displaced diagonals; a MonteCarloBackend
-    instead estimates each from a cascade of n_rows filters, phase j seeded
-    with derive_seeds(rng_seed, [j]), all phases sharing one response matrix.
+    The exact backend returns the displaced diagonals.  A CascadeConfig
+    backend instead estimates each with its own samples and update rule,
+    phase j seeded with derive_seeds(rng_seed, [j]), all phases sharing its
+    response matrix on the working space.
     """
     P = _displaced_probabilities(nu, plan)
-    backend, rows = plan.backend, plan.n_rows
-    if backend == "exact":
+    counter, rows = plan.backend, plan.n_rows
+    if counter == "exact":
         return P[:, :rows].copy()
-    cfg = backend._cascade(rows - 1)
-    R, S = response_matrix(cfg, P.shape[1])
-    seeds = derive_seeds(cfg.rng_seed, range(plan.n_phases))
-    return np.vstack([_estimate(p, p[:rows], R, S, int(seed), cfg.samples).values
+    R, S = response_matrix(counter, P.shape[1])
+    seeds = derive_seeds(counter.rng_seed, range(plan.n_phases))
+    return np.vstack([_estimate(p, p[:rows], R, S, int(seed), counter.samples).values
                       for p, seed in zip(P, seeds)])
 
 
@@ -279,7 +256,7 @@ def reconstruct(plan, measured):
     # every phase-Fourier component s = 0..M in one product, as real and
     # imaginary parts: every kernel K_s is real, so each s is a real
     # least-squares problem with two right-hand sides, targets[s]
-    angles = np.outer(np.arange(M + 1), uniform_phase_grid(plan.n_phases))
+    angles = np.outer(np.arange(M + 1), plan.phases)
     targets = np.vstack([np.cos(angles), np.sin(angles)]) @ measured[:, :rows] / plan.n_phases
     targets = targets.reshape(2, M + 1, rows).transpose(1, 2, 0)
 

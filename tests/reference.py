@@ -12,7 +12,6 @@ from fockfilter import fock
 from fockfilter.cascade import TRACE_DRIFT_TOL, uniforms
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, filter_pass
-from fockfilter.tomography import uniform_phase_grid
 
 
 def stage_update(state, cfg, nk):
@@ -104,4 +103,5 @@ def phase_fourier(P_matrix, s):
     """
     P_matrix = np.asarray(P_matrix)
     n_phi = P_matrix.shape[0]
-    return (np.exp(1j * s * uniform_phase_grid(n_phi)) @ P_matrix) / n_phi
+    phases = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    return (np.exp(1j * s * phases) @ P_matrix) / n_phi

@@ -16,8 +16,7 @@ from fockfilter.cascade import CascadeConfig, estimate_photon_distribution
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
                                   superposition_synthesis_check)
-from fockfilter.tomography import (MonteCarloBackend, TomographyPlan,
-                                   measure_distributions, reconstruct)
+from fockfilter.tomography import TomographyPlan, measure_distributions, reconstruct
 
 RESULTS = []
 
@@ -145,8 +144,8 @@ def test_criterion_6_tomography_round_trip():
 
     mc_td = []
     for seed in range(10):
-        backend = MonteCarloBackend(
-            tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+        backend = CascadeConfig(
+            n_top=11, tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
             samples=10_000, rng_seed=seed)
         noisy = TomographyPlan(gamma_abs=1.0, n_phases=16, max_fock=5, n_rows=12,
                                backend=backend)

@@ -142,6 +142,39 @@ def test_uniforms_reject_negative_trials():
         uniforms(0, [3, -1], 4)
 
 
+# substream indices that are not integers in 0..2^63 - 1, each of which once
+# ran as a truncated index (1.5 as 1, True as 1) or was refused as negative
+BAD_INDICES = {
+    "float": [1.5], "integral float": [1.0], "float array": np.array([0.5]),
+    "bool": [True], "numpy bool": np.array([False, True]), "string": ["1"],
+    "object": np.array([1], dtype=object), "none": [None],
+    "negative": [-1], "negative range": range(-1, 3),
+    "uint64 2^63": np.array([2 ** 63], dtype=np.uint64), "past uint64": [2 ** 64],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INDICES))
+def test_substream_indices_take_integers_in_range_only(name):
+    for call in (lambda v: cascade.derive_seeds(1, v), lambda v: uniforms(1, v, 2)):
+        with pytest.raises(ValueError, match=r"^substream indices must be integers in "
+                                             rf"0\.\.{2 ** 63 - 1}, got "):
+            call(BAD_INDICES[name])
+
+
+def test_integer_indices_of_any_form_name_the_same_substreams():
+    # integer arrays of any width, ranges and empty sequences are indices
+    reference = cascade.derive_seeds(1, [0, 1, 2])
+    for good in (range(3), np.arange(3, dtype=np.uint8), np.arange(3, dtype=np.int32),
+                 np.arange(3, dtype=np.uint64)):
+        assert np.array_equal(cascade.derive_seeds(1, good), reference)
+    for empty in ([], (), range(0), np.array([])):
+        assert cascade.derive_seeds(1, empty).shape == (0,)
+    # a lone index is one substream, mixed as an array: no overflow warning
+    assert np.array_equal(cascade.derive_seeds(1, np.int64(2)), reference[2:])
+    top = np.array([2 ** 63 - 1], dtype=np.uint64)
+    assert np.array_equal(cascade.derive_seeds(1, top), cascade.derive_seeds(1, [2 ** 63 - 1]))
+
+
 def test_confidence_floor():
     spec = fock.StateSpec.number(2)
     est = estimate_photon_distribution(spec, fig3_cascade(n_top=4, samples=500))

@@ -295,16 +295,23 @@ def test_state_above_the_cutoff_ceiling_exits_3(tmp_path, capsys):
     assert f"> {fock.CUTOFF_CEILING}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("gamma_abs", 1000), ("n_rows", 10 ** 8)])
-def test_plan_above_the_cutoff_ceiling_exits_3(tmp_path, capsys, field, value):
+PLANS_PAST_THE_CEILING = [
+    ("exact", "gamma_abs", 1000), ("exact", "n_rows", 10 ** 8),
+    # the plan refuses these before a counter of n_rows stages is built
+    ("monte_carlo", "n_rows", 5000), ("monte_carlo", "n_rows", 10 ** 8)]
+
+
+@pytest.mark.parametrize("backend, field, value", PLANS_PAST_THE_CEILING, ids=[
+    f"{'' if b == 'exact' else b + '-'}{f}-{v}" for b, f, v in PLANS_PAST_THE_CEILING])
+def test_plan_above_the_cutoff_ceiling_exits_3(tmp_path, capsys, backend, field, value):
     # asserted first, so that without the ceiling the run below, which would
     # build a displacement matrix of millions of levels, never starts
     with pytest.raises(fock.CutoffError):
         TomographyPlan(**{**dict(gamma_abs=1.0, n_phases=10, max_fock=2, n_rows=6),
                           field: value})
     capsys.readouterr()
-    code, out = run(tmp_path, "tomography", "--config",
-                    write_config(tmp_path, {**VALID["tomography"], field: value}))
+    config = {**VALID["tomography"], "backend": backend, field: value}
+    code, out = run(tmp_path, "tomography", "--config", write_config(tmp_path, config))
     assert code == 3
     err = capsys.readouterr().err
     assert field in err and f"> {fock.CUTOFF_CEILING}" in err
@@ -467,6 +474,7 @@ VALID = {
     "measure-pn": {"state": COHERENT, "tau": 1e-3, "chi_t": 0.1, "samples": 50},
     "tomography": {"state": COHERENT, "max_fock": 2},
 }
+MONTE_CARLO = {**VALID["tomography"], "backend": "monte_carlo", "samples": 200}
 DROP = object()
 
 
@@ -541,17 +549,28 @@ CEILINGS = {
         gamma_abs=1.0, n_phases=2 * fock.CUTOFF_CEILING + 2, max_fock=2, n_rows=6)),
 }
 REJECTIONS += [(e, f, value, f) for (e, f), (value, _) in CEILINGS.items()]
+# Monte Carlo tomography builds its counter once the plan has checked n_rows,
+# so a bad n_rows is named by the plan and not as the counter's n_top
+MONTE_CARLO_REJECTIONS = [
+    ("tomography", "n_rows", 0, "n_rows = 0 underdetermines the s = 0 system"),
+    ("tomography", "samples", 0, "samples must be >= 1, got 0"),
+    ("tomography", "cavity.tau", 1.0, "tau must lie strictly in (0, 1), got 1.0"),
+    ("tomography", "eta", 0.0, "eta must lie in (0, 1], got 0.0"),
+]
+REJECTION_CASES = ([(VALID[row[0]], *row) for row in REJECTIONS]
+                   + [(MONTE_CARLO, *row) for row in MONTE_CARLO_REJECTIONS])
 
 
-@pytest.mark.parametrize("experiment,field,value,named", REJECTIONS, ids=[
-    f"{e}-{f}-{'absent' if v is DROP else json.dumps(v)[:12]}" for e, f, v, _ in REJECTIONS])
-def test_bad_field_exits_2_naming_it_without_files(tmp_path, capsys, experiment, field,
-                                                    value, named):
+@pytest.mark.parametrize("config,experiment,field,value,named", REJECTION_CASES, ids=[
+    f"{e}{'' if c is VALID[e] else '-monte_carlo'}-{f}-"
+    f"{'absent' if v is DROP else json.dumps(v)[:12]}" for c, e, f, v, _ in REJECTION_CASES])
+def test_bad_field_exits_2_naming_it_without_files(tmp_path, capsys, config, experiment,
+                                                    field, value, named):
     past, refuse = CEILINGS.get((experiment, field), (None, None))
     if refuse is not None and value == past:
         with pytest.raises(ValueError, match=field):
             refuse()
-    cfg = write_config(tmp_path, edited(VALID[experiment], field, value))
+    cfg = write_config(tmp_path, edited(config, field, value))
     capsys.readouterr()
     code, out = run(tmp_path, experiment, "--config", cfg)
     assert code == 2
@@ -566,7 +585,6 @@ def test_valid_configs_of_the_rejection_table_run(tmp_path, experiment):
 
 
 NUMBER = {"kind": "number", "n": 1}
-MONTE_CARLO = {**VALID["tomography"], "backend": "monte_carlo", "samples": 200}
 # every integer field of every experiment: (experiment, config, field, value)
 INTEGER_FIELDS = [
     ("profile", VALID["profile"], "n_max", 12),

@@ -20,15 +20,14 @@ README_EXAMPLES = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_t
 # the public API: what the CLI, the demos and the README examples need
 PUBLIC = [
     "CascadeConfig", "CavityParams", "CutoffError", "DistributionEstimate",
-    "FilterResult", "MonteCarloBackend", "NumericalError", "PhotonDistribution",
-    "ProbeDetector", "ReconstructionResult", "StateSpec", "SuperpositionReport",
-    "TomographyPlan", "analytic_distribution", "cavity_amplitudes", "choose_cutoff",
-    "default_gamma_abs", "derive_seeds", "displacement_margin", "displacement_matrix",
-    "estimate_photon_distribution", "fidelity_to_pure", "filter_pass",
-    "filter_pass_asymptotic", "first_on_distribution", "make_state",
-    "measure_distributions", "mode_amplitudes", "photon_distribution", "purity",
-    "reconstruct", "resonant_components", "response_matrix",
-    "superposition_synthesis_check", "total_phase", "trace_distance",
+    "FilterResult", "NumericalError", "ProbeDetector", "ReconstructionResult",
+    "StateSpec", "SuperpositionReport", "TomographyPlan", "analytic_distribution",
+    "cavity_amplitudes", "choose_cutoff", "default_gamma_abs", "derive_seeds",
+    "displacement_margin", "displacement_matrix", "estimate_photon_distribution",
+    "fidelity_to_pure", "filter_pass", "filter_pass_asymptotic",
+    "first_on_distribution", "make_state", "measure_distributions", "mode_amplitudes",
+    "photon_distribution", "purity", "reconstruct", "resonant_components",
+    "response_matrix", "superposition_synthesis_check", "total_phase", "trace_distance",
     "transmission_profile", "uniforms", "validate_density_matrix",
 ]
 
@@ -65,7 +64,7 @@ def test_readme_example_runs(index, capsys):
 
 
 def test_every_exported_name_resolves():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 37
     assert sorted(fockfilter.__all__) == sorted(["__version__", *PUBLIC])
     for name in fockfilter.__all__:
         assert hasattr(fockfilter, name), name

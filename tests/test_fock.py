@@ -132,10 +132,10 @@ def test_an_analytic_distribution_past_the_cutoff_ceiling_is_refused():
     assert len(fock.analytic_distribution(spec, top)) == top + 1
 
 
-# every integer size or index of the library but the fields of CascadeConfig,
-# TomographyPlan and MonteCarloBackend, which test_cascade and test_tomography
-# check: the call with a size, the name its refusal gives and a value out of
-# its range
+# every integer size or index of the library but the fields of CascadeConfig
+# and TomographyPlan, which test_cascade and test_tomography check, and the
+# substream indices of derive_seeds, which test_cascade checks: the call with
+# a size, the name its refusal gives and a value out of its range
 _CAVITY = cavity.CavityParams(tau=0.01, psi=0.2, chi_t=0.1)
 _RHO = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
 SIZE_ARGUMENTS = {
@@ -498,8 +498,9 @@ def test_metrics_of_a_mixed_state_against_a_pure_one(random_state):
 
 def test_photon_distribution_clamps_tiny_negatives():
     rho = np.diag([1.0, -1e-13, 0.0]).astype(complex)
-    p = fock.photon_distribution(rho).values
+    p = fock.photon_distribution(rho)
     assert p[1] == 0.0
+    assert p.dtype == float and not p.flags.writeable
 
 
 NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "nan_imag": 1j * np.nan,

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,16 +15,22 @@ from scipy.stats import poisson
 from fockfilter import fock
 from fockfilter.cascade import CascadeConfig, derive_seeds, estimate_photon_distribution
 from fockfilter.filtering import ProbeDetector
-from fockfilter.tomography import (MonteCarloBackend, TomographyPlan, default_gamma_abs,
-                                   measure_distributions, reconstruct)
+from fockfilter.tomography import (TomographyPlan, default_gamma_abs, measure_distributions,
+                                   reconstruct)
 from reference import displace, phase_fourier
 
 
-def plan_for(max_fock, gamma_abs=1.0, n_rows=None, backend="exact"):
+def plan_for(max_fock, gamma_abs=1.0, n_rows=None):
     return TomographyPlan(gamma_abs=gamma_abs, n_phases=2 * max_fock + 6,
                           max_fock=max_fock,
-                          n_rows=2 * max_fock + 2 if n_rows is None else n_rows,
-                          backend=backend)
+                          n_rows=2 * max_fock + 2 if n_rows is None else n_rows)
+
+
+def with_counter(plan, samples, seed=0, tau=1e-4, update_rule="exact"):
+    """plan, counted by a cascade with one stage per row."""
+    return replace(plan, backend=CascadeConfig(
+        n_top=plan.n_rows - 1, tau=tau, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
+        samples=samples, rng_seed=seed, update_rule=update_rule))
 
 
 def kernel(D, k, m, n):
@@ -89,7 +96,7 @@ def test_forward_model_equals_per_phase_displacement(random_state, dim, seed, ga
     margin = fock.displacement_margin(gamma_abs) + max(0, plan.n_rows - dim)
     try:
         expect = [fock.photon_distribution(displace(
-            nu, gamma_abs * cmath.exp(1j * phi), n_out=None, margin=margin)).values
+            nu, gamma_abs * cmath.exp(1j * phi), n_out=None, margin=margin))
             for phi in plan.phases]
     except fock.CutoffError:
         # the default margin is too small for this state: both paths must say so
@@ -180,8 +187,9 @@ def test_forward_model_rejects_non_finite_state():
 def test_forward_model_flags_a_starved_margin(monkeypatch, backend):
     monkeypatch.setattr(fock, "displacement_margin", lambda gamma: 1)
     nu = fock.make_state(fock.StateSpec.number(3), cutoff=3)
-    plan = plan_for(3, gamma_abs=2.0, n_rows=4,
-                    backend=mc_backend(100) if backend == "monte_carlo" else "exact")
+    plan = plan_for(3, gamma_abs=2.0, n_rows=4)
+    if backend == "monte_carlo":
+        plan = with_counter(plan, 100)
     # the message says what the working cutoff is made of
     with pytest.raises(fock.CutoffError, match=re.escape(
             "past working cutoff 4, the last of 5 levels: n_rows 4 + the displacement "
@@ -303,9 +311,9 @@ def test_reconstruction_is_hermitian(random_state):
 ])
 @pytest.mark.parametrize("monte_carlo", [False, True])
 def test_reconstruction_is_exactly_hermitian(truth, monte_carlo):
-    backend = MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(20.0, 0.8),
-                                samples=500, rng_seed=3) if monte_carlo else "exact"
-    plan = plan_for(8, backend=backend)
+    plan = plan_for(8)
+    if monte_carlo:
+        plan = with_counter(plan, 500, seed=3)
     nu = reconstruct(plan, measure_distributions(truth, plan)).nu_hat
     assert np.array_equal(nu, nu.conj().T)
     assert not nu.diagonal().imag.any()
@@ -397,6 +405,13 @@ def test_plan_validation():
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=2)
     with pytest.raises(ValueError):
         TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=8, backend="fast")
+    # the counter's stages are the plan's rows, one for one
+    for n_top in (6, 8):
+        counter = CascadeConfig(n_top=n_top, tau=1e-4, chi_t=0.1,
+                                probe=ProbeDetector(alpha=20.0, eta=0.8), samples=10, rng_seed=0)
+        with pytest.raises(ValueError, match=f"counter's {n_top + 1} stages must be the "
+                                             "plan's n_rows = 8 rows"):
+            TomographyPlan(gamma_abs=1.0, n_phases=12, max_fock=3, n_rows=8, backend=counter)
 
 
 def test_plan_sizes_stop_at_the_cutoff_ceiling():
@@ -442,82 +457,61 @@ def test_plan_integer_fields_take_numpy_integers():
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo backend
-
-
-def mc_backend(samples, seed=0):
-    return MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
-                             samples=samples, rng_seed=seed)
+# Monte Carlo: the plan's backend is the photon counter, a CascadeConfig
 
 
 def test_mc_displaced_distribution_agrees_with_exact():
     rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=3, tail=None)
     exact = measure_distributions(rho, plan_for(3, n_rows=8))
-    est = measure_distributions(rho, plan_for(3, n_rows=8, backend=mc_backend(4000)))
+    est = measure_distributions(rho, with_counter(plan_for(3, n_rows=8), 4000))
     assert est.shape == exact.shape
     assert np.max(np.abs(est - exact)) < 0.03
 
 
 def test_mc_round_trip_reconstruction():
     truth = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=3, tail=None)
-    plan = plan_for(3, backend=mc_backend(2500))
+    plan = with_counter(plan_for(3), 2500)
     rec = reconstruct(plan, measure_distributions(truth, plan))
     assert fock.trace_distance(rec.nu_hat, truth) < 0.1
 
 
+def test_a_good_cavity_counter_is_the_ideal_counter_at_any_linewidth():
+    # the criterion-6 plan at tau = 1e-2, where the exact rule's off-resonant
+    # clicks bias every row: the good-cavity counter still reconstructs the
+    # state, the exact one does not (the gap a calibrated inversion closes)
+    truth = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
+    plan = TomographyPlan(gamma_abs=1.0, n_phases=16, max_fock=5, n_rows=12)
+    for seed in range(5):
+        distances = {}
+        for rule in ("good_cavity", "exact"):
+            counted = with_counter(plan, 10_000, seed=seed, tau=1e-2, update_rule=rule)
+            rec = reconstruct(counted, measure_distributions(truth, counted))
+            distances[rule] = fock.trace_distance(rec.nu_hat, truth)
+        assert distances["good_cavity"] <= 0.1 < distances["exact"], (seed, distances)
+
+
 def test_mc_is_reproducible():
     rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=3, tail=None)
-    plan = plan_for(3, backend=mc_backend(600))
+    plan = with_counter(plan_for(3), 600)
     a = measure_distributions(rho, plan)
     b = measure_distributions(rho, plan)
     assert np.array_equal(a, b)
-    c = measure_distributions(rho, plan_for(3, backend=mc_backend(600, seed=5)))
+    c = measure_distributions(rho, with_counter(plan_for(3), 600, seed=5))
     assert not np.array_equal(a, c)
 
 
-def test_mc_phase_j_is_seeded_with_its_derived_seed():
-    # phase j is the public cascade estimator run on that phase's displaced
-    # diagonal, at the forward model's working cutoff, seeded with substream j
+@pytest.mark.parametrize("rule", ["exact", "good_cavity"])
+def test_mc_phase_j_is_seeded_with_its_derived_seed(rule):
+    # phase j is the plan's counter, update rule and all, run by the public
+    # cascade estimator on that phase's displaced diagonal, at the forward
+    # model's working cutoff, with its seed replaced by substream j of its own
     rho = fock.make_state(fock.StateSpec.coherent(0.8), cutoff=2, tail=None)
-    plan = plan_for(2, backend=mc_backend(300, seed=7))
+    plan = with_counter(plan_for(2), 300, seed=7, update_rule=rule)
     P = measure_distributions(rho, plan)
     margin = fock.displacement_margin(plan.gamma_abs) + max(0, plan.n_rows - len(rho))
     for j in (0, 3):
         displaced = displace(rho, plan.gamma_abs * cmath.exp(1j * plan.phases[j]),
                              n_out=None, margin=margin)
-        cfg = CascadeConfig(n_top=plan.n_rows - 1, tau=1e-4, chi_t=0.1,
-                            probe=ProbeDetector(alpha=20.0, eta=0.8),
-                            samples=300, rng_seed=int(derive_seeds(7, [j])[0]))
+        cfg = replace(plan.backend, rng_seed=int(derive_seeds(plan.backend.rng_seed, [j])[0]))
         one = estimate_photon_distribution(np.diag(displaced.diagonal()), cfg)
         assert np.array_equal(P[j], one.values)
-
-
-def test_backend_validation():
-    with pytest.raises(ValueError):
-        mc_backend(0)
-    with pytest.raises(ValueError):
-        mc_backend(100, seed=-3)
-    probe = ProbeDetector(alpha=20.0, eta=0.8)
-    with pytest.raises(ValueError, match="tau"):
-        MonteCarloBackend(tau=1.0, chi_t=0.1, probe=probe, samples=10, rng_seed=0)
-    with pytest.raises(ValueError, match="chi_t"):
-        MonteCarloBackend(tau=1e-4, chi_t=-0.1, probe=probe, samples=10, rng_seed=0)
-    with pytest.raises(ValueError, match="probe must be a ProbeDetector"):
-        MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=None, samples=10, rng_seed=0)
-
-
-@pytest.mark.parametrize("field", ["samples", "rng_seed"])
-def test_backend_integer_fields_refuse_bools_and_non_integral_values(field):
-    # samples=10.5 used to pass and fail in the sampler; rng_seed=1.5 ran as seed 1
-    for value in (True, np.bool_(True), 10.5, 2.7, 10.0, "10"):
-        fields = {"samples": 10, "rng_seed": 0, field: value}
-        with pytest.raises(ValueError, match=f"{field} must be an integer"):
-            MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
-                              **fields)
-    # numpy integers are integers, and reach the cascade as ints
-    fields = {"samples": 10, "rng_seed": 0, field: np.int64(3)}
-    cfg = MonteCarloBackend(tau=1e-4, chi_t=0.1, probe=ProbeDetector(alpha=20.0, eta=0.8),
-                            **fields)._cascade(2)
-    assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
-    with pytest.raises(ValueError):
-        plan_for(2, backend="turbo")
