@@ -127,17 +127,18 @@ class StateSpec:
 def analytic_distribution(spec, n_max):
     """Closed-form photon distribution p_0..p_{n_max} of the untruncated state.
 
-    number: delta at n.  coherent: Poisson(|amp|^2).  thermal: geometric.
-    squeezed vacuum: even-n two-photon expansion, exactly zero on odd n.
-    ValueError unless n_max is an integer in 0..CUTOFF_CEILING.
+    number and squeezed vacuum: |c_n|^2, with log|c_n| from _log_magnitudes,
+    the law their amplitudes are built from (a delta at n; the even-n
+    two-photon expansion, exactly zero on odd n).  coherent: Poisson(|amp|^2),
+    written here beside its amplitudes in _pure_amplitudes: squaring those
+    moves some p_n by an ulp and, rarely, the cutoff choose_cutoff finds.
+    thermal: geometric.  ValueError unless n_max is an integer in
+    0..CUTOFF_CEILING.
     """
     n_max = _size(n_max, "n_max")
     n = np.arange(n_max + 1)
-    if spec.kind == "number":
-        p = np.zeros(n_max + 1)
-        if spec.n <= n_max:
-            p[spec.n] = 1.0
-        return p
+    if spec.kind in ("number", "squeezed_vacuum"):
+        return np.exp(2.0 * _log_magnitudes(spec, n_max))
     if spec.kind == "coherent":
         lam = abs(spec.amplitude) ** 2
         if lam == 0.0:
@@ -145,26 +146,13 @@ def analytic_distribution(spec, n_max):
             p[0] = 1.0
             return p
         return np.exp(n * math.log(lam) - lam - _log_factorials(n_max))
-    if spec.kind == "thermal":
-        nb = spec.mean_n
-        if nb == 0.0:
-            p = np.zeros(n_max + 1)
-            p[0] = 1.0
-            return p
-        # (nb/(1+nb))^n / (1+nb), in log space for large nb
-        return np.exp(n * (math.log(nb) - math.log1p(nb)) - math.log1p(nb))
-    # squeezed vacuum: P(2m) = (2m)!/(2^{2m} (m!)^2) tanh^{2m}(r) / cosh(r)
-    p = np.zeros(n_max + 1)
-    if spec.mean_n == 0.0:
+    # thermal: (nb/(1+nb))^n / (1+nb), in log space for large nb
+    nb = spec.mean_n
+    if nb == 0.0:
+        p = np.zeros(n_max + 1)
         p[0] = 1.0
         return p
-    r = math.asinh(math.sqrt(spec.mean_n))
-    m = np.arange(n_max // 2 + 1)
-    lf = _log_factorials(n_max)
-    logp = (lf[::2] - 2 * m * math.log(2.0) - 2 * lf[:m.size]
-            + 2 * m * math.log(math.tanh(r)) - math.log(math.cosh(r)))
-    p[2 * m] = np.exp(logp)
-    return p
+    return np.exp(n * (math.log(nb) - math.log1p(nb)) - math.log1p(nb))
 
 
 def choose_cutoff(spec, tail=DEFAULT_TAIL):
@@ -189,34 +177,48 @@ def choose_cutoff(spec, tail=DEFAULT_TAIL):
         f"for {spec.kind} state (mean photons {spec.mean_photons:g})")
 
 
-def _pure_amplitudes(spec, cutoff):
-    """Fock amplitudes of a pure-kind spec on 0..cutoff (None for thermal)."""
-    n = np.arange(cutoff + 1)
+def _log_magnitudes(spec, cutoff):
+    """log|c_n| for n = 0..cutoff of a number state or squeezed vacuum, -inf
+    where c_n = 0: the one law of both their amplitudes and their
+    distributions."""
     if spec.kind == "number":
-        c = np.zeros(cutoff + 1, dtype=complex)
-        c[spec.n] = 1.0
-        return c
+        return np.where(np.arange(cutoff + 1) == spec.n, 0.0, -np.inf)
+    # squeezed vacuum: |c_2m| = sqrt((2m)!) / (2^m m!) tanh^m(r) / sqrt(cosh r)
+    logmag = np.full(cutoff + 1, -np.inf)
+    if spec.mean_n == 0.0:
+        logmag[0] = 0.0
+        return logmag
+    r = math.asinh(math.sqrt(spec.mean_n))
+    m = np.arange(cutoff // 2 + 1)
+    lf = _log_factorials(cutoff)
+    logmag[::2] = (0.5 * lf[::2] - m * math.log(2.0) - lf[:m.size]
+                   + m * math.log(math.tanh(r)) - 0.5 * math.log(math.cosh(r)))
+    return logmag
+
+
+def _pure_amplitudes(spec, cutoff):
+    """Fock amplitudes of a pure-kind spec on 0..cutoff (None for thermal).
+
+    number and squeezed vacuum: e^{log|c_n|} from _log_magnitudes, which
+    analytic_distribution squares, and the squeezed sign (-1)^m on n = 2m.
+    coherent: its own law, |beta|^n e^{-|beta|^2/2} / sqrt(n!) times the phase
+    e^{i n arg beta}, beside the Poisson law of analytic_distribution.
+    """
+    if spec.kind == "thermal":
+        return None
     if spec.kind == "coherent":
         beta = spec.amplitude
         if beta == 0:
             c = np.zeros(cutoff + 1, dtype=complex)
             c[0] = 1.0
             return c
+        n = np.arange(cutoff + 1)
         logmag = -abs(beta) ** 2 / 2 + n * math.log(abs(beta)) - _log_factorials(cutoff) / 2
         return np.exp(logmag) * np.exp(1j * n * np.angle(beta))
-    if spec.kind == "squeezed_vacuum":
-        c = np.zeros(cutoff + 1, dtype=complex)
-        if spec.mean_n == 0.0:
-            c[0] = 1.0
-            return c
-        r = math.asinh(math.sqrt(spec.mean_n))
-        m = np.arange(cutoff // 2 + 1)
-        lf = _log_factorials(cutoff)
-        logmag = (0.5 * lf[::2] - m * math.log(2.0) - lf[:m.size]
-                  + m * math.log(math.tanh(r)) - 0.5 * math.log(math.cosh(r)))
-        c[2 * m] = np.where(m % 2 == 0, 1.0, -1.0) * np.exp(logmag)
-        return c
-    return None
+    c = np.exp(_log_magnitudes(spec, cutoff))
+    if spec.kind == "squeezed_vacuum" and spec.mean_n > 0.0:
+        c[2::4] *= -1.0  # the vacuum's empty cells stay +0
+    return c.astype(complex)
 
 
 def make_state(spec, cutoff=None, tail=DEFAULT_TAIL):

@@ -4,21 +4,27 @@
 
 Each run in RUNS (every CLI preset, and one Monte Carlo tomography config
 that no preset reaches) writes its table-format files and its stdout into
-tests/golden/<run>/; tests/test_golden.py runs each again and compares
-every cell.  Run this script only in a change that means to move output
-numbers (a new RNG stream, a corrected formula), and say in CHANGES.md
-which outputs moved and why.  A change that is to keep every output, a
-refactor or a speedup, must leave these files as they are: a test that
-fails against them has found a change in the numbers.
+tests/golden/<run>/, and then digests.json records the sha256 of every
+reference file beside numpy's version and BLAS.  tests/test_golden.py runs
+each again and compares every cell; where numpy and its BLAS are the
+recorded ones it also compares every byte, through the digests.  Run this
+script only in a change that means to move output numbers (a new RNG
+stream, a corrected formula), and say in CHANGES.md which outputs moved
+and why.  A change that is to keep every output, a refactor or a speedup,
+must leave these files as they are: a test that fails against them has
+found a change in the numbers.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
 import shutil
 import sys
 import tempfile
+
+import numpy as np
 
 from fockfilter import cli
 
@@ -55,11 +61,31 @@ def run(name, out):
     pathlib.Path(out, "stdout.txt").write_text(stdout.getvalue())
 
 
+def environment():
+    """numpy's version and the BLAS it was built with, as numpy reports them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 reports no build dictionary
+        blas = "not reported"
+    return {"numpy": np.__version__, "blas": blas}
+
+
+def digests(root, names=RUNS):
+    """sha256 of every file of each run in `names` under `root`, keyed
+    "<run>/<file>"."""
+    return {f"{name}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+            for name in sorted(names) for path in sorted(pathlib.Path(root, name).iterdir())}
+
+
 def main():
     for name in RUNS:
         shutil.rmtree(HERE / name, ignore_errors=True)
         run(name, HERE / name)
         print(f"wrote {HERE / name}", file=sys.stderr)
+    record = {**environment(), "files": digests(HERE)}
+    (HERE / "digests.json").write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {HERE / 'digests.json'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,11 @@
 Each one computes what a library path computes, the long way: the cascade
 as a walk of full conditional states, one trial at a time; a displaced
 state as the full product D rho D^+; a phase harmonic as a DFT over the
-rows of a distribution matrix.  None of them is part of fockfilter.
+rows of a distribution matrix; the squeezed vacuum's distribution by the
+ratio of neighbouring terms.  None of them is part of fockfilter.
 """
+
+import math
 
 import numpy as np
 
@@ -105,3 +108,18 @@ def phase_fourier(P_matrix, s):
     n_phi = P_matrix.shape[0]
     phases = 2.0 * np.pi * np.arange(n_phi) / n_phi
     return (np.exp(1j * s * phases) @ P_matrix) / n_phi
+
+
+def squeezed_distribution(mean_n, n_max):
+    """P(n) of the squeezed vacuum with sinh^2 r = mean_n, on n = 0 .. n_max.
+
+    By the ratio recurrence p_0 = 1/cosh r, p_{2m+2} = p_{2m} (2m+1)/(2m+2)
+    tanh^2 r, with every odd p_n zero: no log factorials.
+    """
+    r = math.asinh(math.sqrt(mean_n))
+    ratio = math.tanh(r) ** 2
+    p = np.zeros(n_max + 1)
+    p[0] = 1.0 / math.cosh(r)
+    for m in range(n_max // 2):
+        p[2 * m + 2] = p[2 * m] * (2 * m + 1) / (2 * m + 2) * ratio
+    return p

@@ -531,8 +531,14 @@ REJECTIONS = [
     ("tomography", "backend", "fast", "backend"),
     ("tomography", "measurements", 3, "measurements"),
     ("tomography", "cavity.psi", 0.0, "cavity.psi"),
-    ("tomography", "seed", -1, "seed"),          # exact tomography never builds a cascade
-    ("tomography", "seed", 2 ** 64, "seed"),
+    # exact tomography builds the counter its manifest records, and so checks it
+    ("tomography", "samples", 0, "samples must be >= 1, got 0"),
+    ("tomography", "cavity.tau", 5.0, "tau must lie strictly in (0, 1), got 5.0"),
+    ("tomography", "cavity.chi_t", -1.0, "chi_t must be finite and > 0, got -1.0"),
+    ("tomography", "eta", 0.0, "eta must lie in (0, 1], got 0.0"),
+    ("tomography", "alpha", 101, "|alpha| = 101 exceeds the supported range"),
+    ("tomography", "seed", -1, "rng_seed must lie in 0..18446744073709551615, got -1"),
+    ("tomography", "seed", 2 ** 64, "rng_seed must lie in 0..18446744073709551615, got 1844"),
     ("measure-pn", "seed", -1, "seed"),
 ]
 

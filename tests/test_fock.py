@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockfilter import cascade, cavity, filtering, fock
-from reference import displace
+from reference import displace, squeezed_distribution
 
 
 def ladder(dim):
@@ -91,6 +91,17 @@ def test_analytic_distribution_matches_state_diagonal(spec):
     rho = fock.make_state(spec, cutoff=40, tail=None)
     p = fock.analytic_distribution(spec, 40)
     assert_allclose(np.diagonal(rho).real, p / p.sum(), rtol=1e-10, atol=1e-16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mean_n=st.floats(min_value=0.0, max_value=50.0, exclude_min=True),
+       n_max=st.integers(0, 400))
+def test_squeezed_distribution_matches_the_ratio_recurrence(mean_n, n_max):
+    p = fock.analytic_distribution(fock.StateSpec.squeezed_vacuum(mean_n), n_max)
+    expected = squeezed_distribution(mean_n, n_max)
+    assert np.all(p[1::2] == 0.0)
+    above = expected > 1e-300
+    assert_allclose(p[above], expected[above], rtol=1e-12, atol=0.0)
 
 
 def test_mean_photons():

@@ -7,9 +7,14 @@ cell may move by 1e-12 relative plus 1e-15 absolute, the last few ulps that
 BLAS and libm may change between machines; a float that moves further is a
 change in the numbers, and tests/golden/regenerate.py says when one may be
 committed.
+
+Where numpy and its BLAS are those recorded in tests/golden/digests.json,
+a fresh run must also write the same bytes: every file's sha256 must be
+the recorded one.  Elsewhere that test skips and names the difference.
 """
 
 import importlib.util
+import json
 import math
 import pathlib
 import re
@@ -25,6 +30,23 @@ _spec.loader.exec_module(regenerate)
 
 RTOL, ATOL = 1e-12, 1e-15
 INTEGER = re.compile(r"-?\d+")
+RECORDED = json.loads((GOLDEN / "digests.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def fresh(tmp_path_factory):
+    """A function that runs a reference run into <root>/<run>, once per
+    module, and returns that directory."""
+    root = tmp_path_factory.mktemp("fresh")
+    done = set()
+
+    def get(name):
+        if name not in done:
+            regenerate.run(name, root / name)
+            done.add(name)
+        return root / name
+
+    return get
 
 
 def cells_agree(fresh, reference):
@@ -54,23 +76,38 @@ def test_every_run_has_its_reference_and_no_other_reference_is_kept():
     assert kept == set(regenerate.RUNS)
 
 
+def test_the_recorded_digests_are_those_of_the_reference_files():
+    assert RECORDED["files"] == regenerate.digests(GOLDEN)
+
+
 @pytest.mark.parametrize("name", sorted(regenerate.RUNS))
-def test_a_fresh_run_matches_its_reference_tables(tmp_path, name):
-    regenerate.run(name, tmp_path)
+def test_a_fresh_run_writes_the_recorded_bytes(fresh, name):
+    here = regenerate.environment()
+    recorded = {key: RECORDED[key] for key in here}
+    if here != recorded:
+        pytest.skip(f"exact bytes are recorded for {recorded}; this is {here}")
+    out = fresh(name)
+    assert regenerate.digests(out.parent, [name]) == {
+        key: digest for key, digest in RECORDED["files"].items() if key.startswith(name + "/")}
+
+
+@pytest.mark.parametrize("name", sorted(regenerate.RUNS))
+def test_a_fresh_run_matches_its_reference_tables(fresh, name):
+    out = fresh(name)
     reference = GOLDEN / name
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+    assert sorted(p.name for p in out.iterdir()) == sorted(
         p.name for p in reference.iterdir())
     # the manifest is the resolved config, copied and never computed
-    assert (tmp_path / "manifest.json").read_bytes() == (reference / "manifest.json").read_bytes()
+    assert (out / "manifest.json").read_bytes() == (reference / "manifest.json").read_bytes()
     for path in sorted(reference.glob("*.csv")):
-        header, rows = tables.read_csv(tmp_path / path.name)
+        header, rows = tables.read_csv(out / path.name)
         want_header, want_rows = tables.read_csv(path)
         assert header == want_header, path.name
         assert_rows_agree(rows, want_rows, path.name)
     # "key = value" summary lines
-    fresh, expected = ((p / "stdout.txt").read_text().splitlines()
-                       for p in (tmp_path, reference))
-    assert_rows_agree([line.split(" = ", 1) for line in fresh],
+    got, expected = ((p / "stdout.txt").read_text().splitlines()
+                     for p in (out, reference))
+    assert_rows_agree([line.split(" = ", 1) for line in got],
                       [line.split(" = ", 1) for line in expected], "stdout")
 
 
