@@ -9,7 +9,10 @@ is those parameters, the sample count, the seed and the update rule.
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): the uniform that decides stage k of trial i is a
 pure function u(seed, i, k), so no generator state is carried between
-trials and any subset or order of trials gives the same records.
+trials and any subset or order of trials gives the same records.  It also
+means that which uniforms are drawn cannot change a count: the sampler
+draws a trial's stages only up to its first click, as raw 64-bit outputs
+compared with integer thresholds (`_count_first_on`).
 
 Each filter is a photon-number nondemolition measurement, so under either
 update rule a cascade is one state-independent response matrix R[k, n] =
@@ -17,11 +20,12 @@ P(first click at stage k | n photons), with the survival S[k, n] = P(no
 click before stage k | n photons) (`response_matrix`).  For an input
 diagonal d, the first-ON distribution is R @ d and the all-OFF residual
 S[K] @ d.  Trial i clicks first at the smallest k with u(seed, i, k) <
-q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks, which only
-bound memory.  Where the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB)
-the later q_k are undefined, and a trial that would reach them raises
-NumericalError.  The tests check R against an independent walk of full
-conditional states, one trial at a time.
+q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks of at most
+CHUNK_CELLS trial-stage cells, which only bound memory.  Where the all-OFF
+path dies (S[k] @ d < MIN_OUTCOME_PROB) the later q_k are undefined, and a
+trial that would reach them raises NumericalError.  The tests check R
+against an independent walk of full conditional states, one trial at a
+time, and the sampler against the full matrix of uniforms.
 """
 
 from dataclasses import dataclass
@@ -38,13 +42,14 @@ UPDATE_RULES = ("exact", "good_cavity")
 # the response matrix.
 TRACE_DRIFT_TOL = 1e-6
 
-# Trials sampled per block; bounds the (trials, stages) uniform array.
-CHUNK_TRIALS = 2 ** 14
+# Cells (trials x stages) the sampler draws at a time; bounds its memory.
+CHUNK_CELLS = 2 ** 18
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA'14): Weyl increment and finalizer.
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_MASK = 2 ** 64 - 1
 
 
 def _mix(z):
@@ -58,6 +63,30 @@ def _mix(z):
     z *= _MIX2
     z ^= z >> np.uint64(31)
     return z
+
+
+def _root_key(seed):
+    """mix(seed + golden) of an int seed in 0..2^64 - 1: _mix on a Python int.
+
+    The root of every substream of seed.  Mixed as a one-element array, the
+    one number would cost eight ufunc calls, ~8 µs.
+    """
+    z = (seed + int(_GOLDEN)) & _MASK
+    z = (z ^ (z >> 30)) * int(_MIX1) & _MASK
+    z = (z ^ (z >> 27)) * int(_MIX2) & _MASK
+    return z ^ (z >> 31)
+
+
+def _stage_bits(keys, stages):
+    """Raw SplitMix64 outputs z = mix(key + (k + 1) * golden): output k + 1 of
+    the stream seeded by each key, for each stage k.
+
+    keys and stages are uint64 values that broadcast, stages an array (a
+    uint64 scalar warns on the intended overflow of (k + 1) * golden).  The
+    uniform of a trial at stage k is the top 53 bits of z times 2^-53, and
+    substream i of a seed is the root key's stage i.
+    """
+    return _mix(keys + (stages + np.uint64(1)) * _GOLDEN)
 
 
 def derive_seeds(seed, indices):
@@ -77,22 +106,20 @@ def derive_seeds(seed, indices):
                      or int(idx.max()) > 2 ** 63 - 1):
         raise ValueError(f"substream indices must be integers in 0..{2 ** 63 - 1}, "
                          f"got {indices!r:.60}")
-    base = _mix(np.full(1, seed, dtype=np.uint64) + _GOLDEN)
-    return _mix(base + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN)
+    return _stage_bits(np.uint64(_root_key(seed)), idx.astype(np.uint64))
 
 
 def uniforms(seed, trials, n_stages):
     """Uniforms u[i, k] in [0, 1) for trial trials[i] at stage k.
 
     u[i, k] is a pure function of (seed, trials[i], k).  Stage k takes
-    output k + 1 of a SplitMix64 stream seeded by the trial's derived seed;
-    the top 53 bits of each output give the double.  n_stages is an integer
-    in 0..CUTOFF_CEILING + 1, the most stages a CascadeConfig has.
+    output k + 1 of a SplitMix64 stream seeded by the trial's derived seed
+    (`_stage_bits`); the top 53 bits of each output give the double.
+    n_stages is an integer in 0..CUTOFF_CEILING + 1, the most stages a
+    CascadeConfig has.
     """
     n_stages = fock._size(n_stages, "n_stages", high=fock.CUTOFF_CEILING + 1)
-    keys = derive_seeds(seed, trials)
-    steps = (np.arange(n_stages, dtype=np.uint64) + np.uint64(1)) * _GOLDEN
-    z = _mix(keys[..., None] + steps)
+    z = _stage_bits(derive_seeds(seed, trials)[:, None], np.arange(n_stages, dtype=np.uint64))
     return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
@@ -197,18 +224,52 @@ def first_on_distribution(rho, cfg):
     return _first_on_chain(d, *response_matrix(cfg, d.size))[1:]
 
 
-def _count_first_on(q, seed, samples, chunk=CHUNK_TRIALS):
+def _thresholds(q):
+    """(T, stop): the integer form of the click rule u < q_k.
+
+    u = (z >> 11) * 2^-53 for the raw bits z of a draw (`_stage_bits`), and
+    for an integer m, m < x exactly when m < ceil(x).  So at a stage k <
+    stop, u < q_k exactly when z < T[k] = ceil(q_k * 2^53) * 2^11, which is 0
+    for a q_k <= 0 (or NaN): no draw clicks.  stop is the first stage with
+    q_k >= 1, where every draw clicks, or len(q) when there is none.
+    """
+    always = np.flatnonzero(q >= 1.0)
+    stop = int(always[0]) if always.size else len(q)
+    T = np.ceil(np.where(q[:stop] > 0.0, q[:stop], 0.0) * 2.0 ** 53).astype(np.uint64)
+    T <<= np.uint64(11)
+    return T, stop
+
+
+def _count_first_on(q, seed, samples, chunk=None):
     """First-ON counts of trials 0..samples-1; the last slot counts no click.
 
-    Trial i clicks first at the smallest k with u(seed, i, k) < q_k.  Trials
-    are sampled `chunk` at a time, which bounds memory and nothing else.
+    Trial i clicks first at the smallest k with u(seed, i, k) < q_k, decided
+    on the raw bits of each draw (`_thresholds`), so no uniform is formed
+    and no trial draws past a stage where every draw clicks.  Each chunk of
+    trials draws stage 0, then the later stages only for the trials silent
+    there, as one stages x survivors block whose first True along stages is
+    the click.  Trials are sampled `chunk` at a time, by default max(1,
+    CHUNK_CELLS // len(q)), so a block holds at most CHUNK_CELLS cells; the
+    chunk bounds memory and nothing else.
     """
     n = len(q)
+    T, stop = _thresholds(q)
     counts = np.zeros(n + 1, dtype=np.int64)
+    if stop == 0:
+        counts[0] = samples
+        return counts
+    stages = np.arange(stop, dtype=np.uint64)[:, None]
+    root = np.uint64(_root_key(seed))
+    chunk = chunk or max(1, CHUNK_CELLS // n)
     for lo in range(0, samples, chunk):
-        hit = uniforms(seed, np.arange(lo, min(lo + chunk, samples)), n) < q
-        first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
-        counts += np.bincount(first, minlength=n + 1)
+        keys = _stage_bits(root, np.arange(lo, min(lo + chunk, samples), dtype=np.uint64))
+        silent = _stage_bits(keys, stages[0]) >= T[0]
+        keys = keys[silent]
+        counts[0] += len(silent) - len(keys)
+        hit = np.empty((stop, len(keys)), dtype=bool)
+        np.less(_stage_bits(keys, stages[1:]), T[1:, None], out=hit[:-1])
+        hit[-1] = True  # silent at every drawn stage: on to stage `stop`
+        counts[:stop + 1] += np.bincount(hit.argmax(axis=0) + 1, minlength=stop + 1)
     return counts
 
 

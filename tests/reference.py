@@ -1,7 +1,8 @@
 """Independent references the tests check the library against.
 
 Each one computes what a library path computes, the long way: the cascade
-as a walk of full conditional states, one trial at a time; a displaced
+as a walk of full conditional states, one trial at a time; its first-ON
+counts from every trial's uniform at every stage; a displaced
 state as the full product D rho D^+; a phase harmonic as a DFT over the
 rows of a distribution matrix; the squeezed vacuum's distribution by the
 ratio of neighbouring terms.  None of them is part of fockfilter.
@@ -64,6 +65,19 @@ def run_cascade_trial(rho, cfg, trial):
                 f"walk stage {k}: drew an outcome of probability < {MIN_OUTCOME_PROB:g}")
         state = state_off
     return None
+
+
+def count_first_on(q, seed, samples):
+    """First-ON counts of trials 0..samples-1 from the full (trials, stages)
+    matrix of uniforms; the last slot counts no click.
+
+    Trial i clicks first at the smallest k with u(seed, i, k) < q_k, every
+    uniform formed as a double and compared as one.
+    """
+    n = len(q)
+    hit = uniforms(seed, np.arange(samples), n) < q
+    first = np.where(hit.any(axis=1), hit.argmax(axis=1), n)
+    return np.bincount(first, minlength=n + 1)
 
 
 def displace(rho, gamma, n_out=0, margin=None, max_lost=1e-6):

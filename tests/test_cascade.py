@@ -1,6 +1,7 @@
 """Cascaded filters: trial walks, first-ON statistics, the MC estimator."""
 
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from fockfilter.cascade import (CascadeConfig, estimate_photon_distribution,
                                 first_on_distribution, response_matrix, uniforms)
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, ProbeDetector
-from reference import run_cascade_trial, stage_update
+from reference import count_first_on, run_cascade_trial, stage_update
 
 # Gap allowed between q_k from the response matrix and from a walk of full
 # states.  Largest relative gap measured over 12000 random cascades (1-6
@@ -118,7 +119,7 @@ def test_estimator_independent_of_chunk_size():
     cfg = fig3_cascade(samples=3000)
     est = estimate_photon_distribution(spec, cfg)
     q = off_chain_q(fock.make_state(spec), cfg)
-    for chunk in (1, 7, cascade.CHUNK_TRIALS):
+    for chunk in (1, 7, None):
         counts = cascade._count_first_on(q, cfg.rng_seed, cfg.samples, chunk)
         assert np.array_equal(counts[:9], est.counts), chunk
         assert counts[9] / cfg.samples == est.all_off
@@ -135,6 +136,90 @@ def test_uniforms_depend_only_on_seed_trial_stage(seed, n_stages, picks, data):
                           full[order])
     # the uniform of stage k does not depend on how many stages are drawn
     assert np.array_equal(uniforms(seed, np.arange(64), n_stages + 3)[:, :n_stages], full)
+
+
+U53 = 2.0 ** -53
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["zero", "subnormal", "drawn", "below", "above", "random",
+                             "top", "one", "over"]),
+       w=st.integers(0, 2 ** 64 - 1), x=st.floats(0.0, 1.0),
+       z=st.integers(0, 2 ** 64 - 1), edge=st.sampled_from([None, "T", "t"]),
+       t=st.integers(0, 2 ** 53), below=st.booleans())
+def test_integer_threshold_is_the_uniform_comparison(kind, w, x, z, edge, t, below):
+    # q at a drawn u = (w >> 11) 2^-53 and its neighbours, at the ends of
+    # [0, 1] and past them; z anywhere, or at t 2^11 - 1 and t 2^11 for the
+    # threshold's own t or any other
+    drawn = (w >> 11) * U53
+    q = {"zero": 0.0, "subnormal": 5e-324 * (1 + w % 2 ** 40), "drawn": drawn,
+         "below": np.nextafter(drawn, 0.0), "above": np.nextafter(drawn, 1.0), "random": x,
+         "top": 1.0 - U53, "one": 1.0, "over": 1.0 + x * 1e3 + U53}[kind]
+    T, stop = cascade._thresholds(np.array([q]))
+    if edge is not None:
+        t = int(T[0]) >> 11 if edge == "T" and stop else t
+        z = min(max(t * 2 ** 11 - below, 0), 2 ** 64 - 1)
+    click = stop == 0 or bool(np.uint64(z) < T[0])
+    assert stop == (0 if q >= 1.0 else 1)
+    assert click == ((z >> 11) * U53 < q), (q, z)
+
+
+def test_thresholds_stop_at_the_first_stage_that_always_clicks():
+    T, stop = cascade._thresholds(np.array([0.5, -0.0, np.nan, 1.0, 0.25, 2.0]))
+    assert stop == 3
+    assert T.dtype == np.uint64
+    assert T.tolist() == [2 ** 63, 0, 0]
+
+
+# click probabilities that sit on the comparison's edges
+EDGE_Q = [0.0, 1.0, 5e-324, 1e-300, U53, 1.0 - U53, 1.5]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 13),
+       samples=st.integers(1, 5000), chunk=st.sampled_from([1, 7, None]), data=st.data())
+def test_sampler_equals_the_full_matrix_of_uniforms(seed, n, samples, chunk, data):
+    u = uniforms(seed, np.arange(min(samples, 8)), n)
+    q = np.array([data.draw(st.one_of(
+        st.sampled_from(EDGE_Q), st.floats(0.0, 1.0), st.floats(0.0, 1e-3),
+        st.sampled_from(["drawn", "below", "above"]).map(
+            lambda how, k=k: {"drawn": u[k % len(u), k],
+                              "below": np.nextafter(u[k % len(u), k], 0.0),
+                              "above": np.nextafter(u[k % len(u), k], 1.0)}[how])),
+        label=f"q[{k}]") for k in range(n)])
+    counts = cascade._count_first_on(q, seed, samples, chunk)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, count_first_on(q, seed, samples)), (q, seed, samples)
+
+
+@pytest.mark.parametrize("stage", [0, 3])
+def test_a_draw_exactly_at_its_threshold_does_not_click(stage):
+    # u == q_k is no click; in raw bits that is z == T_k, a z whose low 11
+    # bits are 0, so find such a draw and put q_k on it
+    seed = 12
+    z = cascade._stage_bits(cascade.derive_seeds(seed, np.arange(2 ** 14)),
+                            np.full(1, stage, dtype=np.uint64))
+    trial = int(np.flatnonzero(z & np.uint64(2 ** 11 - 1) == 0)[0])
+    q = np.zeros(5)
+    q[stage] = int(z[trial]) * 2.0 ** -64
+    assert cascade._thresholds(q)[0][stage] == z[trial]
+    counts = cascade._count_first_on(q, seed, trial + 1)
+    assert np.array_equal(counts, count_first_on(q, seed, trial + 1))
+
+
+def test_sampler_memory_is_bounded_by_cells_not_trials():
+    # 1025 stages x 16384 trials that almost never click: the full matrix of
+    # uniforms is 128 MiB, and chunks of 2^14 trials peak at 385 MiB.  A block
+    # of CHUNK_CELLS uint64 cells is 2 MiB; the sampler peaks at ~4.3 MiB.
+    q = np.full(1025, 1e-4)
+    tracemalloc.start()
+    try:
+        counts = cascade._count_first_on(q, 3, 16384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 16384
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
 def test_uniforms_reject_negative_trials():
