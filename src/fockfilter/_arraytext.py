@@ -1,5 +1,6 @@
 """The array path of `tables`: the int64 and float64 numpy columns of a
-`tables.Columns`, printed whole as %d and %.17g.
+`tables.Columns`, printed whole as %d and %.17g.  An int cell is printed by
+%d itself; the rest of this module forms the digits of float cells.
 
 A float64 cell x takes e = floor(log10|x|) and forms |x|·10^(16−e) as a
 double-double: Dekker's exact product with 10^k stored as hi + lo, hi + lo
@@ -11,8 +12,8 @@ midpoint, a non-finite cell and any |x| outside [1e-270, 1e270] other than
 ±0 is printed by %.17g itself.  Only float64 arithmetic is used, so the
 digits do not depend on the platform's long double.
 
-Text is handled as unsigned integers whose byte k, counted from the least
-significant, is character k: 4 ASCII digits come from one lookup of a
+Float text is handled as unsigned integers whose byte k, counted from the
+least significant, is character k: 4 ASCII digits come from one lookup of a
 10000-entry table, and a float cell is assembled in three 8-byte lanes (sign,
 "0.000" prefix, 17 digits with the dot moved in by a one-byte shift) plus a
 fourth for the exponent when a cell of the table may need one.  Each cell is
@@ -20,11 +21,17 @@ a fixed-width slot padded with NUL.  Digits are formed for magnitudes, once
 per distinct one: a density matrix whose |re| and |im| are symmetric shares
 the digits of its lower triangle, a float column of runs of one magnitude
 (the phase of a phi,n,p table, repeated over its n) those of one cell per
-run, an int column whose values span fewer numbers than it has rows (an
-index column) is printed from the slots of that span, and each cell is
-gathered from those slots and takes its own sign.  Equal floats can differ
-in sign (0.0 and -0.0) and NaN equals nothing, so a run is of equal
-magnitudes and a NaN is a run of its own.
+run, and each cell is gathered from those slots and takes its own sign.
+Equal floats can differ in sign (0.0 and -0.0) and NaN equals nothing, so a
+run is of equal magnitudes and a NaN is a run of its own.
+
+An int column whose values span no more numbers than it has rows (an index
+column, or an arange such as the n of a profile) prints each value of that
+span once with %d and gathers its cells from those slots; any other int
+column prints its cells with %d block by block, all of a block's cells
+through one %-template.  That costs ~0.2 µs a cell for 16-digit ints on a
+2-vCPU VM, but the CLI's int columns are index columns, so a table prints a
+few hundred distinct ints at most.
 
 The text is assembled in blocks of BLOCK_CELLS cells of the float columns
 that form their own digits, or of BLOCK_CELLS rows when every float column
@@ -65,6 +72,7 @@ _K_MIN, _K_MAX = -260, 290  # powers 10^k stored; |x| in [1e-270, 1e270] needs -
 _EXP_MAX = 300  # exponents with an entry in the exponent table
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into two 26-bit halves
 _LANES = np.dtype("<u8")  # 8 bytes of text as one integer, byte 0 least significant
+_PADDING = bytes.maketrans(b" ", b"\0")  # a %-template's padding, as the NUL a row drops
 
 
 def _values(table, dtype):
@@ -81,19 +89,17 @@ def _lookup():
     lane for "e±dd" or "e±ddd".
 
     chunk: the 4 ASCII digits of 0..9999; trailing: their trailing zeros
-    (4 for 0); tail: uint32 masks keeping the last 0..4 characters; powers:
-    hi, hi's two Dekker halves and lo, with hi + lo within 2^-106 of 10^k,
-    for k = _K_MIN.._K_MAX; layout, for 18·point + kept: the lanes that
-    keep bytes 6..6+point-1 (the digits before the dot), that keep
-    6+point..6+kept-1 (those after it), and of the dot at byte 6+point;
-    head, for zeros: lane 0 with "0.", "0.0", .. before the digits (byte 0,
-    the sign, NUL); exponent: the fourth lane, for -_EXP_MAX.._EXP_MAX, then
-    none; int_powers: 10^1..10^19.
+    (4 for 0); powers: hi, hi's two Dekker halves and lo, with hi + lo
+    within 2^-106 of 10^k, for k = _K_MIN.._K_MAX; layout, for
+    18·point + kept: the lanes that keep bytes 6..6+point-1 (the digits
+    before the dot), that keep 6+point..6+kept-1 (those after it), and of
+    the dot at byte 6+point; head, for zeros: lane 0 with "0.", "0.0", ..
+    before the digits (byte 0, the sign, NUL); exponent: the fourth lane,
+    for -_EXP_MAX.._EXP_MAX, then none.  Int cells use none of them.
     """
     i = np.arange(10000)
     chunk = 48 + np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1)
     trailing = (i % 10 == 0) * 1 + (i % 100 == 0) + (i % 1000 == 0) + (i == 0)
-    tail = (np.arange(4) >= 4 - np.arange(5)[:, None]) * 255
     powers = []
     for k in range(_K_MIN, _K_MAX + 1):
         if k >= 0:
@@ -123,10 +129,8 @@ def _lookup():
     u32, u64 = np.dtype(np.uint32), np.dtype(np.uint64)
     return SimpleNamespace(
         chunk=_values(chunk, u32).ravel(), trailing=trailing.astype(np.uint8),
-        tail=_values(tail, u32).ravel(), powers=np.array(powers).T.copy(),
-        layout=_values(layout, u64).transpose(0, 2, 1).copy(),
-        head=_values(head, u64).ravel(), exponent=_values(exponent, u64).ravel(),
-        int_powers=np.array([10 ** j for j in range(1, 20)], dtype=np.uint64))
+        powers=np.array(powers).T.copy(), layout=_values(layout, u64).transpose(0, 2, 1).copy(),
+        head=_values(head, u64).ravel(), exponent=_values(exponent, u64).ravel())
 
 
 def _scaled(a, e):
@@ -171,15 +175,13 @@ def _decimal(a):
     return D, e, np.abs(np.abs(frac) - 0.5) < 1e-9
 
 
-def _chunks(values):
-    """The five 4-digit chunks, most significant first, of non-negative int64
-    or uint64 integers below 10^20: (5, n) intp."""
-    scale = values.dtype.type(10 ** 8)
-    high = values // scale
-    top = high // scale
-    chunks = np.empty((5, len(values)), np.intp)
-    chunks[0] = top
-    for j, part in ((1, high - top * scale), (3, values - high * scale)):
+def _chunks(D):
+    """The chunks of the 17 digits D of float cells, int64 below 10^17, most
+    significant first: the leading digit, then four of 4 digits; (5, n) intp."""
+    high = D // 10 ** 8
+    chunks = np.empty((5, len(D)), np.intp)
+    chunks[0] = high // 10 ** 8
+    for j, part in ((1, high - chunks[0] * 10 ** 8), (3, D - high * 10 ** 8)):
         upper = part // 10 ** 4
         chunks[j] = upper
         chunks[j + 1] = part - upper * 10 ** 4
@@ -244,37 +246,18 @@ def _magnitude_slots(columns, lanes):
     return slots, slow if slow.any() else None
 
 
-def _int_slots(v, width):
-    """%d of each cell of int64 `v`, right-aligned in a NUL-padded row of
-    `width` bytes (at least as wide as the longest cell), with any "-" at
-    byte 0."""
-    t = _lookup()
-    negative = v < 0
-    magnitude = np.where(negative, -v, v).astype(np.uint64)  # -(-2^63) wraps to 2^63
-    count = 1 + np.searchsorted(t.int_powers, magnitude, side="right")  # digits
-    lanes = -(-int(count.max()) // 4)  # 4-digit chunks, of which each keeps its digits
-    chunks = _chunks(magnitude)[5 - lanes:] if lanes > 1 else magnitude[None].astype(np.intp)
-    text = t.chunk.take(chunks) & t.tail.take(
-        np.clip(count - 4 * np.arange(lanes - 1, -1, -1)[:, None], 0, 4))
-    text = np.ascontiguousarray(text.T, np.dtype("<u4")).view(np.uint8)
-    slots = np.zeros((len(v), width), np.uint8)
-    digits = min(4 * lanes, width)  # the leading 4·lanes - digits bytes are NUL
-    slots[:, width - digits:] = text[:, 4 * lanes - digits:]
-    if negative.any():
-        slots[:, 0] |= negative.view(np.uint8) * np.uint8(ord("-"))
-    return slots
-
-
 def _int_width(lo, hi):
     """The slot width of int cells in lo..hi: the digits of the longest, and
     a byte for the sign when one is negative."""
     return max(len(str(abs(lo))), len(str(abs(hi)))) + (lo < 0)
 
 
-def _text_slots(texts, width):
-    """The bytes of printed cells in NUL-padded rows of `width` bytes."""
-    data = np.array([t.encode() for t in texts], dtype=f"S{width}")
-    return data.view(np.uint8).reshape(len(texts), width)
+def _text_slots(cells, width):
+    """Each of `cells`, a printed cell or a Python int, in a row of `width`
+    bytes padded with NUL: one %s template prints them all (an int as %d
+    prints it), padded with spaces, which no printed cell holds."""
+    text = (f"%-{width}s" * len(cells)) % tuple(cells)
+    return np.frombuffer(text.encode().translate(_PADDING), np.uint8).reshape(len(cells), width)
 
 
 def _runs(a):
@@ -323,8 +306,9 @@ def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=Non
     digits, which later blocks gather from its slots.  A mirrored density
     matrix's block is 2048 rows of text, ~150 KB.  Each cell takes its sign
     from its own value, and a cell the array path leaves to %.17g is printed
-    from its own value.  An int column whose values span fewer numbers than
-    it has rows is printed from the slots of that span.
+    from its own value.  Int cells are printed by %d: an int column whose
+    values span no more numbers than it has rows prints each value of that
+    span once, and gathers its cells from those slots.
     """
     n = len(columns[0])
     floats = [c for c in columns if c.dtype.kind == "f"]
@@ -346,8 +330,8 @@ def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=Non
             lo, hi = int(column.min()), int(column.max())
             width = _int_width(lo, hi)
             # an index column: each value is printed once, then gathered
-            spans.append((lo, _int_slots(lo + np.arange(hi - lo + 1), width)
-                          if hi - lo < n - 1 else None))
+            spans.append((lo, _text_slots(range(lo, hi + 1), width)
+                          if hi - lo < n else None))
             widths += [width, len(text[1])]
     widths[-1] = len(text[2])
     at = np.cumsum([0] + widths).tolist()
@@ -396,7 +380,7 @@ def array_text(columns, head, sep, tail, sink, json=False, mirror=None, last=Non
             elif span[1] is not None:
                 part[...] = span[1].take(x - span[0], axis=0)
             else:
-                part[...] = _int_slots(x, part.shape[1])
+                part[...] = _text_slots(x.tolist(), part.shape[1])
         if last is not None and start + step >= n:
             rows[-1, at[-2]:] = last
         sink(rows.tobytes().translate(None, b"\0"))

@@ -100,12 +100,17 @@ def derive_seeds(seed, indices):
     says so.
     """
     seed = fock._size(seed, "seed", high=2 ** 64 - 1)
-    idx = np.atleast_1d(indices)
+    # a range of two or more indices is checked by its ends and built from
+    # its first index and step: np.atleast_1d would iterate it in Python
+    span = isinstance(indices, range) and len(indices[:2]) == 2
+    idx = np.atleast_1d([indices[0], indices[-1]] if span else indices)
     # int(): numpy 1.x compares a uint64 with a Python int in float64
     if idx.size and (idx.dtype.kind not in "iu" or int(idx.min()) < 0
                      or int(idx.max()) > 2 ** 63 - 1):
         raise ValueError(f"substream indices must be integers in 0..{2 ** 63 - 1}, "
                          f"got {indices!r:.60}")
+    if span:  # |step| <= last - first < 2^63: no int64 product overflows
+        idx = indices[0] + indices.step * np.arange(len(indices), dtype=np.int64)
     return _stage_bits(np.uint64(_root_key(seed)), idx.astype(np.uint64))
 
 

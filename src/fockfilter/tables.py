@@ -28,11 +28,13 @@ columns, a block of rows at a time, because one %.17g costs ~1 µs
   every cell whose scaled value lies within 1e-9 of a rounding midpoint
   (1e5 times that error bound), every non-finite cell and every |x| outside
   [1e-270, 1e270] other than ±0 (subnormals included).
-- An int64 cell is printed from the same table of 4-digit chunks.
-- Digits are formed once per distinct magnitude: for a density matrix that
-  `density_matrix_rows` marks (|re| and |im| symmetric bit for bit), once
-  per mirror pair; for a float column of runs of one magnitude (a phase
-  repeated over rows), once per run; for an index column, once per value.
+- An int64 cell is printed by %d.  An int column whose values span no more
+  numbers than it has rows (an index column) prints each value once and
+  gathers its cells; any other prints its cells block by block.
+- Float digits are formed once per distinct magnitude: for a density matrix
+  that `density_matrix_rows` marks (|re| and |im| symmetric bit for bit),
+  once per mirror pair; for a float column of runs of one magnitude (a
+  phase repeated over rows), once per run.
 - A block holds 2048 float cells of the columns that form their own digits,
   or 2048 rows when every float column shares its digits, and forms its
   digits in one call; the first block's call also forms the shared ones.

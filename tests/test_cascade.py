@@ -235,6 +235,9 @@ BAD_INDICES = {
     "object": np.array([1], dtype=object), "none": [None],
     "negative": [-1], "negative range": range(-1, 3),
     "uint64 2^63": np.array([2 ** 63], dtype=np.uint64), "past uint64": [2 ** 64],
+    "range to 2^63": range(2 ** 63 - 1, 2 ** 63 + 1),
+    "range from 2^63": range(2 ** 63, 0, -2 ** 62), "range past uint64": range(2 ** 64 + 1),
+    "range stepping below 0": range(3, -2, -2),
 }
 
 
@@ -258,6 +261,16 @@ def test_integer_indices_of_any_form_name_the_same_substreams():
     assert np.array_equal(cascade.derive_seeds(1, np.int64(2)), reference[2:])
     top = np.array([2 ** 63 - 1], dtype=np.uint64)
     assert np.array_equal(cascade.derive_seeds(1, top), cascade.derive_seeds(1, [2 ** 63 - 1]))
+    # a range is built from its start, stop and step: the seeds of its
+    # np.arange, bit for bit, whether empty, stepped, descending or offset
+    for bounds in [(0,), (5,), (1,), (7, 7), (9, 3), (2, 40, 3), (40, 2, -3), (10, -1, -1),
+                   (10 ** 12, 10 ** 12 + 5), (2 ** 63 - 4, 2 ** 63 - 1),
+                   (2 ** 63 - 2, 2 ** 62, -2 ** 61)]:
+        seeds = cascade.derive_seeds(2 ** 64 - 1, range(*bounds))
+        assert seeds.dtype == np.uint64
+        assert np.array_equal(seeds, cascade.derive_seeds(2 ** 64 - 1, np.arange(*bounds)))
+    # a lone index whatever the step, which may pass int64
+    assert np.array_equal(cascade.derive_seeds(1, range(2, 3, 10 ** 30)), reference[2:])
 
 
 def test_confidence_floor():

@@ -11,6 +11,9 @@ committed.
 Where numpy and its BLAS are those recorded in tests/golden/digests.json,
 a fresh run must also write the same bytes: every file's sha256 must be
 the recorded one.  Elsewhere that test skips and names the difference.
+
+The last test checks how tests/golden/compare_outputs.py, which compares
+every output of two revisions, reports the files and cells that differ.
 """
 
 import importlib.util
@@ -126,3 +129,31 @@ def test_a_fresh_run_matches_its_reference_tables(fresh, name):
 ])
 def test_cells_agree_within_the_stated_tolerance_only(fresh, reference, agree):
     assert cells_agree(fresh, reference) is agree
+
+
+_spec = importlib.util.spec_from_file_location("compare_outputs", GOLDEN / "compare_outputs.py")
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def test_compare_outputs_names_each_differing_file_and_its_cells(tmp_path, capsys):
+    # two output trees as the parent-diff script leaves them: one CSV cell
+    # and one JSON leaf moved, a log changed, a file on one side only
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root, x, leaf, log in ((old, "0.5", 1.25, "exit 0"), (new, "0.75", 1.5, "exit 3")):
+        (root / "run").mkdir(parents=True)
+        (root / "run" / "t.csv").write_text(f"n,x\n0,{x}\n1,inf\n")
+        (root / "run" / "results.json").write_text(json.dumps({"rows": [[0, leaf], [1, 2.0]]}))
+        (root / "run" / "same.csv").write_text("n\n1\n")
+        (root / "log.txt").write_text(log)
+    (old / "run" / "gone.csv").write_text("n\n")
+    assert compare_outputs.compare(old, new, "REV") == 4
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: log.txt",
+        "only in REV: run/gone.csv",
+        "differs: run/results.json: 1 of 4 cells differ, largest difference 0.25",
+        "differs: run/t.csv: 1 of 6 cells differ, largest difference 0.25",
+        "4 of 5 files differ from REV",
+    ]
+    assert compare_outputs.compare(old, old, "REV") == 0
+    assert capsys.readouterr().out == "0 of 5 files differ from REV\n"

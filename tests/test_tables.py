@@ -409,6 +409,62 @@ def test_array_path_prints_int64_as_percent_d():
     assert array_printed(small) == reference_printed(small, "%d")
 
 
+def text_calls(monkeypatch):
+    """The cells of each `_arraytext._text_slots` call, which prints every
+    int cell of the array path with %d."""
+    calls, form = [], _arraytext._text_slots
+
+    def counted(cells, width):
+        calls.append(list(cells))
+        return form(cells, width)
+
+    monkeypatch.setattr(_arraytext, "_text_slots", counted)
+    return calls
+
+
+def assert_ints_print_as_cell_by_cell(*columns):
+    rows = list(zip(*(c.tolist() for c in columns)))
+    header = [f"c{k}" for k in range(len(columns))]
+    assert_tables_print_as_cell_by_cell(header, tables.Columns(*columns), rows)
+
+
+@pytest.mark.parametrize("n", [tables.ARRAY_ROWS, tables.ARRAY_ROWS + 1, 401,
+                               _arraytext.BLOCK_CELLS + 1])
+def test_an_arange_column_prints_each_value_once(monkeypatch, n):
+    # hi - lo = n - 1: the n of a profile table, and the same values in
+    # descending order, each printed once in CSV and once in JSON, in
+    # ascending order, then gathered
+    calls = text_calls(monkeypatch)
+    assert_ints_print_as_cell_by_cell(np.arange(n), np.arange(n)[::-1].copy(), np.arange(n) * 0.5)
+    assert calls == [list(range(n))] * 4
+
+
+@pytest.mark.parametrize("lo, rows, span", [(-1, tables.ARRAY_ROWS, tables.ARRAY_ROWS),
+                                            (-250, tables.ARRAY_ROWS + 5, 300),
+                                            (-2 ** 63, tables.ARRAY_ROWS + 1, 7)])
+def test_an_int_span_that_starts_below_zero_prints_each_value_once(monkeypatch, lo, rows, span):
+    # the values lo..lo + span - 1, each at least once, in a seeded order
+    column = lo + np.random.default_rng(3).permutation(np.resize(np.arange(span), rows))
+    calls = text_calls(monkeypatch)
+    assert_ints_print_as_cell_by_cell(column, column[::-1].copy())
+    assert calls == [list(range(lo, lo + span))] * 4
+
+
+@pytest.mark.parametrize("n", [_arraytext.BLOCK_CELLS + 1, 2 * _arraytext.BLOCK_CELLS + 3])
+def test_a_wide_int_column_prints_block_by_block_across_a_boundary(monkeypatch, n):
+    # values spread over +-1e15 and the int64 edges span more numbers than
+    # there are rows: each block prints its own cells, and in JSON the last
+    # row, alone in its block or not, ends in "]"
+    g = np.random.default_rng(11)
+    wide = g.integers(-10 ** 15, 10 ** 15, size=n)
+    wide[[0, n // 2, -2]] = [-2 ** 63, 2 ** 63 - 1, 0]
+    calls = text_calls(monkeypatch)
+    assert_ints_print_as_cell_by_cell(np.arange(n), wide)
+    blocks = [wide[start:start + _arraytext.BLOCK_CELLS].tolist()
+              for start in range(0, n, _arraytext.BLOCK_CELLS)]
+    assert calls == 2 * ([list(range(n))] + blocks)
+
+
 @settings(max_examples=60, deadline=None)
 @given(table=columns_tables(st.integers(tables.ARRAY_ROWS, tables.ARRAY_ROWS + 3)))
 def test_large_tables_equal_the_cell_by_cell_writer(table):
