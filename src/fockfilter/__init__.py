@@ -14,9 +14,7 @@ from .cascade import (
     DistributionEstimate,
     derive_seeds,
     estimate_photon_distribution,
-    first_on_distribution,
     response_matrix,
-    uniforms,
 )
 from .cavity import (
     CavityParams,
@@ -31,7 +29,6 @@ from .filtering import (
     ProbeDetector,
     SuperpositionReport,
     filter_pass,
-    filter_pass_asymptotic,
     superposition_synthesis_check,
 )
 from .fock import (
@@ -47,7 +44,6 @@ from .fock import (
     photon_distribution,
     purity,
     trace_distance,
-    validate_density_matrix,
 )
 from .tomography import (
     ReconstructionResult,
@@ -60,16 +56,15 @@ from .tomography import (
 __all__ = [
     "__version__",
     "CascadeConfig", "DistributionEstimate", "derive_seeds",
-    "estimate_photon_distribution", "first_on_distribution", "response_matrix",
-    "uniforms",
+    "estimate_photon_distribution", "response_matrix",
     "CavityParams", "cavity_amplitudes", "mode_amplitudes", "resonant_components",
     "total_phase", "transmission_profile",
     "FilterResult", "ProbeDetector", "SuperpositionReport", "filter_pass",
-    "filter_pass_asymptotic", "superposition_synthesis_check",
+    "superposition_synthesis_check",
     "CutoffError", "NumericalError", "StateSpec",
     "analytic_distribution", "choose_cutoff", "displacement_margin",
     "displacement_matrix", "fidelity_to_pure", "make_state", "photon_distribution",
-    "purity", "trace_distance", "validate_density_matrix",
+    "purity", "trace_distance",
     "ReconstructionResult", "TomographyPlan", "default_gamma_abs",
     "measure_distributions", "reconstruct",
 ]

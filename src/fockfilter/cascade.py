@@ -8,24 +8,27 @@ is those parameters, the sample count, the seed and the update rule.
 
 Randomness is counter-based (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11): the uniform that decides stage k of trial i is a
-pure function u(seed, i, k), so no generator state is carried between
-trials and any subset or order of trials gives the same records.  It also
-means that which uniforms are drawn cannot change a count: the sampler
-draws a trial's stages only up to its first click, as raw 64-bit outputs
-compared with integer thresholds (`_count_first_on`).
+pure function u(seed, i, k), the top 53 bits of the trial's raw draw at
+stage k (`_stage_bits`) times 2^-53, so no generator state is carried
+between trials and any subset or order of trials gives the same records.
+It also means that which uniforms are drawn cannot change a count: the
+sampler draws a trial's stages only up to its first click, as raw 64-bit
+outputs compared with integer thresholds (`_count_first_on`).
 
 Each filter is a photon-number nondemolition measurement, so under either
 update rule a cascade is one state-independent response matrix R[k, n] =
 P(first click at stage k | n photons), with the survival S[k, n] = P(no
 click before stage k | n photons) (`response_matrix`).  For an input
 diagonal d, the first-ON distribution is R @ d and the all-OFF residual
-S[K] @ d.  Trial i clicks first at the smallest k with u(seed, i, k) <
-q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks of at most
-CHUNK_CELLS trial-stage cells, which only bound memory.  Where the all-OFF
-path dies (S[k] @ d < MIN_OUTCOME_PROB) the later q_k are undefined, and a
-trial that would reach them raises NumericalError.  The tests check R
-against an independent walk of full conditional states, one trial at a
-time, and the sampler against the full matrix of uniforms.
+S[K] @ d, which an estimate reports as `expected` and `all_off_expected`
+beside its counts.  Trial i clicks first at the smallest k with
+u(seed, i, k) < q_k = (R @ d)_k / (S[k] @ d); trials are sampled in chunks
+of at most CHUNK_CELLS trial-stage cells, which only bound memory.  Where
+the all-OFF path dies (S[k] @ d < MIN_OUTCOME_PROB) the later q_k are
+undefined, and a trial that would reach them raises NumericalError.  The
+tests check R against an independent walk of full conditional states, one
+trial at a time, and the sampler against the full matrix of uniforms, both
+in tests/reference.py.
 """
 
 from dataclasses import dataclass
@@ -112,20 +115,6 @@ def derive_seeds(seed, indices):
     if span:  # |step| <= last - first < 2^63: no int64 product overflows
         idx = indices[0] + indices.step * np.arange(len(indices), dtype=np.int64)
     return _stage_bits(np.uint64(_root_key(seed)), idx.astype(np.uint64))
-
-
-def uniforms(seed, trials, n_stages):
-    """Uniforms u[i, k] in [0, 1) for trial trials[i] at stage k.
-
-    u[i, k] is a pure function of (seed, trials[i], k).  Stage k takes
-    output k + 1 of a SplitMix64 stream seeded by the trial's derived seed
-    (`_stage_bits`); the top 53 bits of each output give the double.
-    n_stages is an integer in 0..CUTOFF_CEILING + 1, the most stages a
-    CascadeConfig has.
-    """
-    n_stages = fock._size(n_stages, "n_stages", high=fock.CUTOFF_CEILING + 1)
-    z = _stage_bits(derive_seeds(seed, trials)[:, None], np.arange(n_stages, dtype=np.uint64))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -221,12 +210,6 @@ def _first_on_chain(d, R, S):
     dead = np.flatnonzero(alive[1:-1] < MIN_OUTCOME_PROB)
     reached = dead[0] + 1 if dead.size else len(expected)
     return expected[:reached] / alive[:reached], expected, float(alive[-1])
-
-
-def first_on_distribution(rho, cfg):
-    """Analytic first-ON distribution: (R @ d, S[K] @ d) for d = diag(rho)."""
-    d = fock._square_matrix(rho).diagonal()
-    return _first_on_chain(d, *response_matrix(cfg, d.size))[1:]
 
 
 def _thresholds(q):

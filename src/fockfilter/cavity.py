@@ -84,8 +84,21 @@ def transmission_profile(params, n_max):
     """
     n_max = _size(n_max, "n_max")
     phi = total_phase(np.arange(n_max + 1), params)
-    s2 = np.sin(phi / 2.0) ** 2
-    return 1.0 / (1.0 + 4.0 * (1.0 - params.tau) / params.tau ** 2 * s2)
+    return _lineshape(np.sin(phi / 2.0) ** 2, params.tau)
+
+
+def _lineshape(s2, tau):
+    """[1 + 4 (1-tau)/tau^2 s2]^{-1} of s2 = sin^2(phi/2), an array or a number.
+
+    Exactly 1 where s2 = 0.  Below tau ~ 1e-154 the coefficient 4 (1-tau)/tau^2
+    overflows (tau^2 may even round to 0); it is then inf, the lineshape 0
+    wherever s2 > 0, and inf * 0 is never formed.  A NaN s2 stays NaN.
+    """
+    tau = float(tau)  # a numpy tau would warn on the overflow
+    tau2 = tau ** 2
+    coefficient = 4.0 * (1.0 - tau) / tau2 if tau2 else math.inf
+    s2 = np.asarray(s2, dtype=float)
+    return 1.0 / (1.0 + np.multiply(coefficient, s2, out=np.zeros_like(s2), where=s2 != 0.0))
 
 
 # an ulp of n* from which the centers n* + 2 pi j / chi_t, each a few ulps
@@ -111,8 +124,7 @@ def resonant_components(params, n_max):
     if period < 1.0:
         return list(range(n_max + 1))
     if math.ulp(params.n_star) >= CENTER_ULP_LIMIT:
-        tau = params.tau
-        half = 1.0 / (1.0 + 4.0 * (1.0 - tau) / tau ** 2 * math.sin(params.chi_t / 4.0) ** 2)
+        half = _lineshape(math.sin(params.chi_t / 4.0) ** 2, params.tau)
         return np.flatnonzero(transmission_profile(params, n_max) > half).tolist()
     first = math.ceil((-0.5 - params.n_star) / period)
     last = math.floor((n_max + 0.5 - params.n_star) / period)

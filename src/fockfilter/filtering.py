@@ -25,8 +25,7 @@ probability sums the diagonal alone, the outcome probabilities depend on
 diag(nu) only, through the diagonal exponents G(n, n), G_off(n, n).  The
 cascade's response matrix (cascade.response_matrix) is built from those.
 
-The good-cavity (tau << chi_t) closed forms and the multi-resonance
-superposition regime live here as well.
+The multi-resonance superposition regime lives here as well.
 """
 
 import math
@@ -138,52 +137,6 @@ def _normalize(lower, prob, dim):
     if prob < MIN_OUTCOME_PROB:
         return None
     return fock._hermitian(lower / prob, dim)
-
-
-def filter_pass_asymptotic(rho, cav, probe, n_star):
-    """Good-cavity (tau << chi_t) closed forms for the ON outcome.
-
-    Returns (p_on_approx, state_on_approx) with
-
-        p_on_approx = nu_{n*n*} + c sum_{p != n*} nu_pp / (n* - p)^2,
-        c = eta |a|^2 tau^2 / chi_t^2,
-
-    and the ON state built from the n* projector plus the off-resonant
-    block c e^{i Phi_nk} nu_nk / ((n* - n)(n* - k)), normalized by its trace.
-    Phi_nk = (|a|^2 tau / chi_t)(1/(n* - k) - 1/(n* - n)) is the residual
-    cross-Kerr phase the probe imprints on off-resonant coherences; it is a
-    pure per-mode phase but is not negligible unless |a|^2 tau << chi_t.
-
-    n_star is explicit (not inferred from psi/chi_t) so detuned cavities
-    remain testable; it must be an integer level 0..dim - 1 of rho, and
-    validity of the expansion is the caller's concern.
-    """
-    rho = fock._square_matrix(rho)
-    dim = rho.shape[0]
-    n_star = fock._size(n_star, "n_star", high=dim - 1)
-    a2 = abs(probe.alpha) ** 2
-    c = probe.eta * a2 * cav.tau ** 2 / cav.chi_t ** 2
-    idx = np.arange(dim)
-    off = idx != n_star
-    inv = np.zeros(dim)
-    inv[off] = 1.0 / (n_star - idx[off])
-    # per-mode factor 1/(n*-n) with the residual probe phase attached
-    w = inv * np.exp(-1j * (a2 * cav.tau / cav.chi_t) * inv)
-
-    p_on_approx = float(rho[n_star, n_star].real + c * (rho.diagonal().real[off] * inv[off] ** 2).sum())
-
-    bracket = c * np.outer(w, w.conj()) * rho
-    bracket[n_star, :] = 0.0
-    bracket[:, n_star] = 0.0
-    bracket[n_star, n_star] = rho[n_star, n_star].real
-    tr = np.trace(bracket).real
-    if not (math.isfinite(p_on_approx) and math.isfinite(tr)):
-        raise fock.NumericalError(
-            f"good-cavity pass gave non-finite p_on = {p_on_approx}, ON trace = {tr}; "
-            "the input state is not finite")
-    if not tr >= MIN_OUTCOME_PROB:
-        return p_on_approx, None
-    return p_on_approx, _normalize(bracket[fock._lower_triangle(dim)[:2]], tr, dim)
 
 
 @dataclass(frozen=True)

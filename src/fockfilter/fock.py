@@ -499,29 +499,3 @@ def _pad_pair(a, b):
     out_a[:da, :da] = a
     out_b[:db, :db] = b
     return out_a, out_b
-
-
-# validate_density_matrix: largest |nu - nu^+|, largest |trace - 1| and the
-# smallest eigenvalue tolerated
-HERMITIAN_TOL = 1e-12
-TRACE_TOL = 1e-10
-PSD_TOL = -1e-9
-
-
-def validate_density_matrix(rho):
-    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD.
-
-    Eigenvalues in (PSD_TOL, 0) are tolerated as-is, never clamped.
-    """
-    rho = _square_matrix(rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("density matrix has a non-finite cell")
-    herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
-    if not herm <= HERMITIAN_TOL:
-        raise ValueError(f"not Hermitian: max |nu - nu^+| = {herm:.3e} > {HERMITIAN_TOL:g}")
-    tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= TRACE_TOL:
-        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
-    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if not lo >= PSD_TOL:
-        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < {PSD_TOL:g}")

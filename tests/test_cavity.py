@@ -100,6 +100,29 @@ def test_profile_peaks_at_target_and_matches_amplitudes():
     assert prof[3] == pytest.approx(abs(s) ** 2, rel=1e-12)
 
 
+def test_profile_is_the_lineshape_formula_bit_for_bit_where_it_is_finite():
+    g = np.random.default_rng(11)
+    for _ in range(300):
+        tau = float(10.0 ** g.uniform(-150.0, -0.01))
+        chi_t = float(g.uniform(0.01, 3.0))
+        params = cavity.CavityParams(tau=tau, psi=chi_t * float(g.uniform(-5.0, 45.0)),
+                                     chi_t=chi_t)
+        s2 = np.sin(cavity.total_phase(np.arange(41), params) / 2.0) ** 2
+        formula = 1.0 / (1.0 + 4.0 * (1.0 - tau) / tau ** 2 * s2)
+        assert np.array_equal(cavity.transmission_profile(params, 40), formula)
+
+
+@pytest.mark.parametrize("tau", [1e-160, 1e-200, 5e-324])
+def test_profile_below_the_smallest_linewidth_is_one_on_resonance_and_zero_off(tau):
+    # 4 (1 - tau) / tau^2 overflows: tau^2 is subnormal at 1e-160, where the
+    # resonant n read NaN (inf * 0), and 0 at 1e-200, which divided by zero
+    params = cavity.CavityParams.tuned(4, tau, 0.01)
+    prof = cavity.transmission_profile(params, 30)
+    assert prof[4] == 1.0
+    assert not np.delete(prof, 4).any()
+    assert cavity.resonant_components(params, 30) == [4]
+
+
 def test_linewidth_is_about_tau():
     # half-transmission point of |sigma(phi)|^2 sits at phi ~ tau
     for tau in (0.01, 0.001):
@@ -196,6 +219,16 @@ def test_unresolvable_centers_follow_the_phase_of_psi(psi, expected):
     params = cavity.CavityParams(tau=0.1, psi=psi, chi_t=2.0)
     assert math.ulp(params.n_star) >= cavity.CENTER_ULP_LIMIT
     assert cavity.resonant_components(params, 12) == expected == _shown_by_profile(params, 12)
+
+
+def test_unresolvable_centers_below_the_smallest_linewidth():
+    # n* = 2^50, whose ulp is 1/4 photon: the profile decides, against the
+    # transmission half a photon off a center, which at tau = 1e-200 (tau^2
+    # rounds to 0) divided by zero.  No n up to 40 sees an exactly zero
+    # phase, so at that linewidth none transmits
+    params = cavity.CavityParams.tuned(2 ** 50, 1e-200, 0.1)
+    assert math.ulp(params.n_star) >= cavity.CENTER_ULP_LIMIT
+    assert cavity.resonant_components(params, 40) == []
 
 
 def test_center_scan_agrees_with_the_profile_where_centers_resolve():

@@ -46,6 +46,20 @@ def test_profile_preset(tmp_path):
     assert values.index(max(values)) == 4
 
 
+@pytest.mark.parametrize("tau", [1e-160, 1e-200])
+def test_profile_below_the_smallest_linewidth(tmp_path, capsys, tau):
+    # tau^2 is subnormal at 1e-160 and 0 at 1e-200: the profile printed NaN
+    # at n* with a RuntimeWarning, or exited 1 on a ZeroDivisionError
+    config = write_config(tmp_path, {"cavity": {"tau": tau, "psi": 0.04, "chi_t": 0.01}})
+    code, out = run(tmp_path, "profile", "--config", config)
+    assert code == 0
+    _, rows = tables.read_csv(out / "profile.csv")
+    values = [float(r[1]) for r in rows]
+    assert values[4] == 1.0
+    assert all(math.isfinite(v) for v in values)
+    assert "peak_transmission = 1\n" in capsys.readouterr().out
+
+
 def test_synthesize_preset_files_and_headers(tmp_path):
     code, out = run(tmp_path, "synthesize", "--preset", "fig2")
     assert code == 0

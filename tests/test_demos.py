@@ -1,8 +1,10 @@
 """Every narrative demo under demos/ and every python example of README.md
-runs to the end, the package root exports exactly the public names below
-and each resolves, and no library module imports from the tests."""
+runs to the end, the package root exports exactly the public names below,
+each resolves and each function among them has a caller outside the tests,
+and no library module imports from the tests."""
 
 import ast
+import inspect
 import re
 import runpy
 import sys
@@ -24,11 +26,10 @@ PUBLIC = [
     "StateSpec", "SuperpositionReport", "TomographyPlan", "analytic_distribution",
     "cavity_amplitudes", "choose_cutoff", "default_gamma_abs", "derive_seeds",
     "displacement_margin", "displacement_matrix", "estimate_photon_distribution",
-    "fidelity_to_pure", "filter_pass", "filter_pass_asymptotic",
-    "first_on_distribution", "make_state", "measure_distributions", "mode_amplitudes",
-    "photon_distribution", "purity", "reconstruct", "resonant_components",
-    "response_matrix", "superposition_synthesis_check", "total_phase", "trace_distance",
-    "transmission_profile", "uniforms", "validate_density_matrix",
+    "fidelity_to_pure", "filter_pass", "make_state", "measure_distributions",
+    "mode_amplitudes", "photon_distribution", "purity", "reconstruct",
+    "resonant_components", "response_matrix", "superposition_synthesis_check",
+    "total_phase", "trace_distance", "transmission_profile",
 ]
 
 ARGS = {
@@ -64,10 +65,39 @@ def test_readme_example_runs(index, capsys):
 
 
 def test_every_exported_name_resolves():
-    assert len(PUBLIC) == 37
+    assert len(PUBLIC) == 33
     assert sorted(fockfilter.__all__) == sorted(["__version__", *PUBLIC])
     for name in fockfilter.__all__:
         assert hasattr(fockfilter, name), name
+
+
+def _loaded_names(trees):
+    """Every name the trees use, bare (f) or as an attribute (module.f)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a library module other than its own, another function of its own
+    # module, a demo or a README example names it; a function that only
+    # the tests call is a test reference (tests/reference.py), not API
+    library = {path.stem: ast.parse(path.read_text())
+               for path in (ROOT / "src" / "fockfilter").glob("*.py")
+               if path.stem != "__init__"}
+    outside = [*(ast.parse(path.read_text()) for path in DEMOS.glob("*.py")),
+               *map(ast.parse, README_EXAMPLES)]
+    uncalled = []
+    for name in fockfilter.__all__:
+        function = getattr(fockfilter, name)
+        if not inspect.isfunction(function):
+            continue
+        home = function.__module__.rpartition(".")[2]
+        callers = [*(tree for stem, tree in library.items() if stem != home), *outside,
+                   *(node for node in library[home].body if getattr(node, "name", None) != name)]
+        if name not in _loaded_names(callers):
+            uncalled.append(name)
+    assert uncalled == []
 
 
 def test_no_library_module_imports_from_the_tests():

@@ -20,7 +20,7 @@ from scipy.special import gammaln
 from scipy.stats import poisson
 
 from fockfilter import cascade, cavity, filtering, fock
-from reference import displace, squeezed_distribution
+from reference import displace, squeezed_distribution, validate_density_matrix
 
 
 def ladder(dim):
@@ -148,7 +148,6 @@ def test_an_analytic_distribution_past_the_cutoff_ceiling_is_refused():
 # substream indices of derive_seeds, which test_cascade checks: the call with
 # a size, the name its refusal gives and a value out of its range
 _CAVITY = cavity.CavityParams(tau=0.01, psi=0.2, chi_t=0.1)
-_RHO = fock.make_state(fock.StateSpec.coherent(1.0), cutoff=5, tail=None)
 SIZE_ARGUMENTS = {
     "StateSpec.n": (lambda v: fock.StateSpec(kind="number", n=v), "n", -1),
     "StateSpec.number": (fock.StateSpec.number, "n", -1),
@@ -163,11 +162,7 @@ SIZE_ARGUMENTS = {
                                    "n_max", -1),
     "resonant_components.n_max": (lambda v: cavity.resonant_components(_CAVITY, v),
                                   "n_max", -1),
-    "filter_pass_asymptotic.n_star": (lambda v: filtering.filter_pass_asymptotic(
-        _RHO, _CAVITY, filtering.ProbeDetector(alpha=2.0, eta=0.8), v), "n_star", 6),
     "derive_seeds.seed": (lambda v: cascade.derive_seeds(v, [0, 1]), "seed", 2 ** 64),
-    "uniforms.n_stages": (lambda v: cascade.uniforms(1, [0], v), "n_stages",
-                          fock.CUTOFF_CEILING + 2),
     "response_matrix.dim": (lambda v: cascade.response_matrix(cascade.CascadeConfig(
         n_top=4, tau=1e-3, chi_t=0.1, probe=filtering.ProbeDetector(alpha=20.0, eta=0.4),
         samples=1, rng_seed=0), v), "dim", 0),
@@ -549,7 +544,7 @@ def test_a_non_finite_stack_row_is_named():
 ])
 def test_states_satisfy_density_matrix_invariants(spec):
     rho = fock.make_state(spec)
-    fock.validate_density_matrix(rho)  # hermitian, unit trace, PSD
+    validate_density_matrix(rho)  # hermitian, unit trace, PSD
 
 
 @pytest.mark.parametrize("rho,match", [
@@ -565,7 +560,7 @@ def test_states_satisfy_density_matrix_invariants(spec):
         "all_nan"])
 def test_validate_density_matrix_rejects_violations(rho, match):
     with pytest.raises(ValueError, match=match):
-        fock.validate_density_matrix(rho)
+        validate_density_matrix(rho)
 
 
 @pytest.mark.parametrize("metric", [
